@@ -8,7 +8,7 @@ volume        exact volume of P(m, n).
 fpoly         face-count polynomial (``--stable`` for the shared n >= m form).
 vertices      vertex list of P(m, n).
 facets        facet inequalities of P(m, n).
-count-points  brute-force lattice-point count of t*P(m, n).
+count-points  exact lattice-point count of t*P(m, n), by enumeration.
 graphs        the multigraph family behind the combinatorial engines
               (``--stats`` for the census by loop/single/double signature).
 parking       number of integer points of the parking-function polytope.
@@ -28,7 +28,8 @@ Usage examples
   permutoehr verify --max-m 4 --max-t 2
 
 The environment variable PERMUTOEHR_BUDGET overrides the lattice
-enumeration budget (default 10^8 candidate points).
+enumeration budget (default 10^8 orbit representatives, that is weakly
+decreasing vectors in the box [0, t*n]^m: C(t*n + m, m) of them).
 """
 
 from __future__ import annotations

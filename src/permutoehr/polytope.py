@@ -2,9 +2,10 @@
 
 P(m, n) is the convex hull of the vectors in {0, 1, ..., n}^m whose
 nonzero entries are distinct.  This module gives its vertices, facet
-inequalities, membership in integer dilates, a brute-force lattice-point
-count, the lift into the hyperplane in R^(m+1), and its decomposition as
-a Minkowski sum of dilated coordinate simplices (valid for n >= m - 1).
+inequalities, membership in integer dilates, an exact lattice-point count
+by a walk over sorted orbit representatives, the lift into the hyperplane
+in R^(m+1), and its decomposition as a Minkowski sum of dilated
+coordinate simplices (valid for n >= m - 1).
 
 Everything is integer arithmetic on explicit data; the formula engines
 live in :mod:`permutoehr.ehrhart` and are cross-checked against the
@@ -38,9 +39,6 @@ class FacetInequality:
         v = self.value(x)
         return v <= t * self.bound if self.sense == "<=" else v >= t * self.bound
 
-    def saturated(self, x, t: int = 1) -> bool:
-        return self.value(x) == t * self.bound
-
     def __str__(self):
         terms = [
             ("x%d" % (i + 1)) if c == 1 else ("%d*x%d" % (c, i + 1))
@@ -55,8 +53,8 @@ class PartialPermutohedron:
     """P(m, n) for positive integers m (ambient dimension) and n (value cap)."""
 
     def __init__(self, m: int, n: int):
-        if not (isinstance(m, int) and isinstance(n, int)):
-            raise ValueError("m and n must be integers")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (m, n)):
+            raise ValueError(f"m and n must be integers, got m={m!r}, n={n!r}")
         if m < 1 or n < 1:
             raise ValueError(f"P(m, n) needs m >= 1 and n >= 1, got m={m}, n={n}")
         self.m = m
@@ -151,44 +149,58 @@ class PartialPermutohedron:
         return sum(x) <= t * self.full_sum_bound()
 
     def count_lattice_points(self, t: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
-        """Exact number of integer points in t*P(m, n), by box enumeration
-        with running-sum pruning.  Refuses when the candidate box
-        (t*n + 1)^m exceeds the budget."""
+        """Exact number of integer points in t*P(m, n), by a walk over one
+        representative per orbit of the coordinate permutations.
+
+        t*P(m, n) is invariant under permuting coordinates, so the walk
+        visits only weakly decreasing vectors x_1 >= ... >= x_m and weights
+        each by m!/prod(multiplicity!), the size of its orbit.  A prefix is
+        extended only while its sum stays within t*largest_entries_bound(k)
+        (k < min(m, n)) and the total within t*full_sum_bound(): the test
+        :meth:`contains` makes after sorting, with no Ehrhart formula
+        involved.  Refuses when C(t*n + m, m), the number of weakly
+        decreasing vectors in the box [0, t*n]^m and so a bound on the
+        representatives visited, exceeds the budget."""
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise ValueError(f"dilation factor t must be an integer, got {t!r}")
         if t < 1:
             raise ValueError("dilation factor t must be >= 1")
         m, n = self.m, self.n
-        box = (t * n + 1) ** m
-        if box > budget:
+        representatives = comb(t * n + m, m)
+        if representatives > budget:
             raise BudgetError(
-                f"candidate box (t*n+1)^m = {box} exceeds budget {budget}"
+                f"orbit representatives C(tn+m, m) = {representatives} "
+                f"exceeds budget {budget}"
             )
         full = t * self.full_sum_bound()
-        cap = t * n
-        kmax = min(m, n) - 1
-        prefix_bounds = [t * self.largest_entries_bound(k) for k in range(1, kmax + 1)]
+        # caps[k] bounds the sum of the k + 1 largest entries; past the
+        # subset facets only the full sum binds, entries being >= 0.  The
+        # list has min(m, n) - 1 entries, not m, so a long vector of few
+        # nonzero entries costs no memory in m.
+        caps = [t * self.largest_entries_bound(k) for k in range(1, min(m, n))]
 
-        def prefix_ok(point) -> bool:
-            ordered = sorted(point, reverse=True)
-            run = 0
-            for k, bound in enumerate(prefix_bounds):
-                run += ordered[k]
-                if run > bound:
-                    return False
-            return True
-
-        point = [0] * m
-
-        def walk(idx: int, total: int) -> int:
+        def walk(idx: int, top: int, total: int, run: int, falling: int, denom: int) -> int:
+            # Orbit-weighted count of the completions of x_1 .. x_idx, whose
+            # last entry top ends a run of length run; falling is
+            # m!/(m - idx)! and denom the product of the factorials of the
+            # run lengths so far (the root passes the box cap t*n as top,
+            # with run 0).  The completion by zeros, of weight
+            # m!/(denom * (m - idx)!), is counted here, so the recursion
+            # takes only v >= 1 and its depth is the number of nonzero
+            # entries, not m.
+            acc = falling // denom
             if idx == m:
-                return 1 if prefix_ok(point) else 0
-            acc = 0
-            for v in range(min(cap, full - total) + 1):
-                point[idx] = v
-                acc += walk(idx + 1, total + v)
-            point[idx] = 0
+                return acc
+            cap = caps[idx] if idx < len(caps) else full
+            child = falling * (m - idx)
+            for v in range(1, min(top, cap - total) + 1):
+                if v == top:
+                    acc += walk(idx + 1, v, total + v, run + 1, child, denom * (run + 1))
+                else:
+                    acc += walk(idx + 1, v, total + v, 1, child, denom)
             return acc
 
-        return walk(0, 0)
+        return walk(0, t * n, 0, 0, 1, 1)
 
     # -- lift to R^(m+1) ----------------------------------------------------
 

@@ -54,15 +54,19 @@ def test_criterion_1_five_way_engine_agreement():
 
 def test_criterion_2_brute_force_oracle():
     checks = 0
-    for m in range(1, 5):
-        for n in range(max(1, m - 1), 5):
-            poly = ehrhart_closed(m, n)
-            polytope = PartialPermutohedron(m, n)
-            for t in (1, 2, 3):
-                assert poly(t) == polytope.count_lattice_points(t), (
-                    f"count mismatch at m={m}, n={n}, t={t}"
-                )
-                checks += 1
+    grid = [
+        (m, n, t)
+        for m in range(1, 7)
+        for n in range(max(1, m - 1), max(5, m + 2))
+        for t in (1, 2, 3)
+    ]
+    grid += [(7, n, t) for n in (6, 7) for t in (1, 2)]
+    for m, n, t in grid:
+        count = PartialPermutohedron(m, n).count_lattice_points(t)
+        assert ehrhart_closed(m, n)(t) == count, (
+            f"count mismatch at m={m}, n={n}, t={t}"
+        )
+        checks += 1
     # anchored quadratic for m = 2
     for n in range(1, 5):
         anchored = Poly([1, 2 * n - Fraction(1, 2), n * n - Fraction(1, 2)])
@@ -182,7 +186,7 @@ def test_criterion_8_f_polynomials():
 
 def test_criterion_9_parking_function_counts():
     # m = 1 would need P(1, 0), which sits outside the n >= 1 domain
-    for m in (2, 3, 4):
+    for m in range(2, 8):
         expected = PartialPermutohedron(m, m - 1).count_lattice_points(1)
         assert ehrhart_closed(m, m - 1)(1) == expected, f"m={m}"
-    _passed(9, "integer points of the parking-function polytope for m = 2, 3, 4")
+    _passed(9, "integer points of the parking-function polytope for m = 2 .. 7")

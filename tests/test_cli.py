@@ -129,6 +129,12 @@ class TestOtherCommands:
         assert code == 3
         assert "budget" in err
 
+    def test_count_points_m7_under_default_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, _ = run(capsys, "count-points", "--m", "7", "--n", "7", "--t", "2")
+        assert code == 0
+        assert out.strip() == "105514992" == str(ehrhart_closed(7, 7)(2))
+
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMUTOEHR_BUDGET", "many")
         code, _, err = run(capsys, "count-points", "--m", "2", "--n", "1", "--t", "1")

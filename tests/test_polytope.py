@@ -116,7 +116,7 @@ class TestFacets:
         poly = PartialPermutohedron(m, n)
         facets = poly.facets()
         for v in poly.vertices():
-            assert sum(1 for f in facets if f.saturated(v)) == m
+            assert sum(1 for f in facets if f.value(v) == f.bound) == m
 
     def test_str(self):
         rendered = {str(f) for f in PartialPermutohedron(2, 1).facets()}
@@ -156,8 +156,8 @@ class TestCounting:
     def test_segment_dilate(self):
         assert PartialPermutohedron(1, 3).count_lattice_points(2) == 7
 
-    @pytest.mark.parametrize("m", range(1, 4))
-    @pytest.mark.parametrize("n", range(1, 4))
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("t", (1, 2))
     def test_against_box_filter(self, m, n, t):
         poly = PartialPermutohedron(m, n)
@@ -170,9 +170,25 @@ class TestCounting:
         with pytest.raises(BudgetError):
             PartialPermutohedron(4, 4).count_lattice_points(2, budget=100)
 
+    def test_budget_message_states_the_work(self):
+        # C(2*4 + 4, 4) = 495 weakly decreasing vectors in [0, 8]^4
+        with pytest.raises(BudgetError, match=r"C\(tn\+m, m\) = 495 exceeds budget 100"):
+            PartialPermutohedron(4, 4).count_lattice_points(2, budget=100)
+        assert PartialPermutohedron(4, 4).count_lattice_points(2, budget=495) > 0
+
+    def test_long_vector_few_nonzero_entries(self):
+        # C(100001, 100000) = 100001 is within the budget, and the walk's
+        # work follows the nonzero entries (at most one here), not m
+        assert PartialPermutohedron(100000, 1).count_lattice_points(1) == 100001
+
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             PartialPermutohedron(2, 2).count_lattice_points(0)
+
+    @pytest.mark.parametrize("t", (True, 1.5, 2.0, "2", None))
+    def test_rejects_non_integer_t(self, t):
+        with pytest.raises(ValueError):
+            PartialPermutohedron(2, 2).count_lattice_points(t)
 
 
 class TestLift:
@@ -253,6 +269,11 @@ class TestValidation:
             PartialPermutohedron(0, 1)
         with pytest.raises(ValueError):
             PartialPermutohedron(1, 0)
+
+    @pytest.mark.parametrize("m, n", [(True, 2), (2, True), (True, True), (2.0, 2)])
+    def test_rejects_bool_and_non_integer_descriptors(self, m, n):
+        with pytest.raises(ValueError):
+            PartialPermutohedron(m, n)
 
     def test_formula_flag(self):
         assert PartialPermutohedron(3, 2).ehrhart_formula_applies
