@@ -40,6 +40,7 @@ from .graphs import (
     graph_census,
     graph_stats,
     satisfies_hall,
+    sequence_census,
     structure_counts,
     to_multigraph,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "graph_stats",
     "rising_binomial",
     "satisfies_hall",
+    "sequence_census",
     "structure_counts",
     "summands_support_value",
     "to_multigraph",

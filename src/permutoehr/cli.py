@@ -40,6 +40,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .ehrhart import (
     METHOD_NAMES,
@@ -374,8 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first call to :func:`main`
+    rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:

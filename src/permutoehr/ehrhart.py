@@ -10,27 +10,33 @@ different exact expressions, all implemented here over exact rationals:
 ``ehrhart_postnikov``   a sum over Hall-feasible edge-multiplicity
                         sequences of products of rising-factorial
                         binomials (lattice points of a Minkowski sum of
-                        dilated coordinate simplices);
+                        dilated coordinate simplices), over the sequences
+                        the Hall walk of :mod:`.graphs` enumerates;
 ``ehrhart_graphsum``    an edge-weighted sum over labelled multigraphs
-                        whose components each have at most one cycle;
+                        whose components each have at most one cycle,
+                        over the graphs the union-find walk enumerates;
 ``ehrhart_egf``         m! t^m [z^m] sqrt(1-z) exp((n+1/2+1/t) z - z^2/(4t)),
                         extracted from a series with Laurent-in-t
                         coefficients (``ehrhart_egf_tree`` takes the
                         equivalent route through the tree function T(z));
 ``ehrhart_recurrence``  a three-term recurrence in m.
 
-Agreement of all of them, and of their values with brute-force lattice
-point counts, is what the verification harness checks.
+The two combinatorial engines share no enumerator, so their agreement
+witnesses the bijection between Hall-feasible sequences and multigraphs
+with at most one cycle per component.  Agreement of all of them, and of
+their values with brute-force lattice point counts, is what the
+verification harness checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DEFAULT_GRAPH_BOUND
-from .graphs import enumerate_graphs, from_multigraph, graph_census
+from .graphs import graph_census, sequence_census
 from .polynomials import (
     LaurentPoly,
     Poly,
@@ -82,28 +88,22 @@ def ehrhart_closed(m: int, n: int) -> Poly:
 def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
     """Sum over Hall-feasible multiplicity sequences a of
     prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
-    prod_{i<j} binom(t + a_{ij} - 1, a_{ij})."""
+    prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
+
+    The product depends only on the multisets of nonzero loop and pair
+    multiplicities, so the sum runs over :func:`.graphs.sequence_census`,
+    the Hall walk's tally; no multigraph or union-find code is reached."""
     _require_formula_domain(m, n)
     loop_arg = Poly([0, n - m + 1])  # (n - m + 1) t
     pair_arg = Poly([0, 1])  # t
-    loop_factor = {a: rising_binomial(loop_arg, a) for a in (0, 1)}
-    pair_factor = {a: rising_binomial(pair_arg, a) for a in (0, 1, 2)}
-    # the product only depends on how many slots carry each multiplicity
-    products: dict[tuple[int, int, int], Poly] = {}
+    factor = lru_cache(maxsize=None)(rising_binomial)
     total = Poly()
-    for graph in enumerate_graphs(m, bound=bound):
-        seq = from_multigraph(graph)
-        key = (sum(seq.loop), seq.pair.count(1), seq.pair.count(2))
-        term = products.get(key)
-        if term is None:
-            term = Poly([1])
-            for a in seq.loop:
-                if a:
-                    term = term * loop_factor[a]
-            for a in seq.pair:
-                if a:
-                    term = term * pair_factor[a]
-            products[key] = term
+    for (loop_mults, pair_mults), count in sequence_census(m, bound=bound).items():
+        term = Poly([count])
+        for a in loop_mults:
+            term = term * factor(loop_arg, a)
+        for a in pair_mults:
+            term = term * factor(pair_arg, a)
         total = total + term
     return total
 

@@ -11,9 +11,25 @@ The objects here come in two equivalent presentations:
   vertices.
 
 ``to_multigraph`` / ``from_multigraph`` realize the bijection between the
-two feasible sets.  Enumeration runs over graphs by depth-first assignment
-of loop values {0,1} and pair multiplicities {0,1,2}, pruning any branch
-in which a component acquires a second cycle.
+two feasible sets.
+
+Each presentation has its own counting walk: a depth-first assignment of
+multiplicities slot by slot (singletons, then pairs) that tallies its
+leaves instead of building them, once per m and process.
+
+* The union-find walk enumerates multigraphs.  It gives a pair
+  multiplicity 0, 1 or 2 and a vertex at most one loop, pruning any branch
+  in which a component acquires a second cycle, and tallies the graphs by
+  (loops, single edges, doubled pairs, connected).  ``graph_census`` (and
+  with it the ``graphsum`` engine) and ``structure_counts`` read it.
+* The Hall walk enumerates multiplicity sequences.  It keeps a live
+  slot-to-vertex matching and gives a slot one more copy for as long as an
+  augmenting path extends the matching, and tallies the sequences by the
+  multisets of their nonzero loop and pair multiplicities.
+  ``sequence_census`` (and with it the ``postnikov`` engine) reads it.
+
+The listings ``enumerate_graphs`` and ``enumerate_sequences`` walk the
+multigraphs lazily and build every member.
 """
 
 from __future__ import annotations
@@ -49,14 +65,6 @@ class EdgeMultiplicities:
         if any(c < 0 for c in self.loop) or any(c < 0 for c in self.pair):
             raise ValueError("multiplicities must be nonnegative")
 
-    @property
-    def flat(self) -> tuple[int, ...]:
-        """(a_{1}, ..., a_{m}, a_{12}, a_{13}, ...) in one tuple."""
-        return self.loop + self.pair
-
-    def total(self) -> int:
-        return sum(self.loop) + sum(self.pair)
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -72,9 +80,6 @@ class Multigraph:
             raise ValueError("multiplicity tuple lengths do not match m")
         if any(c < 0 for c in self.loops) or any(c < 0 for c in self.pair_mult):
             raise ValueError("edge counts must be nonnegative")
-
-    def edge_total(self) -> int:
-        return sum(self.loops) + sum(self.pair_mult)
 
 
 class GraphStats(NamedTuple):
@@ -104,6 +109,20 @@ def edge_slots(seq: EdgeMultiplicities) -> list[tuple[int, ...]]:
     return slots
 
 
+def _augment(s: int, slots, owner: list[int], seen: list[bool]) -> bool:
+    """Match slot ``s`` to one of its endpoints, re-routing the slots that
+    own the endpoints along an augmenting path if need be (``owner[v]`` is
+    the slot matched to vertex v, or -1).  False, with ``owner``
+    unchanged, if no augmenting path exists."""
+    for v in slots[s]:
+        if not seen[v]:
+            seen[v] = True
+            if owner[v] < 0 or _augment(owner[v], slots, owner, seen):
+                owner[v] = s
+                return True
+    return False
+
+
 def find_sdr(seq: EdgeMultiplicities) -> Optional[list[int]]:
     """A system of distinct representatives for the edge slots of ``seq``
     (one vertex per slot, each an endpoint, all distinct), or None.
@@ -113,26 +132,15 @@ def find_sdr(seq: EdgeMultiplicities) -> Optional[list[int]]:
     slots = edge_slots(seq)
     if len(slots) > seq.m:
         return None
-    owner: list[Optional[int]] = [None] * seq.m  # vertex -> slot index
-
-    def augment(s: int, seen: list[bool]) -> bool:
-        for v in slots[s]:
-            if not seen[v]:
-                seen[v] = True
-                if owner[v] is None or augment(owner[v], seen):
-                    owner[v] = s
-                    return True
-        return False
-
+    owner = [-1] * seq.m
     for s in range(len(slots)):
-        if not augment(s, [False] * seq.m):
+        if not _augment(s, slots, owner, [False] * seq.m):
             return None
-    reps: list[Optional[int]] = [None] * len(slots)
+    reps = [0] * len(slots)
     for v, s in enumerate(owner):
-        if s is not None:
+        if s >= 0:
             reps[s] = v
-    assert all(r is not None for r in reps)
-    return reps  # type: ignore[return-value]
+    return reps
 
 
 def satisfies_hall(seq: EdgeMultiplicities) -> bool:
@@ -152,7 +160,9 @@ def component_cycle_check(graph: Multigraph) -> bool:
     for (i, j), c in zip(vertex_pairs(graph.m), graph.pair_mult):
         for _ in range(c):
             dsu.add_edge(i, j)
-    return dsu.within_cycle_limit()
+    return all(
+        dsu.edges[r] <= dsu.size[r] for r in range(graph.m) if dsu.parent[r] == r
+    )
 
 
 def to_multigraph(seq: EdgeMultiplicities) -> Multigraph:
@@ -227,16 +237,6 @@ class _DisjointSet:
                 self.size[root] -= self.size[child]
                 self.edges[root] -= self.edges[child] + 1
 
-    def within_cycle_limit(self) -> bool:
-        return all(
-            self.edges[r] <= self.size[r]
-            for r in range(len(self.parent))
-            if self.parent[r] == r
-        )
-
-    def component_count(self) -> int:
-        return sum(1 for r in range(len(self.parent)) if self.parent[r] == r)
-
 
 def _iter_raw(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (loops, pair_mult) for every feasible assignment; the caller
@@ -305,22 +305,88 @@ def enumerate_sequences(
 
 
 @lru_cache(maxsize=None)
-def _census_items(m: int) -> tuple[tuple[GraphStats, int], ...]:
-    counts: dict[GraphStats, int] = {}
-    for loops, mult in _iter_raw(m):
-        key = GraphStats(
-            sum(loops),
-            sum(1 for c in mult if c == 1),
-            sum(1 for c in mult if c == 2),
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+def _union_find_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
+    """Counts of the multigraphs on m vertices by (loops, single edges,
+    doubled pairs, connected), from one depth-first walk.
+
+    The walk assigns the slots in the order of :func:`_iter_raw`, keeps the
+    union-find forest in flat lists (no path compression, union by size) and
+    undoes each union inline on the way back.  The signature travels down
+    as one integer with a digit per field in base m + 1, the last digit
+    counting unions, so a leaf costs one dict increment; the graph is
+    connected when the unions reach m - 1."""
+    pairs = vertex_pairs(m)
+    ends = [(v, v) for v in range(m)] + list(pairs)
+    n_slots = len(ends)
+    parent = list(range(m))
+    size = [1] * m
+    edges = [0] * m
+    base = m + 1
+    loop_w, single_w, double_w = base**3, base**2, base
+    codes: dict[int, int] = {}
+
+    def walk(k: int, code: int, used: int):
+        # m edges saturate every component, so the remaining slots stay 0
+        if k == n_slots or used == m:
+            codes[code] = codes.get(code, 0) + 1
+            return
+        walk(k + 1, code, used)
+        i, j = ends[k]
+        while parent[i] != i:
+            i = parent[i]
+        while parent[j] != j:
+            j = parent[j]
+        e, s = edges[i], size[i]
+        if k < m:  # a loop at vertex k
+            if e < s:
+                edges[i] = e + 1
+                walk(k + 1, code + loop_w, used + 1)
+                edges[i] = e
+        elif i == j:  # both ends already in one component
+            if e < s:
+                edges[i] = e + 1
+                walk(k + 1, code + single_w, used + 1)
+                if e + 1 < s:
+                    edges[i] = e + 2
+                    walk(k + 1, code + double_w, used + 2)
+                edges[i] = e
+        else:
+            if s < size[j]:
+                i, j = j, i
+                e, s = edges[i], size[i]
+            joined_e, joined_s = e + edges[j] + 1, s + size[j]
+            if joined_e <= joined_s:
+                parent[j] = i
+                size[i] = joined_s
+                edges[i] = joined_e
+                walk(k + 1, code + single_w + 1, used + 1)
+                if joined_e < joined_s:
+                    edges[i] = joined_e + 1
+                    walk(k + 1, code + double_w + 1, used + 2)
+                parent[j] = j
+                size[i] = s
+                edges[i] = e
+
+    walk(0, 0, 0)
+    tally: dict[tuple[int, int, int, bool], int] = {}
+    for code, count in codes.items():
+        code, unions = divmod(code, base)
+        code, doubled = divmod(code, base)
+        loops, single = divmod(code, base)
+        key = (loops, single, doubled, unions == m - 1)
+        tally[key] = tally.get(key, 0) + count
+    return tuple(tally.items())
 
 
 def graph_census(m: int, bound: int = DEFAULT_GRAPH_BOUND) -> dict[GraphStats, int]:
-    """Counts of graphs by (n_loops, n_single, n_pairs) signature."""
+    """Counts of graphs by (n_loops, n_single, n_pairs) signature, in
+    signature order."""
     _check_enum_bound(m, bound)
-    return dict(_census_items(m))
+    counts: dict[GraphStats, int] = {}
+    for (loops, single, doubled, _), count in _union_find_tally(m):
+        key = GraphStats(loops, single, doubled)
+        counts[key] = counts.get(key, 0) + count
+    return dict(sorted(counts.items()))
 
 
 class StructureCounts(NamedTuple):
@@ -330,46 +396,87 @@ class StructureCounts(NamedTuple):
     quasitrees: int
 
 
-@lru_cache(maxsize=None)
-def _structure_counts_cached(m: int) -> StructureCounts:
-    pairs = vertex_pairs(m)
-    trees = looped = enhanced = quasi = 0
-    for loops, mult in _iter_raw(m):
-        edges = sum(loops) + sum(mult)
-        if edges < m - 1:
-            continue  # cannot be connected
-        dsu = _DisjointSet(m)
-        for i, c in enumerate(loops):
-            if c:
-                dsu.add_loop(i)
-        for (i, j), c in zip(pairs, mult):
-            for _ in range(c):
-                dsu.add_edge(i, j)
-        if dsu.component_count() != 1:
-            continue
-        if edges == m - 1:
-            trees += 1
-        elif any(loops):
-            looped += 1
-        elif any(c == 2 for c in mult):
-            enhanced += 1
-        else:
-            quasi += 1
-    return StructureCounts(trees, looped, enhanced, quasi)
-
-
 def structure_counts(m: int, bound: int = DEFAULT_GRAPH_BOUND) -> StructureCounts:
     """Counts of the connected graphs, split into the four shapes a
     connected at-most-one-cycle multigraph can take: tree (#edges = m-1),
     tree plus one loop, tree with one edge doubled, and simple unicyclic
     with cycle length >= 3."""
     _check_enum_bound(m, bound)
-    return _structure_counts_cached(m)
+    trees = looped = enhanced = quasi = 0
+    for (loops, single, doubled, connected), count in _union_find_tally(m):
+        if not connected:
+            continue
+        if loops + single + 2 * doubled == m - 1:
+            trees += count
+        elif loops:
+            looped += count
+        elif doubled:
+            enhanced += count
+        else:
+            quasi += count
+    return StructureCounts(trees, looped, enhanced, quasi)
 
 
-def is_connected(graph: Multigraph) -> bool:
-    dsu = _DisjointSet(graph.m)
-    for (i, j), c in zip(vertex_pairs(graph.m), graph.pair_mult):
-        if c:
-            dsu.add_edge(i, j)
-    return dsu.component_count() == 1
+@lru_cache(maxsize=None)
+def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], int], ...]:
+    """Counts of the Hall-feasible multiplicity sequences for m by the
+    multisets of their nonzero loop and pair multiplicities (each a sorted
+    tuple), from one depth-first walk.
+
+    Slot by slot (singletons, then pairs in :func:`vertex_pairs` order), the
+    walk tries multiplicity 0 and then adds one more copy of the slot for as
+    long as one augmenting path extends the live copy-to-vertex matching;
+    Hall's condition alone decides how far a multiplicity goes.  Backtracking
+    frees the vertex of each removed copy.  The multisets travel down as one
+    integer with a digit per (loop or pair, multiplicity) in base m + 1."""
+    family = [(v,) for v in range(m)] + list(vertex_pairs(m))
+    n_slots = len(family)
+    base = m + 1
+    # digit of "one more loop (pair) slot with multiplicity a", a = 1..m
+    loop_w = [0] + [base ** (a - 1) for a in range(1, m + 1)]
+    pair_w = [0] + [base ** (m + a - 1) for a in range(1, m + 1)]
+    copies: list[tuple[int, ...]] = []  # endpoints of each matched copy
+    owner = [-1] * m  # vertex -> index into copies
+    codes: dict[int, int] = {}
+
+    def walk(k: int, code: int):
+        # a perfect matching leaves no free vertex, so the remaining slots stay 0
+        if k == n_slots or len(copies) == m:
+            codes[code] = codes.get(code, 0) + 1
+            return
+        walk(k + 1, code)
+        weights = loop_w if k < m else pair_w
+        copies.append(family[k])
+        a = 0
+        while _augment(len(copies) - 1, copies, owner, [False] * m):
+            a += 1
+            walk(k + 1, code + weights[a])
+            copies.append(family[k])
+        copies.pop()
+        for _ in range(a):
+            owner[owner.index(len(copies) - 1)] = -1
+            copies.pop()
+
+    walk(0, 0)
+    tally = []
+    for code, count in codes.items():
+        multisets = []
+        for _ in ("loop", "pair"):
+            mults: list[int] = []
+            for a in range(1, m + 1):
+                code, times = divmod(code, base)
+                mults += [a] * times
+            multisets.append(tuple(mults))
+        tally.append((tuple(multisets), count))
+    return tuple(tally)
+
+
+def sequence_census(
+    m: int, bound: int = DEFAULT_GRAPH_BOUND
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Counts of the Hall-feasible multiplicity sequences by
+    (loop multiplicities, pair multiplicities): the nonzero entries of
+    ``loop`` and of ``pair``, each as a sorted tuple.  Read off the Hall
+    walk, which shares no code with the multigraph walks."""
+    _check_enum_bound(m, bound)
+    return dict(sorted(_hall_tally(m)))

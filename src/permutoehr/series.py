@@ -159,11 +159,6 @@ class TruncatedSeries:
         return acc
 
 
-def geometric_series(order: int) -> TruncatedSeries:
-    """1/(1-z) = 1 + z + z^2 + ... with Fraction coefficients."""
-    return TruncatedSeries([Fraction(1)] * (order + 1))
-
-
 def one_minus_z(order: int, one=Fraction(1)) -> TruncatedSeries:
     """1 - z over the ring of the supplied unit element."""
     coeffs = [one, -one]

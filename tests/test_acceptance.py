@@ -49,7 +49,19 @@ def test_criterion_1_five_way_engine_agreement():
                     f"{method} disagrees with the closed form at m={m}, n={n}"
                 )
             cases += 1
-    _passed(1, f"six routes identical on {cases} (m, n) pairs up to m = 6")
+    # the two enumerating engines at m = 7, on walks that share no code
+    for n in (6, 7):
+        reference = ehrhart_closed(7, n)
+        for method in ("postnikov", "graphsum"):
+            assert compute_ehrhart(7, n, method).polynomial == reference, (
+                f"{method} disagrees with the closed form at m=7, n={n}"
+            )
+        cases += 1
+    _passed(
+        1,
+        f"six routes identical on {cases} (m, n) pairs up to m = 6, "
+        "postnikov and graphsum also at m = 7",
+    )
 
 
 def test_criterion_2_brute_force_oracle():

@@ -17,6 +17,9 @@ from permutoehr.ehrhart import (
     tree_function,
     volume_closed,
 )
+from permutoehr import ehrhart, graphs
+from permutoehr.errors import BudgetError
+from permutoehr.graphs import graph_census, structure_counts
 from permutoehr.polynomials import Poly, rising_binomial
 from permutoehr.polytope import PartialPermutohedron
 
@@ -266,3 +269,49 @@ class TestDispatch:
         for n in range(max(1, m - 1), m + 3):
             values = {engine(m, n) for engine in ENGINES}
             assert len(values) == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this engine must not reach here")
+
+
+class TestIndependentEnumerators:
+    """postnikov and graphsum run on walks that share no code, so their
+    agreement with each other witnesses the Hall <=> at-most-one-cycle
+    bijection.  The cached walks are swapped for their uncached bodies so
+    that each test walks afresh."""
+
+    def test_postnikov_reaches_no_union_find_code(self, monkeypatch):
+        for name in (
+            "_union_find_tally",
+            "_DisjointSet",
+            "_iter_raw",
+            "enumerate_graphs",
+            "component_cycle_check",
+        ):
+            monkeypatch.setattr(graphs, name, _refuse)
+        monkeypatch.setattr(ehrhart, "graph_census", _refuse)
+        monkeypatch.setattr(graphs, "_hall_tally", graphs._hall_tally.__wrapped__)
+        assert ehrhart_postnikov(4, 4) == ehrhart_closed(4, 4)
+
+    def test_graphsum_reaches_no_matching_code(self, monkeypatch):
+        for name in ("_hall_tally", "_augment", "find_sdr", "satisfies_hall"):
+            monkeypatch.setattr(graphs, name, _refuse)
+        monkeypatch.setattr(ehrhart, "sequence_census", _refuse)
+        monkeypatch.setattr(
+            graphs, "_union_find_tally", graphs._union_find_tally.__wrapped__
+        )
+        assert ehrhart_graphsum(4, 4) == ehrhart_closed(4, 4)
+
+
+class TestEnumerationBound:
+    def test_refused_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_hall_tally", _refuse)
+        monkeypatch.setattr(graphs, "_union_find_tally", _refuse)
+        with pytest.raises(BudgetError):
+            ehrhart_postnikov(8, 8)
+        with pytest.raises(BudgetError):
+            structure_counts(8)
+
+    def test_census_total_m7(self):
+        assert sum(graph_census(7).values()) == 1261748

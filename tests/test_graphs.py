@@ -14,8 +14,8 @@ from permutoehr.graphs import (
     from_multigraph,
     graph_census,
     graph_stats,
-    is_connected,
     satisfies_hall,
+    sequence_census,
     structure_counts,
     to_multigraph,
     vertex_pairs,
@@ -84,7 +84,7 @@ class TestCycleCheck:
 
 class TestBijection:
     def test_m2_sequences_match_known_listing(self):
-        assert {s.flat for s in enumerate_sequences(2)} == FEASIBLE_M2
+        assert {s.loop + s.pair for s in enumerate_sequences(2)} == FEASIBLE_M2
 
     def test_listed_correspondences(self):
         # (0,0,2) <-> the double-edge graph
@@ -170,6 +170,36 @@ class TestCensusAndStats:
         assert census[GraphStats(1, 1, 0)] == 2  # loop plus edge
 
 
+class TestSequenceCensus:
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_against_cycle_filter_extended_box(self, m):
+        # multiplicities up to 2 per loop and 3 per pair, kept when the
+        # multigraph passes the union-find cycle check
+        n_pairs = m * (m - 1) // 2
+        brute: dict = {}
+        for loop in product(range(3), repeat=m):
+            for pair in product(range(4), repeat=n_pairs):
+                if component_cycle_check(Multigraph(m, loop, pair)):
+                    key = (
+                        tuple(sorted(a for a in loop if a)),
+                        tuple(sorted(a for a in pair if a)),
+                    )
+                    brute[key] = brute.get(key, 0) + 1
+        assert sequence_census(m) == brute
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_projects_onto_graph_census(self, m):
+        projected: dict = {}
+        for (loop_mults, pair_mults), count in sequence_census(m).items():
+            key = GraphStats(len(loop_mults), pair_mults.count(1), pair_mults.count(2))
+            projected[key] = projected.get(key, 0) + count
+        assert projected == graph_census(m)
+
+    def test_bound(self):
+        with pytest.raises(BudgetError):
+            sequence_census(8)
+
+
 class TestStructureCounts:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_closed_forms(self, m):
@@ -186,6 +216,17 @@ class TestStructureCounts:
         assert structure_counts(5).quasitrees == 222
 
 
+def _connected(graph):
+    """Whether the edges (loops aside) join all m vertices: grow the set
+    reached from vertex 0, one pass over the pairs per vertex."""
+    reached = {0}
+    for _ in range(graph.m):
+        for (i, j), c in zip(vertex_pairs(graph.m), graph.pair_mult):
+            if c and (i in reached or j in reached):
+                reached |= {i, j}
+    return len(reached) == graph.m
+
+
 class TestOrientationWitness:
     def test_indegree_profiles_m4(self):
         for graph in enumerate_graphs(4):
@@ -200,8 +241,8 @@ class TestOrientationWitness:
             assert all(d <= 1 for d in indeg)
             # connected graphs: trees leave exactly one vertex unused,
             # unicyclic graphs use every vertex
-            if is_connected(graph):
-                edges = graph.edge_total()
+            if _connected(graph):
+                edges = sum(graph.loops) + sum(graph.pair_mult)
                 if edges == graph.m - 1:
                     assert sum(indeg) == graph.m - 1
                 else:
@@ -211,7 +252,7 @@ class TestOrientationWitness:
 
 class TestConventionsM1:
     def test_sequences(self):
-        assert {s.flat for s in enumerate_sequences(1)} == {(0,), (1,)}
+        assert {s.loop + s.pair for s in enumerate_sequences(1)} == {(0,), (1,)}
 
     def test_graphs(self):
         assert {(g.loops, g.pair_mult) for g in enumerate_graphs(1)} == {
