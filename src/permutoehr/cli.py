@@ -213,6 +213,22 @@ def cmd_count_points(args) -> int:
     return 0
 
 
+def _graph_json(loops: list[int], edges: dict[str, int]) -> str:
+    """One graph as ``json.dumps(..., indent=2)`` lays it out as an element
+    of the report's "graphs" list (two levels deep), without the pure-Python
+    encoder that ``indent`` selects."""
+    loop_lines = ",\n".join(f"        {c}" for c in loops)
+    if edges:
+        edge_lines = ",\n".join(f'        "{k}": {v}' for k, v in edges.items())
+        edge_block = "{\n" + edge_lines + "\n      }"
+    else:
+        edge_block = "{}"
+    return (
+        '    {\n      "loops": [\n' + loop_lines
+        + '\n      ],\n      "edges": ' + edge_block + "\n    }"
+    )
+
+
 def cmd_graphs(args) -> int:
     started = time.monotonic()
     if args.stats:
@@ -236,30 +252,39 @@ def cmd_graphs(args) -> int:
             print(f"total: {sum(c for _, c in census)}")
         return 0
     pairs = vertex_pairs(args.m)
-    rows = []
-    for graph in enumerate_graphs(args.m):
-        edges = {
-            f"{i + 1},{j + 1}": c for (i, j), c in zip(pairs, graph.pair_mult) if c
-        }
-        rows.append({"loops": list(graph.loops), "edges": edges})
+
+    def rows():
+        for graph in enumerate_graphs(args.m):
+            edges = {
+                f"{i + 1},{j + 1}": c for (i, j), c in zip(pairs, graph.pair_mult) if c
+            }
+            yield list(graph.loops), edges
+
+    # Each graph is printed as it is enumerated: at m = 7 there are 1.26 M.
     if args.format == "json":
+        # the document json.dumps(report, indent=2) gives, written piece by piece
         report = _start_report("graphs", args, ("m",))
-        report["count"] = len(rows)
-        report["graphs"] = rows
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit_json(report)
+        report["count"] = sum(graph_census(args.m).values())
+        out = sys.stdout
+        out.write(json.dumps(report, indent=2)[: -len("\n}")] + ',\n  "graphs": [')
+        separator = "\n"
+        for loops, edges in rows():
+            out.write(separator + _graph_json(loops, edges))
+            separator = ",\n"
+        elapsed_ms = int((time.monotonic() - started) * 1000)
+        out.write(f'\n  ],\n  "elapsed_ms": {elapsed_ms}\n}}\n')
     elif args.format == "csv":
         print("loops,edges")
-        for row in rows:
-            edge_str = ";".join(f"{k}:{v}" for k, v in row["edges"].items())
-            print(" ".join(str(c) for c in row["loops"]) + "," + edge_str)
+        for loops, edges in rows():
+            edge_str = ";".join(f"{k}:{v}" for k, v in edges.items())
+            print(" ".join(str(c) for c in loops) + "," + edge_str)
     else:
-        for row in rows:
-            edge_str = (
-                " ".join(f"{{{k}}}x{v}" for k, v in row["edges"].items()) or "-"
-            )
-            print(f"loops={tuple(row['loops'])} edges: {edge_str}")
-        print(f"# {len(rows)} graphs", file=sys.stderr)
+        count = 0
+        for loops, edges in rows():
+            edge_str = " ".join(f"{{{k}}}x{v}" for k, v in edges.items()) or "-"
+            print(f"loops={tuple(loops)} edges: {edge_str}")
+            count += 1
+        print(f"# {count} graphs", file=sys.stderr)
     return 0
 
 

@@ -3,7 +3,7 @@
 The Ehrhart polynomial ehr(t) of the partial permutohedron P(m, n) is the
 polynomial whose value at a positive integer t is the number of integer
 points in the dilate t*P(m, n).  For n >= m - 1 it admits several very
-different exact expressions, all implemented here over exact rationals:
+different exact expressions, all implemented here in exact arithmetic:
 
 ``ehrhart_closed``      an explicit double sum with multinomials and
                         double factorials;
@@ -20,6 +20,17 @@ different exact expressions, all implemented here over exact rationals:
                         coefficients (``ehrhart_egf_tree`` takes the
                         equivalent route through the tree function T(z));
 ``ehrhart_recurrence``  a three-term recurrence in m.
+
+Each engine works in the cheapest exact ring for what it returns.  Since
+2^m ehr(t) has integer coefficients, ``ehrhart_closed`` and
+``ehrhart_recurrence`` (like ``f_polynomial``) run on Python int coefficient
+lists and divide once at the end: O(m^3) and O(m^2) integer operations.
+``ehrhart_egf`` builds the Laurent-coefficient exponential (O(m) Laurent
+products) and forms only [z^m] of its product with the Fraction series
+sqrt(1-z) (O(m) more); ``ehrhart_egf_tree`` composes that exponential with
+a Fraction tree function (O(m^2) Laurent-by-scalar products plus O(m^3)
+Fraction operations) and forms [z^m] of its product with the Fraction
+series 1/sqrt(1 - T(z)) the same way.
 
 The two combinatorial engines share no enumerator, so their agreement
 witnesses the bijection between Hall-feasible sequences and multigraphs
@@ -50,13 +61,54 @@ from .series import TruncatedSeries, one_minus_z
 METHOD_NAMES = ("closed", "postnikov", "graphsum", "egf", "egf-tree", "recurrence")
 
 
+def _require_int(**values):
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _require_formula_domain(m: int, n: int):
-    if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
+    _require_int(m=m, n=n)
+    if m < 1 or n < 1:
         raise ValueError(f"need integers m >= 1 and n >= 1, got m={m}, n={n}")
     if n < m - 1:
         raise ValueError(
             f"Ehrhart formulas require n >= m - 1, got m={m}, n={n}"
         )
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists (lowest power first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _closed_scaled(m: int, n: int) -> list[int]:
+    """2^m ehr(t) of P(m, n) as integer coefficients, from the closed form."""
+    base = [2, 2 * n + 1]  # 2nt + t + 2
+    base_pow = [[1]]
+    for _ in range(m):
+        base_pow.append(_int_mul(base_pow[-1], base))
+    total = [0] * (m + 1)
+    for i in range(m // 2 + 1):
+        for j in range(2 * i, m + 1):
+            scalar = (
+                (-1) ** (i + 1)
+                * multinomial(m, (m - j, j - 2 * i, i, i))
+                * factorial(i)
+                * double_factorial(2 * (j - 2 * i) - 3)
+            )
+            for k, c in enumerate(base_pow[m - j], start=j - i):
+                total[k] += scalar * c
+    return total
+
+
+def _unscale(coeffs: list[int], m: int) -> Poly:
+    return Poly([Fraction(c, 2**m) for c in coeffs])
 
 
 def ehrhart_closed(m: int, n: int) -> Poly:
@@ -65,24 +117,11 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     (1/2^m) sum over 0 <= i <= floor(m/2), 2i <= j <= m of
     (-1)^(i+1) * multinom(m; m-j, j-2i, i, i) * i! * (2j-4i-3)!!
     * t^(j-i) * (2nt + t + 2)^(m-j),
-    with the (-3)!! = -1 double-factorial convention.
+    with the (-3)!! = -1 double-factorial convention.  The sum is taken in
+    integers and divided by 2^m once.
     """
     _require_formula_domain(m, n)
-    base = Poly([2, 2 * n + 1])  # 2nt + t + 2
-    base_pow = [Poly([1])]
-    for _ in range(m):
-        base_pow.append(base_pow[-1] * base)
-    total = Poly()
-    for i in range(m // 2 + 1):
-        for j in range(2 * i, m + 1):
-            scalar = Fraction(
-                (-1) ** (i + 1)
-                * multinomial(m, (m - j, j - 2 * i, i, i))
-                * factorial(i)
-                * double_factorial(2 * (j - 2 * i) - 3)
-            )
-            total = total + Poly.monomial(j - i, scalar) * base_pow[m - j]
-    return total * Fraction(1, 2**m)
+    return _unscale(_closed_scaled(m, n), m)
 
 
 def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
@@ -148,38 +187,40 @@ def _laurent_exponent_series(linear: LaurentPoly, m: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _extract_ehrhart(series: TruncatedSeries, m: int) -> Poly:
-    """m! t^m [z^m] of a Laurent-coefficient series; the t^m factor must
-    clear every negative power of t."""
-    coeff = series.coefficient(m)
-    cleared = coeff.shifted(m) * factorial(m)
-    assert cleared.is_zero or cleared.min_exp >= 0, (
-        "negative powers of t survived the t^m multiplication"
-    )
-    return cleared.as_poly()
+def _extract_ehrhart(laurent: TruncatedSeries, scalar: TruncatedSeries, m: int) -> Poly:
+    """m! t^m [z^m] of laurent * scalar, a Laurent-coefficient and a Fraction
+    series, forming that one coefficient only: m + 1 Laurent-by-scalar
+    products, a shift and a scaling.  The t^m factor must clear every
+    negative power of t; ``as_poly`` refuses any that survive."""
+    coeff = LaurentPoly()
+    for j in range(m + 1):
+        coeff = coeff + laurent.coefficient(m - j) * scalar.coefficient(j)
+    return (coeff.shifted(m) * factorial(m)).as_poly()
 
 
 def ehrhart_egf(m: int, n: int) -> Poly:
-    """m! t^m [z^m] sqrt(1-z) exp((n + 1/2 + 1/t) z - z^2/(4t))."""
+    """m! t^m [z^m] sqrt(1-z) exp((n + 1/2 + 1/t) z - z^2/(4t)).
+
+    Only [z^m] of the product is formed, with sqrt(1-z) a Fraction series."""
     _require_formula_domain(m, n)
-    one = LaurentPoly.constant(1)
     linear = LaurentPoly.constant(Fraction(2 * n + 1, 2)) + LaurentPoly.term(1, -1)
     exponential = _laurent_exponent_series(linear, m).exp()
-    root = one_minus_z(m, one=one).sqrt()
-    return _extract_ehrhart(root * exponential, m)
+    root = one_minus_z(m).sqrt()
+    return _extract_ehrhart(exponential, root, m)
 
 
 def ehrhart_egf_tree(m: int, n: int) -> Poly:
     """m! t^m [z^m] exp((n - m + 1/2 + 1/t) T(z) - T(z)^2/(4t)) / sqrt(1 - T(z)),
-    computed by composing the z-series with the tree function."""
+    with the Laurent-coefficient exponential composed with the tree function
+    over Fraction powers of T(z), and 1/sqrt(1 - T(z)) a Fraction series.
+    Only [z^m] of their product is formed."""
     _require_formula_domain(m, n)
-    one = LaurentPoly.constant(1)
     linear = LaurentPoly.constant(Fraction(2 * (n - m) + 1, 2)) + LaurentPoly.term(1, -1)
-    gaussian = _laurent_exponent_series(linear, m).exp()
-    # 1/sqrt(1-z) as exp(-log(1-z)/2)
-    inv_root = (one_minus_z(m, one=one).log() * Fraction(-1, 2)).exp()
-    tree = tree_function(m).map_coeffs(LaurentPoly.constant)
-    return _extract_ehrhart((gaussian * inv_root).compose(tree), m)
+    tree = tree_function(m)
+    gaussian = _laurent_exponent_series(linear, m).exp().compose(tree)
+    # 1/sqrt(1 - T) as exp(-log(1 - T)/2)
+    inv_root = ((1 - tree).log() * Fraction(-1, 2)).exp()
+    return _extract_ehrhart(gaussian, inv_root, m)
 
 
 def ehrhart_recurrence(m: int, n: int) -> Poly:
@@ -189,17 +230,24 @@ def ehrhart_recurrence(m: int, n: int) -> Poly:
              - (m-1)(nt + t/2 + 3/2) t ehr(m-2)
              + (m-1)(m-2) t^2 ehr(m-3) / 2,
 
-    seeded with the closed form at m = 1, 2, 3."""
+    run on E(m) = 2^m ehr(m), which has integer coefficients:
+
+    E(m) = (2 + 2(m+n-1)t) E(m-1) - (m-1)(6t + 2(2n+1)t^2) E(m-2)
+           + 4(m-1)(m-2) t^2 E(m-3),
+
+    seeded with the closed form's integer sums at m = 1, 2, 3."""
     _require_formula_domain(m, n)
+    e3, e2, e1 = (_closed_scaled(k, n) for k in (1, 2, 3))
     if m <= 3:
-        return ehrhart_closed(m, n)
-    e3, e2, e1 = (ehrhart_closed(k, n) for k in (1, 2, 3))
+        return _unscale((e3, e2, e1)[m - 1], m)
     for mm in range(4, m + 1):
-        first = Poly([1, mm + n - 1]) * e1
-        second = Poly([0, Fraction(3, 2), Fraction(2 * n + 1, 2)]) * (mm - 1) * e2
-        third = Poly.monomial(2, Fraction((mm - 1) * (mm - 2), 2)) * e3
-        e3, e2, e1 = e2, e1, first - second + third
-    return e1
+        nxt = _int_mul([2, 2 * (mm + n - 1)], e1)
+        for k, c in enumerate(_int_mul([0, 6, 2 * (2 * n + 1)], e2)):
+            nxt[k] -= (mm - 1) * c
+        for k, c in enumerate(e3, start=2):
+            nxt[k] += 4 * (mm - 1) * (mm - 2) * c
+        e3, e2, e1 = e2, e1, nxt
+    return _unscale(e1, m)
 
 
 def volume_closed(m: int, n: int) -> Fraction:
@@ -217,19 +265,25 @@ def f_polynomial(m: int, n: int) -> Poly:
     number of i-dimensional faces (the polytope itself included).
 
     1 + sum_{i=0..n-1} C(m, i) A_i(t+1) sum_{j=1..m-i} (t+1)^j,
-    with A_i the Eulerian polynomial."""
+    with A_i the Eulerian polynomial; every term is an integer polynomial,
+    summed on int coefficient lists."""
+    _require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    shift = Poly([1, 1])  # t + 1
-    total = Poly([1])
+    total = [1] + [0] * m
     for i in range(min(n, m + 1)):  # C(m, i) = 0 beyond i = m
-        geometric = Poly()
-        power = Poly([1])
-        for _ in range(m - i):
-            power = power * shift
-            geometric = geometric + power
-        total = total + comb(m, i) * eulerian(i).compose(shift) * geometric
-    return total
+        eulerian_coeffs = [c.numerator for c in eulerian(i).coeffs]
+        # A_i(t+1): the coefficient of t^r is sum_k a_k C(k, r)
+        shifted = [
+            sum(a * comb(k, r) for k, a in enumerate(eulerian_coeffs))
+            for r in range(len(eulerian_coeffs))
+        ]
+        # sum_{j=1..m-i} (t+1)^j: the coefficient of t^r is C(m-i+1, r+1) - [r = 0]
+        geometric = [comb(m - i + 1, r + 1) for r in range(m - i + 1)]
+        geometric[0] -= 1
+        for r, c in enumerate(_int_mul(shifted, geometric)):
+            total[r] += comb(m, i) * c
+    return Poly(total)
 
 
 def f_polynomial_stable(m: int, n: int | None = None) -> Poly:
@@ -237,6 +291,9 @@ def f_polynomial_stable(m: int, n: int | None = None) -> Poly:
     all combinatorially equivalent): 1 + (t+1) sum_{i=1..m} C(m, i) A_i(t+1).
 
     Does not hold below n = m: P(2, 1) is a triangle, not a pentagon."""
+    _require_int(m=m)
+    if n is not None:
+        _require_int(n=n)
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     if n is not None and n < m:

@@ -279,6 +279,8 @@ def _iter_raw(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def _check_enum_bound(m: int, bound: int):
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("need m >= 1")
     if m > bound:

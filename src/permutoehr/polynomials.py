@@ -12,9 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-NEG_INF = float("-inf")  # degree sentinel for the zero polynomial
-
-
 class Poly:
     """Dense polynomial in t with Fraction coefficients.
 
@@ -41,9 +38,9 @@ class Poly:
         return cls([0] * power + [coeff])
 
     @property
-    def degree(self):
-        """Degree, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """Degree, or -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

@@ -56,9 +56,6 @@ class TruncatedSeries:
     def _one(self):
         return self.coeffs[0] * 0 + 1
 
-    def map_coeffs(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries([fn(c) for c in self.coeffs])
-
     def _check_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
@@ -86,10 +83,17 @@ class TruncatedSeries:
             return TruncatedSeries([c * other for c in self.coeffs])
         self._check_order(other)
         n = self.order
-        out = [self._zero() for _ in range(n + 1)]
+        out = [self._zero() * other._zero()] * (n + 1)
+        # zero coefficients (the leading ones of a power, the constant term of
+        # a series composed into another) take no products
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not b == 0]
         for i, a in enumerate(self.coeffs):
-            for j in range(n + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
+            if a == 0:
+                continue
+            for j, b in right:
+                if i + j > n:
+                    break
+                out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
@@ -105,16 +109,23 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
     def exp(self) -> "TruncatedSeries":
-        """Series exponential; requires constant term 0."""
-        if not self.coeffs[0] == self._zero():
+        """Series exponential; requires constant term 0.
+
+        Solves k out_k = sum_j j c_j out_{k-j} over the nonzero c_j only,
+        each j c_j formed once: O(s N) ring products for s nonzero terms."""
+        zero = self._zero()
+        if not self.coeffs[0] == zero:
             raise ValueError("series exp requires constant term 0")
         n = self.order
-        out = [self._zero() for _ in range(n + 1)]
+        terms = [(j, c * j) for j, c in enumerate(self.coeffs) if j and not c == zero]
+        out = [zero] * (n + 1)
         out[0] = self._one()
         for k in range(1, n + 1):
-            acc = self._zero()
-            for j in range(1, k + 1):
-                acc = acc + (self.coeffs[j] * j) * out[k - j]
+            acc = zero
+            for j, jc in terms:
+                if j > k:
+                    break
+                acc = acc + jc * out[k - j]
             out[k] = acc / k
         return TruncatedSeries(out)
 
@@ -146,22 +157,32 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(z)); requires inner constant term 0 and equal orders."""
+        """self(inner(z)); requires inner constant term 0 and equal orders.
+
+        Coefficient j is sum_{k<=j} self_k [z^j] inner^k.  The powers of
+        ``inner`` are built in its own ring (O(N) series products, O(N^3)
+        ring operations), so ``self``'s coefficients only ever meet them in
+        the O(N^2) products self_k * [z^j] inner^k: with a Laurent outer
+        series over a Fraction inner one, those are Laurent-by-scalar
+        products."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._check_order(inner)
         if not inner.coeffs[0] == inner._zero():
             raise ValueError("series compose requires inner constant term 0")
         n = self.order
-        acc = TruncatedSeries([self.coeffs[n]], order=n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner + self.coeffs[k]
-        return acc
+        one = inner._one()
+        power = TruncatedSeries([one], order=n)
+        out = [self.coeffs[0] * one] + [self._zero() * one] * n
+        for k in range(1, n + 1):
+            power = power * inner
+            f_k = self.coeffs[k]
+            # inner^k starts at z^k
+            for j in range(k, n + 1):
+                out[j] = out[j] + f_k * power.coeffs[j]
+        return TruncatedSeries(out)
 
 
-def one_minus_z(order: int, one=Fraction(1)) -> TruncatedSeries:
-    """1 - z over the ring of the supplied unit element."""
-    coeffs = [one, -one]
-    if order == 0:
-        coeffs = [one]
-    return TruncatedSeries(coeffs, order=order)
+def one_minus_z(order: int) -> TruncatedSeries:
+    """1 - z with Fraction coefficients."""
+    return TruncatedSeries([Fraction(1), Fraction(-1)][: order + 1], order=order)

@@ -57,10 +57,20 @@ def test_criterion_1_five_way_engine_agreement():
                 f"{method} disagrees with the closed form at m=7, n={n}"
             )
         cases += 1
+    # the formula routes further out: integer closed sum, integer recurrence,
+    # one-coefficient egf extraction and composition with T(z)
+    for m in (12, 16):
+        for n in (m - 1, m, m + 5):
+            reference = ehrhart_closed(m, n)
+            for method in ("egf", "egf-tree", "recurrence"):
+                assert compute_ehrhart(m, n, method).polynomial == reference, (
+                    f"{method} disagrees with the closed form at m={m}, n={n}"
+                )
+            cases += 1
     _passed(
         1,
         f"six routes identical on {cases} (m, n) pairs up to m = 6, "
-        "postnikov and graphsum also at m = 7",
+        "postnikov and graphsum also at m = 7, the formula routes at m = 12, 16",
     )
 
 
@@ -189,11 +199,12 @@ def test_criterion_8_f_polynomials():
     assert f_polynomial(2, 1) == Poly([3, 3, 1])
     assert f_polynomial(2, 2) == Poly([5, 5, 1])
     assert f_polynomial_stable(2) == Poly([5, 5, 1])
-    for m in range(1, 5):
+    # f_polynomial sums integer lists; f_polynomial_stable composes Polys
+    for m in range(1, 11):
         stable = f_polynomial_stable(m)
         for n in range(m, m + 4):
             assert f_polynomial(m, n) == stable, f"m={m}, n={n}"
-    _passed(8, "triangle/pentagon anchors and n-independence for n >= m, m <= 4")
+    _passed(8, "triangle/pentagon anchors and n-independence for n >= m, m <= 10")
 
 
 def test_criterion_9_parking_function_counts():

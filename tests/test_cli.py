@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from permutoehr.cli import main
 from permutoehr.ehrhart import ehrhart_closed, f_polynomial_stable, volume_closed
+from permutoehr.graphs import enumerate_graphs, vertex_pairs
 from permutoehr.polynomials import Poly
 
 
@@ -30,6 +32,30 @@ def parse_poly_csv(text):
             coeffs[int(row[0])] = Fraction(row[1])
     top = max(coeffs) if coeffs else 0
     return Poly([coeffs.get(i, 0) for i in range(top + 1)]), value
+
+
+def materialised_graph_listing(m, fmt):
+    """(stdout, stderr) of ``graphs --m m`` built as one list of rows first."""
+    pairs = vertex_pairs(m)
+    rows = []
+    for graph in enumerate_graphs(m):
+        edges = {f"{i + 1},{j + 1}": c for (i, j), c in zip(pairs, graph.pair_mult) if c}
+        rows.append({"loops": list(graph.loops), "edges": edges})
+    if fmt == "json":
+        report = {"command": "graphs", "m": m, "count": len(rows), "graphs": rows}
+        report["elapsed_ms"] = 0
+        return json.dumps(report, indent=2) + "\n", ""
+    if fmt == "csv":
+        lines = ["loops,edges"]
+        for row in rows:
+            edge_str = ";".join(f"{k}:{v}" for k, v in row["edges"].items())
+            lines.append(" ".join(str(c) for c in row["loops"]) + "," + edge_str)
+        return "\n".join(lines) + "\n", ""
+    lines = []
+    for row in rows:
+        edge_str = " ".join(f"{{{k}}}x{v}" for k, v in row["edges"].items()) or "-"
+        lines.append(f"loops={tuple(row['loops'])} edges: {edge_str}")
+    return "\n".join(lines) + "\n", f"# {len(rows)} graphs\n"
 
 
 class TestEhrhartCommand:
@@ -152,6 +178,16 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "graphs", "--m", "2", "--format", "json")
         payload = json.loads(out)
         assert payload["count"] == 8
+
+    @pytest.mark.parametrize("fmt", ("json", "csv", "plain"))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_graphs_listing_streams_the_materialised_form(self, capsys, m, fmt):
+        code, out, err = run(capsys, "graphs", "--m", str(m), "--format", fmt)
+        assert code == 0
+        expected_out, expected_err = materialised_graph_listing(m, fmt)
+        elapsed = re.compile(r'"elapsed_ms": \d+')
+        assert elapsed.sub("", out) == elapsed.sub("", expected_out)
+        assert err == expected_err
 
     def test_parking(self, capsys):
         code, out, _ = run(capsys, "parking", "--m", "2")

@@ -73,6 +73,27 @@ class TestClosedForm:
             ehrhart_closed(2, 0)
 
 
+NON_INTEGER_DESCRIPTORS = ((True, True), (True, 2), (2, False), (2.0, 2), (2, Fraction(2)), ("2", 2))
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize("m, n", NON_INTEGER_DESCRIPTORS)
+    @pytest.mark.parametrize("entry", ENGINES + (volume_closed, f_polynomial))
+    def test_engines_reject_non_integer_m_n(self, entry, m, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            entry(m, n)
+
+    @pytest.mark.parametrize("m, n", NON_INTEGER_DESCRIPTORS)
+    def test_stable_f_polynomial_rejects_non_integer_m_n(self, m, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            f_polynomial_stable(m, n)
+
+    @pytest.mark.parametrize("m", (True, 2.0, Fraction(2), "2"))
+    def test_stable_f_polynomial_rejects_non_integer_m(self, m):
+        with pytest.raises(ValueError, match="must be an integer"):
+            f_polynomial_stable(m)
+
+
 class TestPostnikovSum:
     def test_m2_n2(self):
         assert ehrhart_postnikov(2, 2) == Poly([1, Fraction(7, 2), Fraction(7, 2)])

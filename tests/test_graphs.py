@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -271,3 +272,15 @@ class TestValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             EdgeMultiplicities(2, (0, -1), (0,))
+
+    @pytest.mark.parametrize("m", (True, 2.0, Fraction(2), "2"))
+    @pytest.mark.parametrize(
+        "entry",
+        (graph_census, structure_counts, sequence_census,
+         lambda m: next(enumerate_graphs(m)), lambda m: next(enumerate_sequences(m))),
+        ids=("graph_census", "structure_counts", "sequence_census",
+             "enumerate_graphs", "enumerate_sequences"),
+    )
+    def test_non_integer_m_rejected(self, entry, m):
+        with pytest.raises(ValueError, match="must be an integer"):
+            entry(m)

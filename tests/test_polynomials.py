@@ -7,7 +7,6 @@ import pytest
 
 from permutoehr.polynomials import (
     LaurentPoly,
-    NEG_INF,
     Poly,
     double_factorial,
     eulerian,
@@ -36,7 +35,7 @@ class TestPoly:
         assert Poly([0, 0]).coeffs == ()
 
     def test_zero_degree_sentinel(self):
-        assert Poly().degree == NEG_INF
+        assert Poly().degree == -1
         assert Poly([5]).degree == 0
         assert Poly([0, 0, 3]).degree == 2
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutoehr.polynomials import LaurentPoly, Poly
 from permutoehr.series import TruncatedSeries, one_minus_z
@@ -117,6 +119,48 @@ class TestCompose:
         assert s.compose(z) == s
 
 
+def horner_compose(outer, inner):
+    """Reference composition: Horner's rule on whole truncated series."""
+    n = outer.order
+    acc = TruncatedSeries([outer.coefficient(n)], order=n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + outer.coefficient(k)
+    return acc
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+laurents = st.builds(
+    LaurentPoly, st.lists(fractions, max_size=4), st.integers(min_value=-3, max_value=2)
+)
+
+
+@st.composite
+def compose_pairs(draw, coefficients):
+    order = draw(st.integers(min_value=0, max_value=7))
+    outer = TruncatedSeries(
+        draw(st.lists(coefficients, min_size=order + 1, max_size=order + 1))
+    )
+    inner = TruncatedSeries(
+        [Fraction(0)] + draw(st.lists(fractions, min_size=order, max_size=order)),
+        order=order,
+    )
+    return outer, inner
+
+
+class TestComposeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(compose_pairs(fractions))
+    def test_matches_horner_over_fractions(self, pair):
+        outer, inner = pair
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+    @settings(max_examples=60, deadline=None)
+    @given(compose_pairs(laurents))
+    def test_matches_horner_with_laurent_outer(self, pair):
+        outer, inner = pair
+        assert outer.compose(inner) == horner_compose(outer, inner)
+
+
 class TestLaurentCoefficients:
     def test_exp_tracks_inverse_powers(self):
         # exp(z/t): coefficient of z^k is 1/(k! t^k)
@@ -132,7 +176,7 @@ class TestLaurentCoefficients:
 
     def test_sqrt_log_over_laurent_ring(self):
         one = LaurentPoly.constant(1)
-        base = one_minus_z(6, one=one)
+        base = TruncatedSeries([one, -one], order=6)
         root = base.sqrt()
         assert root * root == base
         assert (base.log() * Fraction(-1, 2)).exp() * root == TruncatedSeries(
