@@ -107,12 +107,12 @@ def _start_report(command: str, args, fields: tuple[str, ...]) -> dict:
 
 
 def cmd_ehrhart(args) -> int:
+    if args.t is not None and args.t < 1:
+        raise ValueError("evaluation point t must be >= 1")
     started = time.monotonic()
     result = compute_ehrhart(args.m, args.n, args.method)
     value = None
     if args.t is not None:
-        if args.t < 1:
-            raise ValueError("evaluation point t must be >= 1")
         value = result.polynomial(args.t)
     report = _start_report("ehrhart", args, ("m", "n", "t", "method"))
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000)

@@ -1,16 +1,19 @@
 """Exact univariate polynomial arithmetic over arbitrary-precision rationals.
 
-All coefficients are ``fractions.Fraction``; nothing in this package ever
-touches floating point.  ``Poly`` is a dense polynomial in t (the carrier
-for Ehrhart, face-count and Eulerian polynomials), and ``LaurentPoly``
+Nothing in this package ever touches floating point.  ``Poly`` is a dense
+polynomial in t with ``fractions.Fraction`` coefficients (the carrier for
+Ehrhart, face-count and Eulerian polynomials).  ``LaurentPoly``
 additionally allows negative powers of t, which the generating-function
-extraction needs for its 1/t bookkeeping.
+extraction needs for its 1/t bookkeeping; it holds its coefficients as
+Python int numerators over one positive common denominator, in a
+canonical form (no zero at either end, gcd(den, *nums) = 1), and hands out
+``Fraction`` only at its edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 class Poly:
     """Dense polynomial in t with Fraction coefficients.
@@ -139,6 +142,9 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash as that scalar
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __bool__(self):
@@ -173,28 +179,28 @@ class Poly:
 
 
 class LaurentPoly:
-    """Polynomial in t and 1/t with Fraction coefficients.
+    """Polynomial in t and 1/t with rational coefficients, held as integer
+    numerators over one common denominator.
 
-    Stored as ``coeffs[k]`` = coefficient of t**(min_exp + k), with the
-    first and last stored coefficients nonzero (zero is the empty tuple
-    with min_exp 0).  Supports exact ring arithmetic, scalar division,
-    and conversion back to ``Poly`` once all negative powers have
-    cancelled.
+    The coefficient of t**(min_exp + k) is ``nums[k] / den``.  Every
+    instance is in one canonical form: ``nums`` is a tuple of ints with no
+    zero at either end, ``den`` is a positive int with
+    gcd(den, *nums) = 1, and zero is ``nums == ()`` with den 1 and
+    min_exp 0.  Equal values therefore have equal fields.  The ring
+    operations work on the ints and normalise each result with one gcd;
+    ``Fraction`` appears only at the edges (constructor input,
+    ``coefficient``, ``coeffs``).  Supports exact ring arithmetic, division
+    by a scalar, and conversion back to ``Poly`` once all negative powers
+    have cancelled.
     """
 
-    __slots__ = ("min_exp", "coeffs")
+    __slots__ = ("nums", "den", "min_exp")
 
     def __init__(self, coeffs=(), min_exp: int = 0):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            min_exp += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            min_exp = 0
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "min_exp", min_exp)
+        fs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        nums = [f.numerator * (den // f.denominator) for f in fs]
+        _canonicalise(self, nums, den, min_exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -208,28 +214,33 @@ class LaurentPoly:
         return cls([c], exponent)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[k]`` is the coefficient of t**(min_exp + k)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def max_exp(self) -> int:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero Laurent polynomial has no exponent range")
-        return self.min_exp + len(self.coeffs) - 1
+        return self.min_exp + len(self.nums) - 1
 
     def coefficient(self, exponent: int) -> Fraction:
         k = exponent - self.min_exp
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t**k."""
-        return LaurentPoly(self.coeffs, self.min_exp + k)
+        return _laurent(self.nums, self.den, self.min_exp + k)
 
     def as_poly(self) -> Poly:
         """Convert to a Poly; rejects surviving negative powers of t."""
-        if self.coeffs and self.min_exp < 0:
+        if self.nums and self.min_exp < 0:
             raise ValueError(f"negative powers of t down to t^{self.min_exp} remain")
         return Poly([0] * self.min_exp + list(self.coeffs))
 
@@ -237,30 +248,33 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly([other])
+            return _laurent([other.numerator], other.denominator, 0)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coeffs:
+        if not self.nums:
             return other
-        if not other.coeffs:
+        if not other.nums:
             return self
+        # a/da + b/db over lcm(da, db) = da * (db / g)
+        g = gcd(self.den, other.den)
+        scale_self, scale_other = other.den // g, self.den // g
         lo = min(self.min_exp, other.min_exp)
         hi = max(self.max_exp, other.max_exp)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for k, c in enumerate(self.coeffs):
-            out[self.min_exp - lo + k] += c
-        for k, c in enumerate(other.coeffs):
-            out[other.min_exp - lo + k] += c
-        return LaurentPoly(out, lo)
+        out = [0] * (hi - lo + 1)
+        for k, c in enumerate(self.nums, self.min_exp - lo):
+            out[k] = c * scale_self
+        for k, c in enumerate(other.nums, other.min_exp - lo):
+            out[k] += c * scale_other
+        return _laurent(out, self.den * scale_self, lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly([-c for c in self.coeffs], self.min_exp)
+        return _laurent([-c for c in self.nums], self.den, self.min_exp)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -272,38 +286,91 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, LaurentPoly):
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return _ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        out[k] += x * y
+            return _laurent(out, self.den * other.den, self.min_exp + other.min_exp)
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly([c * other for c in self.coeffs], self.min_exp)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return LaurentPoly(out, self.min_exp + other.min_exp)
+            p = other.numerator
+            return _laurent(
+                [c * p for c in self.nums], self.den * other.denominator, self.min_exp
+            )
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return LaurentPoly([c / scalar for c in self.coeffs], self.min_exp)
+        p, q = scalar.numerator, scalar.denominator
+        if not p:
+            raise ZeroDivisionError("LaurentPoly division by zero")
+        if p < 0:
+            p, q = -p, -q
+        return _laurent([c * q for c in self.nums], self.den * p, self.min_exp)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.min_exp == other.min_exp and self.coeffs == other.coeffs
+        return (
+            self.min_exp == other.min_exp
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.min_exp, self.coeffs))
+        # a constant equals its scalar, so it must hash as that scalar
+        if not self.nums:
+            return hash(0)
+        if self.min_exp == 0 and len(self.nums) == 1:
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.min_exp, self.den, self.nums))
 
     def __repr__(self):
         return f"LaurentPoly({list(self.coeffs)!r}, min_exp={self.min_exp})"
+
+
+def _canonicalise(out: LaurentPoly, nums, den: int, min_exp: int):
+    """Store nums / den (den > 0) at min_exp in ``out``, in canonical form:
+    zeros trimmed at both ends and one gcd divided out."""
+    hi = len(nums)
+    while hi and not nums[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not nums[lo]:
+        lo += 1
+    if lo == hi:
+        nums, den, min_exp = (), 1, 0
+    else:
+        if lo or hi < len(nums):
+            nums = nums[lo:hi]
+            min_exp += lo
+        g = gcd(den, *nums)
+        if g == 1:
+            nums = tuple(nums)
+        else:
+            nums = tuple(c // g for c in nums)
+            den //= g
+    object.__setattr__(out, "nums", nums)
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "min_exp", min_exp)
+
+
+def _laurent(nums, den: int, min_exp: int) -> LaurentPoly:
+    """The LaurentPoly nums / den (den > 0) at min_exp, in canonical form."""
+    out = object.__new__(LaurentPoly)
+    _canonicalise(out, nums, den, min_exp)
+    return out
+
+
+_ZERO = _laurent((), 1, 0)
 
 
 def multinomial(n: int, parts) -> int:

@@ -1,10 +1,20 @@
 """Truncated formal power series in z over a pluggable exact coefficient ring.
 
 A series of order N carries exact coefficients for z^0 .. z^N; every
-operation is exact modulo z^(N+1).  The coefficient ring is anything with
-exact +, -, * (including by int), == against 0/1, and / by a positive int:
-in practice ``Fraction`` for ordinary generating functions and
-``LaurentPoly`` when the coefficients themselves carry powers of 1/t.
+operation is exact modulo z^(N+1).
+
+The ring contract: a coefficient type is immutable and gives exact
+results, never mutating an operand, for
+  - ``+``, ``-`` and unary ``-`` between two of its elements, and ``*``
+    between two of them or by an ``int`` (``c * 0`` is its zero and
+    ``c * 0 + 1`` its one);
+  - ``/`` by a nonzero ``int``;
+  - ``==`` against its own elements and against the ints 0 and 1.
+``compose`` also multiplies an outer coefficient by an inner one, so mixing
+rings there needs that product.  In practice the ring is ``Fraction`` for
+ordinary generating functions and ``LaurentPoly`` (int numerators over one
+common denominator) when the coefficients carry powers of 1/t; a
+``LaurentPoly`` times a ``Fraction`` is a ``LaurentPoly``.
 """
 
 from __future__ import annotations
@@ -143,7 +153,11 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def sqrt(self) -> "TruncatedSeries":
-        """Series square root; requires constant term 1."""
+        """Series square root; requires constant term 1.
+
+        Solves 2 out_k = c_k - sum_{0<i<k} out_i out_{k-i}, taking each
+        symmetric pair i < k - i once and doubling it, and the middle
+        square once."""
         if not self.coeffs[0] == self._one():
             raise ValueError("series sqrt requires constant term 1")
         n = self.order
@@ -151,8 +165,11 @@ class TruncatedSeries:
         out[0] = self._one()
         for k in range(1, n + 1):
             acc = self._zero()
-            for i in range(1, k):
+            for i in range(1, (k + 1) // 2):
                 acc = acc + out[i] * out[k - i]
+            acc = acc * 2
+            if k % 2 == 0:
+                acc = acc + out[k // 2] * out[k // 2]
             out[k] = (self.coeffs[k] - acc) / 2
         return TruncatedSeries(out)
 

@@ -210,6 +210,8 @@ def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResul
 def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
     if max_m < 1:
         raise ValueError("need max_m >= 1")
+    if max_t < 1:
+        raise ValueError("need max_t >= 1")
     if max_m > 6:
         raise ValueError(
             "max_m is capped at 6; the engines beyond that exceed the "

@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import permutoehr
+import permutoehr.cli as cli_module
 from permutoehr.cli import main
 from permutoehr.ehrhart import ehrhart_closed, f_polynomial_stable, volume_closed
 from permutoehr.graphs import enumerate_graphs, vertex_pairs
@@ -110,6 +116,17 @@ class TestEhrhartCommand:
         assert code == 0
         assert "value at t=1: 8" in out
 
+    @pytest.mark.parametrize("t", ("0", "-3"))
+    def test_bad_t_rejected_before_the_engine_runs(self, capsys, monkeypatch, t):
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(cli_module, "compute_ehrhart", engine)
+        code, out, err = run(capsys, "ehrhart", "--m", "2", "--n", "2", "--t", t)
+        assert code == 2
+        assert out == ""
+        assert "evaluation point t must be >= 1" in err
+
 
 class TestOtherCommands:
     def test_volume(self, capsys):
@@ -214,6 +231,13 @@ class TestVerifyCommand:
         _, out_b, _ = run(capsys, "verify", "--max-m", "2", "--max-t", "1", "--seed", "9")
         assert out_a == out_b
 
+    @pytest.mark.parametrize("max_t", ("0", "-1"))
+    def test_max_t_below_one_is_an_error_not_a_vacuous_pass(self, capsys, max_t):
+        code, out, err = run(capsys, "verify", "--max-m", "2", "--max-t", max_t)
+        assert code == 2
+        assert out == ""
+        assert "max_t >= 1" in err
+
 
 class TestParserBehaviour:
     def test_unknown_method_rejected_by_argparse(self):
@@ -225,3 +249,19 @@ class TestParserBehaviour:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "argv", (("ehrhart", "--m", "2", "--n", "2"), ("ehrhart", "--m", "3", "--n", "1"))
+    )
+    def test_python_m_matches_main(self, capsys, argv):
+        src = str(Path(permutoehr.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permutoehr", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

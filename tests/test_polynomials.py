@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutoehr.polynomials import (
     LaurentPoly,
@@ -181,3 +183,158 @@ class TestLaurentPoly:
         assert LaurentPoly.constant(Fraction(3, 2)) == Fraction(3, 2)
         assert LaurentPoly() == 0
         assert LaurentPoly.term(1, -1) != 1
+
+
+class TestHashEqContract:
+    @pytest.mark.parametrize("value", (0, 3, -2, Fraction(3, 2)))
+    def test_constants_hash_as_their_scalar(self, value):
+        for const in (Poly([value]), LaurentPoly.constant(value)):
+            assert const == value
+            assert hash(const) == hash(value)
+            assert len({const, value}) == 1
+            assert {value: "v"}[const] == "v"
+            assert {const: "c"}[value] == "c"
+
+    def test_non_constants_stay_distinct(self):
+        assert len({Poly([0, 1]), Poly([1]), 1}) == 2
+        assert len({LaurentPoly.term(1, -1), LaurentPoly.constant(1), 1}) == 2
+
+
+# --- property tests of the exact core -----------------------------------
+
+scalars = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+nonzero_scalars = scalars.filter(bool)
+int_scalars = st.integers(min_value=-40, max_value=40)
+laurent_coeff_lists = st.lists(st.one_of(scalars, st.just(Fraction(0))), max_size=5)
+exponents = st.integers(min_value=-4, max_value=4)
+laurents = st.builds(LaurentPoly, laurent_coeff_lists, exponents)
+polys = st.builds(Poly, st.lists(scalars, max_size=5))
+
+
+def reference_laurent(coeffs, min_exp):
+    """Canonical (coefficients, min_exp) with one Fraction per coefficient,
+    the representation LaurentPoly had before its int numerators."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[0] == 0:
+        cs.pop(0)
+        min_exp += 1
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return (tuple(cs), min_exp if cs else 0)
+
+
+def reference_add(a, b):
+    if not a[0]:
+        return b
+    if not b[0]:
+        return a
+    lo = min(a[1], b[1])
+    hi = max(a[1] + len(a[0]), b[1] + len(b[0]))
+    out = [Fraction(0)] * (hi - lo)
+    for cs, e in (a, b):
+        for k, c in enumerate(cs):
+            out[e - lo + k] += c
+    return reference_laurent(out, lo)
+
+
+def reference_mul(a, b):
+    if not a[0] or not b[0]:
+        return reference_laurent((), 0)
+    out = [Fraction(0)] * (len(a[0]) + len(b[0]) - 1)
+    for i, x in enumerate(a[0]):
+        for j, y in enumerate(b[0]):
+            out[i + j] += x * y
+    return reference_laurent(out, a[1] + b[1])
+
+
+def reference_scale(a, factor):
+    return reference_laurent([c * factor for c in a[0]], a[1])
+
+
+def fields(p):
+    return (p.coeffs, p.min_exp)
+
+
+def assert_canonical(p):
+    if not p.nums:
+        assert (p.den, p.min_exp) == (1, 0)
+        return
+    assert all(isinstance(c, int) for c in p.nums)
+    assert isinstance(p.den, int) and p.den > 0
+    assert p.nums[0] != 0 and p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+
+
+class TestLaurentRingProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(laurents, laurents, laurents)
+    def test_ring_axioms(self, a, b, c):
+        zero, one = LaurentPoly(), LaurentPoly.constant(1)
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a == zero + a
+        assert a * one == a == one * a
+        assert a * zero == zero
+        assert a + (-a) == zero
+        assert (a - b) + b == a
+
+    @settings(max_examples=80, deadline=None)
+    @given(laurents, laurents, nonzero_scalars, st.integers(-3, 3))
+    def test_equal_values_have_equal_fields_and_hash(self, a, b, s, k):
+        for p in (a, b, a + b, a * b, a * s, a / s, -a):
+            assert_canonical(p)
+        padded = LaurentPoly([0, *a.coeffs, 0, 0], a.min_exp - 1)
+        for same in (padded, (a * s) / s, (a + b) - b, a.shifted(k).shifted(-k)):
+            assert (same.nums, same.den, same.min_exp) == (a.nums, a.den, a.min_exp)
+            assert hash(same) == hash(a)
+            assert same == a
+
+    @settings(max_examples=80, deadline=None)
+    @given(laurents)
+    def test_shifted_and_as_poly_round_trip(self, a):
+        if a.is_zero:
+            assert a.as_poly() == Poly()
+            return
+        lifted = a.shifted(-a.min_exp)
+        poly = lifted.as_poly()
+        assert poly.coeffs == a.coeffs
+        assert LaurentPoly(poly.coeffs).shifted(a.min_exp) == a
+        assert a.max_exp - a.min_exp == poly.degree
+        if a.min_exp < 0:
+            with pytest.raises(ValueError):
+                a.as_poly()
+        else:
+            assert a.as_poly() == Poly([0] * a.min_exp + list(a.coeffs))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        laurent_coeff_lists, exponents, laurent_coeff_lists, exponents,
+        st.one_of(nonzero_scalars, int_scalars.filter(bool)),
+    )
+    def test_agrees_with_fraction_reference(self, ca, ea, cb, eb, k):
+        a, b = LaurentPoly(ca, ea), LaurentPoly(cb, eb)
+        ra, rb = reference_laurent(ca, ea), reference_laurent(cb, eb)
+        assert fields(a) == ra and fields(b) == rb
+        assert fields(a + b) == reference_add(ra, rb)
+        assert fields(a - b) == reference_add(ra, reference_scale(rb, -1))
+        assert fields(a * b) == reference_mul(ra, rb)
+        assert fields(a / k) == reference_scale(ra, 1 / Fraction(k))
+        assert fields(a * k) == fields(k * a) == reference_scale(ra, Fraction(k))
+        for e in range(min(ea, eb) - 1, max(ea, eb) + 7):
+            assert a.coefficient(e) == dict(enumerate(ra[0], ra[1])).get(e, 0)
+
+    @given(laurents)
+    def test_division_by_zero(self, a):
+        with pytest.raises(ZeroDivisionError):
+            a / 0
+
+
+class TestPolyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(polys, polys, scalars)
+    def test_evaluation_is_a_ring_homomorphism(self, p, q, x):
+        assert (p * q)(x) == p(x) * q(x)
+        assert (p + q)(x) == p(x) + q(x)

@@ -161,6 +161,36 @@ class TestComposeProperties:
         assert outer.compose(inner) == horner_compose(outer, inner)
 
 
+@st.composite
+def one_plus_series(draw, coefficients):
+    """1 + s for a series s with zero constant term, and its order."""
+    order = draw(st.integers(min_value=0, max_value=6))
+    zero = draw(coefficients) * 0
+    s = TruncatedSeries(
+        [zero] + draw(st.lists(coefficients, min_size=order, max_size=order)),
+        order=order,
+    )
+    return 1 + s
+
+
+small_laurents = st.builds(
+    LaurentPoly, st.lists(fractions, max_size=3), st.integers(min_value=-2, max_value=1)
+)
+
+
+class TestSeriesIdentities:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(one_plus_series(fractions), one_plus_series(small_laurents)))
+    def test_exp_of_log_is_identity(self, base):
+        assert base.log().exp() == base
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(one_plus_series(fractions), one_plus_series(small_laurents)))
+    def test_sqrt_squared_is_identity(self, base):
+        root = base.sqrt()
+        assert root * root == base
+
+
 class TestLaurentCoefficients:
     def test_exp_tracks_inverse_powers(self):
         # exp(z/t): coefficient of z^k is 1/(k! t^k)
