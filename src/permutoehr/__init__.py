@@ -5,7 +5,7 @@ The partial permutohedron P(m, n) is the convex hull of the vectors in
 {0, ..., n}^m whose nonzero entries are distinct.  This package computes
 its Ehrhart polynomial for n >= m - 1 by five independent exact methods,
 provides the polytope's vertices, facets, lift and Minkowski
-decomposition, counts lattice points by direct enumeration, and
+decomposition, counts lattice points from the facets alone, and
 enumerates the labelled multigraphs underlying the combinatorial
 methods.  All arithmetic is exact rational.
 """

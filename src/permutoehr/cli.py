@@ -8,7 +8,7 @@ volume        exact volume of P(m, n).
 fpoly         face-count polynomial (``--stable`` for the shared n >= m form).
 vertices      vertex list of P(m, n).
 facets        facet inequalities of P(m, n).
-count-points  exact lattice-point count of t*P(m, n), by enumeration.
+count-points  exact lattice-point count of t*P(m, n), from the facets alone.
 graphs        the multigraph family behind the combinatorial engines
               (``--stats`` for the census by loop/single/double signature).
 parking       number of integer points of the parking-function polytope.
@@ -27,9 +27,13 @@ Usage examples
   permutoehr graphs --m 3 --stats
   permutoehr verify --max-m 4 --max-t 2
 
-The environment variable PERMUTOEHR_BUDGET overrides the lattice
-enumeration budget (default 10^8 orbit representatives, that is weakly
-decreasing vectors in the box [0, t*n]^m: C(t*n + m, m) of them).
+The environment variable PERMUTOEHR_BUDGET overrides the work budget
+(default 10^8).  count-points and parking count by a dynamic programme
+over (entries placed, running sum) states of the sorted points, and are
+refused when its work bound, values * states * run lengths =
+t*n * (K + 1)(S + 1) * K with S the dilated full-sum bound and
+K = min(m, S), exceeds the budget.  vertices and facets are refused when
+the number of items they would list exceeds it.
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ def _point_budget() -> int:
     if budget < 1:
         raise ValueError("PERMUTOEHR_BUDGET must be positive")
     return budget
+
+
+def _refuse_listing_above_budget(count: int, what: str) -> None:
+    """Refuse, before enumerating, a listing longer than the budget."""
+    budget = _point_budget()
+    if count > budget:
+        # past 2^64 the count is stated by its size: str() of an int over
+        # 4300 digits raises
+        bits = count.bit_length()
+        stated = str(count) if bits <= 64 else f"more than 2^{bits - 1}"
+        raise BudgetError(f"{stated} {what} exceeds budget {budget}")
 
 
 def _frac_str(value: Fraction) -> str:
@@ -154,6 +169,7 @@ def cmd_fpoly(args) -> int:
 def cmd_vertices(args) -> int:
     started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
+    _refuse_listing_above_budget(poly.vertex_count(), "vertices")
     vertices = sorted(poly.vertices())
     if args.format == "json":
         report = _start_report("vertices", args, ("m", "n"))
@@ -175,6 +191,7 @@ def cmd_vertices(args) -> int:
 def cmd_facets(args) -> int:
     started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
+    _refuse_listing_above_budget(poly.facet_count(), "facets")
     facets = poly.facets()
     if args.format == "json":
         report = _start_report("facets", args, ("m", "n"))

@@ -5,5 +5,5 @@ class BudgetError(RuntimeError):
     """Raised when a computation would exceed its resource budget."""
 
 
-DEFAULT_POINT_BUDGET = 10**8  # orbit representatives C(tn+m, m) per count
+DEFAULT_POINT_BUDGET = 10**8  # lattice DP work bound per count, or items per listing
 DEFAULT_GRAPH_BOUND = 7  # largest vertex count for multigraph enumeration

@@ -34,6 +34,10 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return (Poly, (self.coeffs,))
+
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "Poly":
         if power < 0:
@@ -205,6 +209,10 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _laurent, not __setattr__
+        return (_laurent, (self.nums, self.den, self.min_exp))
+
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
         return cls([c])
@@ -316,21 +324,23 @@ class LaurentPoly:
         return _laurent([c * q for c in self.nums], self.den * p, self.min_exp)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        coerced = self._coerce(other)
+        if coerced is NotImplemented:
+            # a Poly is the Laurent polynomial with no negative power
+            if not isinstance(other, Poly):
+                return NotImplemented
+            coerced = LaurentPoly(other.coeffs)
         return (
-            self.min_exp == other.min_exp
-            and self.den == other.den
-            and self.nums == other.nums
+            self.min_exp == coerced.min_exp
+            and self.den == coerced.den
+            and self.nums == coerced.nums
         )
 
     def __hash__(self):
-        # a constant equals its scalar, so it must hash as that scalar
-        if not self.nums:
-            return hash(0)
-        if self.min_exp == 0 and len(self.nums) == 1:
-            return hash(Fraction(self.nums[0], self.den))
+        # with no negative power this equals a Poly (a constant, its
+        # scalar), so it must hash as that Poly
+        if self.min_exp >= 0:
+            return hash(self.as_poly())
         return hash((self.min_exp, self.den, self.nums))
 
     def __repr__(self):

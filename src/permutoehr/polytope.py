@@ -3,9 +3,10 @@
 P(m, n) is the convex hull of the vectors in {0, 1, ..., n}^m whose
 nonzero entries are distinct.  This module gives its vertices, facet
 inequalities, membership in integer dilates, an exact lattice-point count
-by a walk over sorted orbit representatives, the lift into the hyperplane
-in R^(m+1), and its decomposition as a Minkowski sum of dilated
-coordinate simplices (valid for n >= m - 1).
+by a dynamic programme over the (entries placed, running sum) states of
+the sorted points, the lift into the hyperplane in R^(m+1), and its
+decomposition as a Minkowski sum of dilated coordinate simplices (valid
+for n >= m - 1).
 
 Everything is integer arithmetic on explicit data; the formula engines
 live in :mod:`permutoehr.ehrhart` and are cross-checked against the
@@ -15,6 +16,7 @@ counts produced here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 
@@ -98,12 +100,10 @@ class PartialPermutohedron:
     def vertex_count(self) -> int:
         """sum_{i=0..min(m,n)} m!/(m-i)!, without enumerating."""
         m = self.m
-        total = 0
-        for i in range(min(m, self.n) + 1):
-            prod = 1
-            for r in range(i):
-                prod *= m - r
-            total += prod
+        total = falling = 1
+        for i in range(min(m, self.n)):
+            falling *= m - i
+            total += falling
         return total
 
     def facets(self) -> list[FacetInequality]:
@@ -124,9 +124,20 @@ class PartialPermutohedron:
 
     def facet_count(self) -> int:
         """m + sum_{i=0..min(m,n)-1} C(m, i), without enumerating."""
-        return self.m + sum(comb(self.m, i) for i in range(min(self.m, self.n)))
+        m = self.m
+        total, binom = m, 1
+        for i in range(min(m, self.n)):
+            total += binom
+            binom = binom * (m - i) // (i + 1)
+        return total
 
     # -- membership and counting ------------------------------------------
+
+    @cached_property
+    def subset_bounds(self) -> tuple[int, ...]:
+        """Undilated right-hand sides of the subset facets: entry k - 1 is
+        largest_entries_bound(k), for k = 1 .. min(m, n) - 1."""
+        return tuple(self.largest_entries_bound(k) for k in range(1, min(self.m, self.n)))
 
     def contains(self, x, t: int = 1) -> bool:
         """Whether x lies in the dilate t*P(m, n).
@@ -138,69 +149,88 @@ class PartialPermutohedron:
         x = tuple(x)
         if len(x) != self.m:
             raise ValueError(f"point has length {len(x)}, expected {self.m}")
-        if any(xi < 0 for xi in x):
-            return False
         ordered = sorted(x, reverse=True)
+        if ordered[-1] < 0:
+            return False
         prefix = 0
-        for k in range(1, min(self.m, self.n)):
-            prefix += ordered[k - 1]
-            if prefix > t * self.largest_entries_bound(k):
+        for xi, bound in zip(ordered, self.subset_bounds):
+            prefix += xi
+            if prefix > t * bound:
                 return False
         return sum(x) <= t * self.full_sum_bound()
 
     def count_lattice_points(self, t: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
-        """Exact number of integer points in t*P(m, n), by a walk over one
-        representative per orbit of the coordinate permutations.
+        """Exact number of integer points in t*P(m, n), by a dynamic
+        programme over the sorted forms of the points.
 
-        t*P(m, n) is invariant under permuting coordinates, so the walk
-        visits only weakly decreasing vectors x_1 >= ... >= x_m and weights
-        each by m!/prod(multiplicity!), the size of its orbit.  A prefix is
-        extended only while its sum stays within t*largest_entries_bound(k)
-        (k < min(m, n)) and the total within t*full_sum_bound(): the test
-        :meth:`contains` makes after sorting, with no Ehrhart formula
-        involved.  Refuses when C(t*n + m, m), the number of weakly
-        decreasing vectors in the box [0, t*n]^m and so a bound on the
-        representatives visited, exceeds the budget."""
+        t*P(m, n) is invariant under permuting coordinates, so each point
+        is counted through its weakly decreasing rearrangement: runs of
+        r_v copies of each value v = t*n, ..., 1, then zeros.  Every facet
+        test on that form (the sum of the k largest entries at most
+        t*largest_entries_bound(k) for k < min(m, n), the total at most
+        t*full_sum_bound()) reads only how many entries are placed and
+        their running sum: the test :meth:`contains` makes after sorting,
+        with no Ehrhart formula involved.  The programme goes over the
+        values in decreasing order and keeps, per state (idx, total) of
+        nonzero entries placed and their sum, the weight idx!/prod(r_v!)
+        summed over the runs reaching it.  A run of r copies of v is cut
+        at the first position whose prefix sum breaks its cap and
+        multiplies the weight by C(idx + r, r); the completion by m - idx
+        zeros multiplies it by C(m, idx), giving the orbit size
+        m!/(prod(r_v!) (m - idx)!).
+
+        The work is at most values * states * run lengths =
+        t*n * (K + 1)(S + 1) * K, where S = t*full_sum_bound() bounds the
+        total and K = min(m, S) the nonzero entries (each is >= 1).  The
+        count is refused up front when that bound exceeds the budget."""
         if isinstance(t, bool) or not isinstance(t, int):
             raise ValueError(f"dilation factor t must be an integer, got {t!r}")
         if t < 1:
             raise ValueError("dilation factor t must be >= 1")
         m, n = self.m, self.n
-        representatives = comb(t * n + m, m)
-        if representatives > budget:
-            raise BudgetError(
-                f"orbit representatives C(tn+m, m) = {representatives} "
-                f"exceeds budget {budget}"
-            )
         full = t * self.full_sum_bound()
-        # caps[k] bounds the sum of the k + 1 largest entries; past the
+        most = min(m, full)
+        work = t * n * (most + 1) * (full + 1) * most
+        if work > budget:
+            raise BudgetError(
+                f"lattice DP work bound values*states*run lengths "
+                f"tn*(K+1)(S+1)*K = {work} exceeds budget {budget}"
+            )
+        # caps[i] bounds the sum of the i + 1 largest entries; past the
         # subset facets only the full sum binds, entries being >= 0.  The
-        # list has min(m, n) - 1 entries, not m, so a long vector of few
-        # nonzero entries costs no memory in m.
-        caps = [t * self.largest_entries_bound(k) for k in range(1, min(m, n))]
-
-        def walk(idx: int, top: int, total: int, run: int, falling: int, denom: int) -> int:
-            # Orbit-weighted count of the completions of x_1 .. x_idx, whose
-            # last entry top ends a run of length run; falling is
-            # m!/(m - idx)! and denom the product of the factorials of the
-            # run lengths so far (the root passes the box cap t*n as top,
-            # with run 0).  The completion by zeros, of weight
-            # m!/(denom * (m - idx)!), is counted here, so the recursion
-            # takes only v >= 1 and its depth is the number of nonzero
-            # entries, not m.
-            acc = falling // denom
-            if idx == m:
-                return acc
-            cap = caps[idx] if idx < len(caps) else full
-            child = falling * (m - idx)
-            for v in range(1, min(top, cap - total) + 1):
-                if v == top:
-                    acc += walk(idx + 1, v, total + v, run + 1, child, denom * (run + 1))
-                else:
-                    acc += walk(idx + 1, v, total + v, 1, child, denom)
-            return acc
-
-        return walk(0, t * n, 0, 0, 1, 1)
+        # list stops at K positions, so a long vector of few nonzero
+        # entries costs nothing in m.
+        caps = [t * bound for bound in self.subset_bounds[:most]]
+        caps += [full] * (most - len(caps))
+        # levels[idx] maps the running sum of idx placed entries to its
+        # weight idx!/prod(r_v!)
+        levels = [{} for _ in range(most + 1)]
+        levels[0][0] = 1
+        for v in range(t * n, 0, -1):
+            # top level first, so that no state gains two runs of v
+            for idx in range(most - 1, -1, -1):
+                level = levels[idx]
+                if not level:
+                    continue
+                # limit: the largest total before a run of r copies of v
+                # (r * v = shift) that keeps every prefix of the run
+                # within its cap
+                limit = full
+                binom = 1
+                shift = 0
+                for pos in range(idx, most):
+                    shift += v
+                    if caps[pos] - shift < limit:
+                        limit = caps[pos] - shift
+                        if limit < 0:
+                            break
+                    binom = binom * (pos + 1) // (pos + 1 - idx)
+                    reached = levels[pos + 1]
+                    for total, weight in level.items():
+                        if total <= limit:
+                            key = total + shift
+                            reached[key] = reached.get(key, 0) + weight * binom
+        return sum(comb(m, idx) * sum(level.values()) for idx, level in enumerate(levels))
 
     # -- lift to R^(m+1) ----------------------------------------------------
 

@@ -83,6 +83,7 @@ def test_criterion_2_brute_force_oracle():
         for t in (1, 2, 3)
     ]
     grid += [(7, n, t) for n in (6, 7) for t in (1, 2)]
+    grid += [(m, n, t) for m in (8, 9, 10) for n in (m - 1, m) for t in (1, 2, 3)]
     for m, n, t in grid:
         count = PartialPermutohedron(m, n).count_lattice_points(t)
         assert ehrhart_closed(m, n)(t) == count, (
@@ -209,7 +210,7 @@ def test_criterion_8_f_polynomials():
 
 def test_criterion_9_parking_function_counts():
     # m = 1 would need P(1, 0), which sits outside the n >= 1 domain
-    for m in range(2, 8):
+    for m in range(2, 13):
         expected = PartialPermutohedron(m, m - 1).count_lattice_points(1)
         assert ehrhart_closed(m, m - 1)(1) == expected, f"m={m}"
-    _passed(9, "integer points of the parking-function polytope for m = 2 .. 7")
+    _passed(9, "integer points of the parking-function polytope for m = 2 .. 12")

@@ -14,6 +14,7 @@ from permutoehr.cli import main
 from permutoehr.ehrhart import ehrhart_closed, f_polynomial_stable, volume_closed
 from permutoehr.graphs import enumerate_graphs, vertex_pairs
 from permutoehr.polynomials import Poly
+from permutoehr.polytope import PartialPermutohedron
 
 
 def run(capsys, *argv):
@@ -161,16 +162,65 @@ class TestOtherCommands:
         senses = {f["sense"] for f in payload["facets"]}
         assert senses == {"<=", ">="}
 
+    @pytest.mark.parametrize(
+        "command, m, count",
+        (("vertices", 12, 1302061345), ("facets", 30, 1073741853)),
+    )
+    def test_absurd_listing_refused_before_enumerating(
+        self, capsys, monkeypatch, command, m, count
+    ):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+
+        def must_not_run(self):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(PartialPermutohedron, command, must_not_run)
+        code, out, err = run(capsys, command, "--m", str(m), "--n", str(m))
+        assert (code, out) == (3, "")
+        assert f"{count} {command} exceeds budget 100000000" in err
+
+    @pytest.mark.parametrize(
+        "command, stated", (("vertices", "more than 2^19054"), ("facets", "more than 2^2000"))
+    )
+    def test_astronomical_listing_refused_with_its_size(
+        self, capsys, monkeypatch, command, stated
+    ):
+        # 2000! alone has 5736 digits, past what str() of an int allows
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, command, "--m", "2000", "--n", "2000")
+        assert (code, out) == (3, "")
+        assert f"{stated} {command} exceeds budget" in err
+
+    @pytest.mark.parametrize("command", ("vertices", "facets"))
+    def test_listing_at_its_budget_is_unchanged(self, capsys, monkeypatch, command):
+        poly = PartialPermutohedron(3, 2)
+        if command == "vertices":
+            count = poly.vertex_count()
+            expected = [" ".join(map(str, v)) for v in sorted(poly.vertices())]
+        else:
+            count = poly.facet_count()
+            expected = [str(f) for f in poly.facets()]
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(count))
+        code, out, err = run(capsys, command, "--m", "3", "--n", "2")
+        assert code == 0
+        assert out.splitlines() == expected and len(expected) == count
+        assert err == f"# {count} {command}\n"
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(count - 1))
+        code, out, err = run(capsys, command, "--m", "3", "--n", "2")
+        assert (code, out) == (3, "")
+        assert f"{count} {command} exceeds budget {count - 1}" in err
+
     def test_count_points(self, capsys):
         code, out, _ = run(capsys, "count-points", "--m", "2", "--n", "1", "--t", "1")
         assert code == 0
         assert out.strip() == "3"
 
     def test_budget_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("PERMUTOEHR_BUDGET", "10")
+        # the DP's work bound at (3, 3, 2) is 6 * 4 * 13 * 3 = 936
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "935")
         code, _, err = run(capsys, "count-points", "--m", "3", "--n", "3", "--t", "2")
         assert code == 3
-        assert "budget" in err
+        assert "= 936 exceeds budget 935" in err
 
     def test_count_points_m7_under_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -198,6 +200,74 @@ class TestHashEqContract:
     def test_non_constants_stay_distinct(self):
         assert len({Poly([0, 1]), Poly([1]), 1}) == 2
         assert len({LaurentPoly.term(1, -1), LaurentPoly.constant(1), 1}) == 2
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize(
+        "value",
+        (
+            Poly(),
+            Poly([7]),
+            Poly([Fraction(1, 2), 0, Fraction(-3, 7)]),
+            LaurentPoly(),
+            LaurentPoly.constant(Fraction(-5, 3)),
+            LaurentPoly([Fraction(1, 3), 0, 2], -2),
+        ),
+        ids=repr,
+    )
+    def test_round_trips(self, value):
+        for twin in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+            with pytest.raises(AttributeError):
+                twin.coeffs = ()
+
+
+# small coefficient and exponent ranges, so that values collide often
+collide_scalars = st.sampled_from((0, 1, -1, Fraction(1, 2), Fraction(-1, 2)))
+collide_lists = st.lists(collide_scalars, max_size=3)
+ring_values = st.one_of(
+    collide_scalars,
+    st.builds(Poly, collide_lists),
+    st.builds(LaurentPoly, collide_lists, st.integers(min_value=-1, max_value=2)),
+)
+
+
+def value_of(x):
+    """{exponent: nonzero coefficient}, whatever the type of x."""
+    if isinstance(x, Poly):
+        pairs = enumerate(x.coeffs)
+    elif isinstance(x, LaurentPoly):
+        pairs = enumerate(x.coeffs, x.min_exp)
+    else:
+        pairs = [(0, x)]
+    return {e: Fraction(c) for e, c in pairs if c}
+
+
+class TestCrossTypeEquality:
+    def test_laurent_without_negative_powers_equals_poly(self):
+        assert Poly([3]) == LaurentPoly.constant(3) == Poly([3])
+        assert LaurentPoly([1, 2], 1) == Poly([0, 1, 2])
+        assert Poly([0, 1, 2]) == LaurentPoly([1, 2], 1)
+        assert len({Poly([3]), LaurentPoly.constant(3), 3}) == 1
+        assert LaurentPoly([1, 2], -1) != Poly([1, 2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_values, ring_values, ring_values)
+    def test_equality_is_value_equality_and_hash_agrees(self, a, b, c):
+        # equality agreeing with one value map on every pair makes it
+        # transitive across Poly, LaurentPoly and scalars
+        for x, y in ((a, b), (b, c), (a, c)):
+            same = value_of(x) == value_of(y)
+            assert (x == y) == same and (y == x) == same
+            assert (x != y) == (not same)
+            if same:
+                assert hash(x) == hash(y)
 
 
 # --- property tests of the exact core -----------------------------------

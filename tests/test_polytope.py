@@ -3,6 +3,8 @@ from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permutoehr.errors import BudgetError
 from permutoehr.polytope import (
@@ -166,20 +168,48 @@ class TestCounting:
         )
         assert poly.count_lattice_points(t) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_against_box_filter_everywhere(self, m, n, t):
+        # any n, below the formulas' n >= m - 1 included, in a small box
+        assume((t * n + 1) ** m <= 2500)
+        poly = PartialPermutohedron(m, n)
+        expected = sum(
+            1 for x in box_points(t * n, m) if subset_form_contains(poly, t, x)
+        )
+        assert poly.count_lattice_points(t) == expected
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_standard_simplex(self, m):
+        # P(m, 1) is the standard simplex, with C(t + m, m) points in t*P
+        poly = PartialPermutohedron(m, 1)
+        for t in range(1, 6):
+            assert poly.count_lattice_points(t) == comb(t + m, m)
+
     def test_budget_guard(self):
+        # the DP's work bound at (4, 4, 2) is 3360, one above this budget
         with pytest.raises(BudgetError):
-            PartialPermutohedron(4, 4).count_lattice_points(2, budget=100)
+            PartialPermutohedron(4, 4).count_lattice_points(2, budget=3359)
 
     def test_budget_message_states_the_work(self):
-        # C(2*4 + 4, 4) = 495 weakly decreasing vectors in [0, 8]^4
-        with pytest.raises(BudgetError, match=r"C\(tn\+m, m\) = 495 exceeds budget 100"):
+        # values t*n = 8, states (K + 1)(S + 1) = 5 * 21 with S = 2 * 10 the
+        # dilated full sum and K = min(m, S) = 4, run lengths K = 4
+        with pytest.raises(
+            BudgetError,
+            match=r"values\*states\*run lengths tn\*\(K\+1\)\(S\+1\)\*K = 3360 "
+            r"exceeds budget 100",
+        ):
             PartialPermutohedron(4, 4).count_lattice_points(2, budget=100)
-        assert PartialPermutohedron(4, 4).count_lattice_points(2, budget=495) > 0
+        assert PartialPermutohedron(4, 4).count_lattice_points(2, budget=3360) > 0
 
     def test_long_vector_few_nonzero_entries(self):
-        # C(100001, 100000) = 100001 is within the budget, and the walk's
-        # work follows the nonzero entries (at most one here), not m
-        assert PartialPermutohedron(100000, 1).count_lattice_points(1) == 100001
+        # the DP's states follow the nonzero entries (at most one here),
+        # not m, so its work bound is 1 * 2 * 2 * 1 = 4
+        assert PartialPermutohedron(100000, 1).count_lattice_points(1, budget=4) == 100001
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
