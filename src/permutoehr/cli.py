@@ -89,8 +89,7 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _poly_coeff_strings(poly: Poly) -> list[str]:
-    top = len(poly.coeffs) - 1 if poly.coeffs else 0
-    return [_frac_str(poly.coefficient(i)) for i in range(top + 1)]
+    return [_frac_str(c) for c in poly.coeffs] or ["0"]
 
 
 def _emit_json(report: dict) -> None:

@@ -25,6 +25,10 @@ Each engine works in the cheapest exact ring for what it returns.  Since
 2^m ehr(t) has integer coefficients, ``ehrhart_closed`` and
 ``ehrhart_recurrence`` (like ``f_polynomial``) run on Python int coefficient
 lists and divide once at the end: O(m^3) and O(m^2) integer operations.
+``ehrhart_postnikov`` and ``ehrhart_graphsum`` sum one product of small
+polynomials per census entry in ``Poly``, whose int numerators over one
+common denominator make every product an int convolution and every sum
+one rescaling and one gcd.
 ``ehrhart_egf`` builds the Laurent-coefficient exponential (O(m) Laurent
 products) and forms only [z^m] of its product with the Fraction series
 sqrt(1-z) (O(m) more); ``ehrhart_egf_tree`` composes that exponential with
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DEFAULT_GRAPH_BOUND
@@ -51,6 +54,8 @@ from .graphs import graph_census, sequence_census
 from .polynomials import (
     LaurentPoly,
     Poly,
+    _poly,
+    convolve,
     double_factorial,
     eulerian,
     multinomial,
@@ -77,22 +82,12 @@ def _require_formula_domain(m: int, n: int):
         )
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists (lowest power first)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _closed_scaled(m: int, n: int) -> list[int]:
     """2^m ehr(t) of P(m, n) as integer coefficients, from the closed form."""
     base = [2, 2 * n + 1]  # 2nt + t + 2
     base_pow = [[1]]
     for _ in range(m):
-        base_pow.append(_int_mul(base_pow[-1], base))
+        base_pow.append(convolve(base_pow[-1], base))
     total = [0] * (m + 1)
     for i in range(m // 2 + 1):
         for j in range(2 * i, m + 1):
@@ -107,10 +102,6 @@ def _closed_scaled(m: int, n: int) -> list[int]:
     return total
 
 
-def _unscale(coeffs: list[int], m: int) -> Poly:
-    return Poly([Fraction(c, 2**m) for c in coeffs])
-
-
 def ehrhart_closed(m: int, n: int) -> Poly:
     """Closed-form Ehrhart polynomial of P(m, n) for n >= m - 1.
 
@@ -121,7 +112,7 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     integers and divided by 2^m once.
     """
     _require_formula_domain(m, n)
-    return _unscale(_closed_scaled(m, n), m)
+    return _poly(_closed_scaled(m, n), 2**m)
 
 
 def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
@@ -133,16 +124,18 @@ def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
     multiplicities, so the sum runs over :func:`.graphs.sequence_census`,
     the Hall walk's tally; no multigraph or union-find code is reached."""
     _require_formula_domain(m, n)
-    loop_arg = Poly([0, n - m + 1])  # (n - m + 1) t
-    pair_arg = Poly([0, 1])  # t
-    factor = lru_cache(maxsize=None)(rising_binomial)
+    census = sequence_census(m, bound=bound)
+    # rising binomials by multiplicity: Hall's condition on the copies of
+    # one slot allows at most 1 copy of a loop and 2 of a pair
+    loop_factor = [rising_binomial(Poly([0, n - m + 1]), a) for a in range(2)]
+    pair_factor = [rising_binomial(Poly([0, 1]), a) for a in range(3)]
     total = Poly()
-    for (loop_mults, pair_mults), count in sequence_census(m, bound=bound).items():
+    for (loop_mults, pair_mults), count in census.items():
         term = Poly([count])
         for a in loop_mults:
-            term = term * factor(loop_arg, a)
+            term = term * loop_factor[a]
         for a in pair_mults:
-            term = term * factor(pair_arg, a)
+            term = term * pair_factor[a]
         total = total + term
     return total
 
@@ -155,13 +148,8 @@ def ehrhart_graphsum(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
     single_w = Poly([0, 1])
     double_w = Poly([0, Fraction(1, 2), Fraction(1, 2)])  # t(t+1)/2
     total = Poly()
-    for stats, count in graph_census(m, bound=bound).items():
-        weight = (
-            loop_w ** stats.n_loops
-            * single_w ** stats.n_single
-            * double_w ** stats.n_pairs
-        )
-        total = total + weight * count
+    for (loops, single, doubled), count in graph_census(m, bound=bound).items():
+        total = total + loop_w**loops * single_w**single * double_w**doubled * count
     return total
 
 
@@ -239,15 +227,15 @@ def ehrhart_recurrence(m: int, n: int) -> Poly:
     _require_formula_domain(m, n)
     e3, e2, e1 = (_closed_scaled(k, n) for k in (1, 2, 3))
     if m <= 3:
-        return _unscale((e3, e2, e1)[m - 1], m)
+        return _poly((e3, e2, e1)[m - 1], 2**m)
     for mm in range(4, m + 1):
-        nxt = _int_mul([2, 2 * (mm + n - 1)], e1)
-        for k, c in enumerate(_int_mul([0, 6, 2 * (2 * n + 1)], e2)):
+        nxt = convolve([2, 2 * (mm + n - 1)], e1)
+        for k, c in enumerate(convolve([0, 6, 2 * (2 * n + 1)], e2)):
             nxt[k] -= (mm - 1) * c
         for k, c in enumerate(e3, start=2):
             nxt[k] += 4 * (mm - 1) * (mm - 2) * c
         e3, e2, e1 = e2, e1, nxt
-    return _unscale(e1, m)
+    return _poly(e1, 2**m)
 
 
 def volume_closed(m: int, n: int) -> Fraction:
@@ -272,7 +260,7 @@ def f_polynomial(m: int, n: int) -> Poly:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     total = [1] + [0] * m
     for i in range(min(n, m + 1)):  # C(m, i) = 0 beyond i = m
-        eulerian_coeffs = [c.numerator for c in eulerian(i).coeffs]
+        eulerian_coeffs = eulerian(i).nums  # den 1: A_i has int coefficients
         # A_i(t+1): the coefficient of t^r is sum_k a_k C(k, r)
         shifted = [
             sum(a * comb(k, r) for k, a in enumerate(eulerian_coeffs))
@@ -281,9 +269,9 @@ def f_polynomial(m: int, n: int) -> Poly:
         # sum_{j=1..m-i} (t+1)^j: the coefficient of t^r is C(m-i+1, r+1) - [r = 0]
         geometric = [comb(m - i + 1, r + 1) for r in range(m - i + 1)]
         geometric[0] -= 1
-        for r, c in enumerate(_int_mul(shifted, geometric)):
+        for r, c in enumerate(convolve(shifted, geometric)):
             total[r] += comb(m, i) * c
-    return Poly(total)
+    return _poly(total, 1)
 
 
 def f_polynomial_stable(m: int, n: int | None = None) -> Poly:

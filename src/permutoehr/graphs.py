@@ -13,20 +13,23 @@ The objects here come in two equivalent presentations:
 ``to_multigraph`` / ``from_multigraph`` realize the bijection between the
 two feasible sets.
 
-Each presentation has its own counting walk: a depth-first assignment of
-multiplicities slot by slot (singletons, then pairs) that tallies its
-leaves instead of building them, once per m and process.
+Each presentation has its own counting walk, a depth-first assignment of
+multiplicities that tallies its leaves instead of building them, once per
+m and process.  Relabelling the vertices keeps every tallied quantity, so
+for each loop count l = 0 .. m a walk puts the loops on vertices
+0 .. l - 1, assigns the pairs only, and counts each leaf C(m, l) times.
 
 * The union-find walk enumerates multigraphs.  It gives a pair
-  multiplicity 0, 1 or 2 and a vertex at most one loop, pruning any branch
-  in which a component acquires a second cycle, and tallies the graphs by
-  (loops, single edges, doubled pairs, connected).  ``graph_census`` (and
-  with it the ``graphsum`` engine) and ``structure_counts`` read it.
+  multiplicity 0, 1 or 2, pruning any branch in which a component
+  acquires a second cycle, and tallies the graphs by (loops, single edges,
+  doubled pairs, connected).  ``graph_census`` (and with it the
+  ``graphsum`` engine) and ``structure_counts`` read it.
 * The Hall walk enumerates multiplicity sequences.  It keeps a live
-  slot-to-vertex matching and gives a slot one more copy for as long as an
-  augmenting path extends the matching, and tallies the sequences by the
-  multisets of their nonzero loop and pair multiplicities.
-  ``sequence_census`` (and with it the ``postnikov`` engine) reads it.
+  slot-to-vertex matching, the copy of each loop matched to its vertex,
+  and gives a pair one more copy for as long as an augmenting path
+  extends the matching, and tallies the sequences by the multisets of
+  their nonzero loop and pair multiplicities.  ``sequence_census`` (and
+  with it the ``postnikov`` engine) reads it.
 
 The listings ``enumerate_graphs`` and ``enumerate_sequences`` walk the
 multigraphs lazily and build every member.
@@ -37,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import BudgetError, DEFAULT_GRAPH_BOUND
@@ -309,42 +313,38 @@ def enumerate_sequences(
 @lru_cache(maxsize=None)
 def _union_find_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
     """Counts of the multigraphs on m vertices by (loops, single edges,
-    doubled pairs, connected), from one depth-first walk.
+    doubled pairs, connected), from one depth-first walk per loop count.
 
-    The walk assigns the slots in the order of :func:`_iter_raw`, keeps the
-    union-find forest in flat lists (no path compression, union by size) and
-    undoes each union inline on the way back.  The signature travels down
-    as one integer with a digit per field in base m + 1, the last digit
-    counting unions, so a leaf costs one dict increment; the graph is
-    connected when the unions reach m - 1."""
+    Relabelling the vertices keeps that signature, so for each l = 0 .. m
+    the walk puts one loop on each of vertices 0 .. l - 1, assigns the pairs
+    (0, 1 or 2 edges each) and counts every leaf C(m, l) times.  The
+    union-find forest lives in flat lists (no path compression, union by
+    size), each union undone inline on the way back.  The signature travels
+    down as one integer with a digit per field in base m + 1, the last one
+    counting unions: the graph is connected when they reach m - 1."""
     pairs = vertex_pairs(m)
-    ends = [(v, v) for v in range(m)] + list(pairs)
-    n_slots = len(ends)
+    n_pairs = len(pairs)
     parent = list(range(m))
     size = [1] * m
     edges = [0] * m
     base = m + 1
     loop_w, single_w, double_w = base**3, base**2, base
     codes: dict[int, int] = {}
+    weight = 1
 
     def walk(k: int, code: int, used: int):
-        # m edges saturate every component, so the remaining slots stay 0
-        if k == n_slots or used == m:
-            codes[code] = codes.get(code, 0) + 1
+        # m edges saturate every component, so the remaining pairs stay 0
+        if k == n_pairs or used == m:
+            codes[code] = codes.get(code, 0) + weight
             return
         walk(k + 1, code, used)
-        i, j = ends[k]
+        i, j = pairs[k]
         while parent[i] != i:
             i = parent[i]
         while parent[j] != j:
             j = parent[j]
         e, s = edges[i], size[i]
-        if k < m:  # a loop at vertex k
-            if e < s:
-                edges[i] = e + 1
-                walk(k + 1, code + loop_w, used + 1)
-                edges[i] = e
-        elif i == j:  # both ends already in one component
+        if i == j:  # both ends already in one component
             if e < s:
                 edges[i] = e + 1
                 walk(k + 1, code + single_w, used + 1)
@@ -369,7 +369,10 @@ def _union_find_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], .
                 size[i] = s
                 edges[i] = e
 
-    walk(0, 0, 0)
+    for loops in range(m + 1):
+        edges[:loops] = [1] * loops  # one loop at each of vertices 0 .. loops - 1
+        weight = comb(m, loops)
+        walk(0, loops * loop_w, loops)
     tally: dict[tuple[int, int, int, bool], int] = {}
     for code, count in codes.items():
         code, unions = divmod(code, base)
@@ -423,53 +426,57 @@ def structure_counts(m: int, bound: int = DEFAULT_GRAPH_BOUND) -> StructureCount
 def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], int], ...]:
     """Counts of the Hall-feasible multiplicity sequences for m by the
     multisets of their nonzero loop and pair multiplicities (each a sorted
-    tuple), from one depth-first walk.
+    tuple), from one depth-first walk per loop count.
 
-    Slot by slot (singletons, then pairs in :func:`vertex_pairs` order), the
-    walk tries multiplicity 0 and then adds one more copy of the slot for as
-    long as one augmenting path extends the live copy-to-vertex matching;
-    Hall's condition alone decides how far a multiplicity goes.  Backtracking
-    frees the vertex of each removed copy.  The multisets travel down as one
-    integer with a digit per (loop or pair, multiplicity) in base m + 1."""
-    family = [(v,) for v in range(m)] + list(vertex_pairs(m))
-    n_slots = len(family)
+    Two copies of one singleton {v} have no distinct representatives, so a
+    loop multiplicity is 0 or 1 and its copy is matched to v.  Relabelling
+    the vertices keeps Hall's condition and both multisets, so for each
+    l = 0 .. m the walk seeds the live copy-to-vertex matching with loops
+    on vertices 0 .. l - 1 and counts every leaf C(m, l) times.  Pair by
+    pair it adds one more copy for as long as one augmenting path extends
+    the matching (Hall's condition alone decides how far a multiplicity
+    goes), and frees each copy's vertex on the way back.  The multisets
+    travel down as one integer in base m + 1: digit 0 counts the loops,
+    digit a the pairs of multiplicity a."""
+    pairs = vertex_pairs(m)
+    n_pairs = len(pairs)
     base = m + 1
-    # digit of "one more loop (pair) slot with multiplicity a", a = 1..m
-    loop_w = [0] + [base ** (a - 1) for a in range(1, m + 1)]
-    pair_w = [0] + [base ** (m + a - 1) for a in range(1, m + 1)]
+    pair_w = [base**a for a in range(m + 1)]
     copies: list[tuple[int, ...]] = []  # endpoints of each matched copy
     owner = [-1] * m  # vertex -> index into copies
     codes: dict[int, int] = {}
+    weight = 1
 
     def walk(k: int, code: int):
-        # a perfect matching leaves no free vertex, so the remaining slots stay 0
-        if k == n_slots or len(copies) == m:
-            codes[code] = codes.get(code, 0) + 1
+        # a perfect matching leaves no free vertex, so the remaining pairs stay 0
+        if k == n_pairs or len(copies) == m:
+            codes[code] = codes.get(code, 0) + weight
             return
         walk(k + 1, code)
-        weights = loop_w if k < m else pair_w
-        copies.append(family[k])
+        copies.append(pairs[k])
         a = 0
         while _augment(len(copies) - 1, copies, owner, [False] * m):
             a += 1
-            walk(k + 1, code + weights[a])
-            copies.append(family[k])
+            walk(k + 1, code + pair_w[a])
+            copies.append(pairs[k])
         copies.pop()
         for _ in range(a):
             owner[owner.index(len(copies) - 1)] = -1
             copies.pop()
 
-    walk(0, 0)
+    for loops in range(m + 1):
+        copies[:] = [(v,) for v in range(loops)]
+        owner[:] = list(range(loops)) + [-1] * (m - loops)
+        weight = comb(m, loops)
+        walk(0, loops)
     tally = []
     for code, count in codes.items():
-        multisets = []
-        for _ in ("loop", "pair"):
-            mults: list[int] = []
-            for a in range(1, m + 1):
-                code, times = divmod(code, base)
-                mults += [a] * times
-            multisets.append(tuple(mults))
-        tally.append((tuple(multisets), count))
+        code, loops = divmod(code, base)
+        pair_mults: list[int] = []
+        for a in range(1, m + 1):
+            code, times = divmod(code, base)
+            pair_mults += [a] * times
+        tally.append((((1,) * loops, tuple(pair_mults)), count))
     return tuple(tally)
 
 

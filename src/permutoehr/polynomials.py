@@ -1,13 +1,17 @@
 """Exact univariate polynomial arithmetic over arbitrary-precision rationals.
 
 Nothing in this package ever touches floating point.  ``Poly`` is a dense
-polynomial in t with ``fractions.Fraction`` coefficients (the carrier for
-Ehrhart, face-count and Eulerian polynomials).  ``LaurentPoly``
-additionally allows negative powers of t, which the generating-function
-extraction needs for its 1/t bookkeeping; it holds its coefficients as
-Python int numerators over one positive common denominator, in a
-canonical form (no zero at either end, gcd(den, *nums) = 1), and hands out
-``Fraction`` only at its edges.
+polynomial in t (the carrier for Ehrhart, face-count and Eulerian
+polynomials).  ``LaurentPoly`` additionally allows negative powers of t,
+which the generating-function extraction needs for its 1/t bookkeeping.
+Both hold their coefficients as Python int numerators over one positive
+common denominator, in a canonical form (no zero at the top, for
+``LaurentPoly`` none at the bottom either, and gcd(den, *nums) = 1), so
+equal values have equal fields.  They share one ring core on those ints:
+the sum, negation, difference and product below (``convolve`` for two
+polynomials), each result normalised by one gcd.  ``fractions.Fraction``
+appears only at their edges: constructor input, ``coeffs``,
+``coefficient``, and the value of a ``Poly`` at a point.
 """
 
 from __future__ import annotations
@@ -15,28 +19,185 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-class Poly:
-    """Dense polynomial in t with Fraction coefficients.
 
-    ``coeffs[i]`` is the coefficient of t**i; trailing zeros are trimmed
-    on construction so equality is plain tuple equality.  Instances are
-    immutable and hashable.
+def convolve(a, b) -> list[int]:
+    """Product of two int coefficient sequences (lowest power first)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Rational coefficients as int numerators over their least common
+    denominator."""
+    fs = [Fraction(c) for c in coeffs]
+    den = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs], den
+
+
+def _top(nums) -> int:
+    """Length of nums without its trailing zeros."""
+    hi = len(nums)
+    while hi and not nums[hi - 1]:
+        hi -= 1
+    return hi
+
+
+def _lowest_terms(nums, den: int, lo: int, hi: int) -> tuple[tuple[int, ...], int]:
+    """nums[lo:hi] / den (den > 0, lo < hi) with one gcd divided out."""
+    if lo or hi < len(nums):
+        nums = nums[lo:hi]
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(c // g for c in nums), den // g
+
+
+def _poly(nums, den: int, min_exp: int = 0) -> "Poly":
+    """The Poly t**min_exp * nums / den (den > 0, min_exp >= 0), in
+    canonical form."""
+    if min_exp:
+        nums = [0] * min_exp + list(nums)
+    hi = _top(nums)
+    nums, den = _lowest_terms(nums, den, 0, hi) if hi else ((), 1)
+    out = object.__new__(Poly)
+    object.__setattr__(out, "nums", nums)
+    object.__setattr__(out, "den", den)
+    return out
+
+
+def _laurent(nums, den: int, min_exp: int) -> "LaurentPoly":
+    """The LaurentPoly nums / den (den > 0) at min_exp, in canonical form:
+    zeros trimmed at both ends and one gcd divided out."""
+    hi = _top(nums)
+    lo = 0
+    while lo < hi and not nums[lo]:
+        lo += 1
+    if lo == hi:
+        nums, den, min_exp = (), 1, 0
+    else:
+        nums, den = _lowest_terms(nums, den, lo, hi)
+        min_exp += lo
+    out = object.__new__(LaurentPoly)
+    object.__setattr__(out, "nums", nums)
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "min_exp", min_exp)
+    return out
+
+
+# The core shared by Poly and LaurentPoly (a Poly has min_exp 0), bound
+# into each class body so that each class owns its operators, which is
+# where the benchmark's tracer wraps them.
+
+
+def _immutable(self, name, value):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _coeffs(self) -> tuple[Fraction, ...]:
+    """``coeffs[k]`` is the coefficient of t**(min_exp + k)."""
+    return tuple(Fraction(c, self.den) for c in self.nums)
+
+
+def _coefficient(self, exponent: int) -> Fraction:
+    k = exponent - self.min_exp
+    if 0 <= k < len(self.nums):
+        return Fraction(self.nums[k], self.den)
+    return Fraction(0)
+
+
+def _coerce(self, other):
+    if isinstance(other, type(self)):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return self._new((other.numerator,), other.denominator, 0)
+    return NotImplemented
+
+
+def _add(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    if not self.nums:
+        return other
+    if not other.nums:
+        return self
+    # a/da + b/db over lcm(da, db) = da * (db / g)
+    g = gcd(self.den, other.den)
+    scale_self, scale_other = other.den // g, self.den // g
+    lo = min(self.min_exp, other.min_exp)
+    out = [0] * (max(self.min_exp + len(self.nums), other.min_exp + len(other.nums)) - lo)
+    for k, c in enumerate(self.nums, self.min_exp - lo):
+        out[k] = c * scale_self
+    for k, c in enumerate(other.nums, other.min_exp - lo):
+        out[k] += c * scale_other
+    return self._new(out, self.den * scale_self, lo)
+
+
+def _neg(self):
+    return self._new([-c for c in self.nums], self.den, self.min_exp)
+
+
+def _sub(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return self + (-other)
+
+
+def _rsub(self, other):
+    return (-self) + other
+
+
+def _mul(self, other):
+    if isinstance(other, type(self)):
+        return self._new(
+            convolve(self.nums, other.nums),
+            self.den * other.den,
+            self.min_exp + other.min_exp,
+        )
+    if isinstance(other, (int, Fraction)):
+        p = other.numerator
+        return self._new([c * p for c in self.nums], self.den * other.denominator, self.min_exp)
+    return NotImplemented
+
+
+class Poly:
+    """Dense polynomial in t with rational coefficients, held as integer
+    numerators over one common denominator.
+
+    The coefficient of t**i is ``nums[i] / den`` (``min_exp`` is 0).
+    Every instance is in one canonical form: ``nums`` is a tuple of ints
+    from t**0 up with no zero at the top, ``den`` is a positive int with
+    gcd(den, *nums) = 1, and zero is ``nums == ()`` with den 1, so equality
+    is field equality.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
+    min_exp = 0
+    _new = staticmethod(_poly)
+    _coerce = _coerce
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __setattr__ = _immutable
+    coeffs = property(_coeffs)
+    is_zero = property(lambda self: not self.nums)
+    coefficient = _coefficient
 
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def __new__(cls, coeffs=()):
+        return _poly(*_numerators(coeffs))
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not __setattr__
-        return (Poly, (self.coeffs,))
+        # copy and pickle rebuild through _poly, not __setattr__
+        return (_poly, (self.nums, self.den))
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "Poly":
@@ -47,139 +208,83 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return len(self.nums) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
-    def __call__(self, x):
-        """Evaluate at x (int or Fraction) by Horner's rule; exact."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        """Evaluate at x (int or Fraction) by Horner's rule; exact.
+
+        At x = p/q the numerator sum_i nums[i] p^i q^(d-i) is formed in
+        ints and divided by den q^d once."""
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, q_power = self.nums[-1], 1
+        for c in reversed(self.nums[:-1]):
+            q_power *= q
+            acc = acc * p + c * q_power
+        return Fraction(acc, self.den * q_power)
 
     def compose(self, other: "Poly") -> "Poly":
         """Polynomial composition self(other(t))."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
+        acc = _poly((), 1)
+        for c in reversed(self.nums):
             acc = acc * other + c
-        return acc
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly([other])
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
+        return acc * Fraction(1, self.den)
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        acc = Poly([1])
+        acc = _poly((1,), 1)
         base = self
         while e:
             if e & 1:
                 acc = acc * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return acc
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash as that scalar
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
+        if len(self.nums) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
+        out = ""
+        for i in range(len(self.nums) - 1, -1, -1):
+            c = self.nums[i]
+            if not c:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            cs = str(mag) if mag.denominator == 1 else f"({mag})"
-            if i == 0:
-                term = cs
-            elif i == 1:
-                term = "t" if mag == 1 else f"{cs}*t"
+            g = gcd(c, self.den)
+            mag, d = abs(c) // g, self.den // g
+            term = str(mag) if d == 1 else f"({mag}/{d})"
+            if i:
+                power = "t" if i == 1 else f"t^{i}"
+                term = power if term == "1" else f"{term}*{power}"
+            if out:
+                out += f" - {term}" if c < 0 else f" + {term}"
             else:
-                term = f"t^{i}" if mag == 1 else f"{cs}*t^{i}"
-            parts.append((sign, term))
-        first_sign, first_term = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
+                out = f"-{term}" if c < 0 else term
+        return out or "0"
 
 
 class LaurentPoly:
@@ -191,23 +296,26 @@ class LaurentPoly:
     zero at either end, ``den`` is a positive int with
     gcd(den, *nums) = 1, and zero is ``nums == ()`` with den 1 and
     min_exp 0.  Equal values therefore have equal fields.  The ring
-    operations work on the ints and normalise each result with one gcd;
-    ``Fraction`` appears only at the edges (constructor input,
-    ``coefficient``, ``coeffs``).  Supports exact ring arithmetic, division
-    by a scalar, and conversion back to ``Poly`` once all negative powers
-    have cancelled.
+    operations are those of ``Poly`` with an exponent offset.  Supports
+    exact ring arithmetic, division by a scalar, and conversion back to
+    ``Poly`` once all negative powers have cancelled.
     """
 
     __slots__ = ("nums", "den", "min_exp")
+    _new = staticmethod(_laurent)
+    _coerce = _coerce
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __setattr__ = _immutable
+    coeffs = property(_coeffs)
+    is_zero = property(lambda self: not self.nums)
+    coefficient = _coefficient
 
-    def __init__(self, coeffs=(), min_exp: int = 0):
-        fs = [Fraction(c) for c in coeffs]
-        den = lcm(*(f.denominator for f in fs))
-        nums = [f.numerator * (den // f.denominator) for f in fs]
-        _canonicalise(self, nums, den, min_exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    def __new__(cls, coeffs=(), min_exp: int = 0):
+        return _laurent(*_numerators(coeffs), min_exp)
 
     def __reduce__(self):
         # copy and pickle rebuild through _laurent, not __setattr__
@@ -222,25 +330,10 @@ class LaurentPoly:
         return cls([c], exponent)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """``coeffs[k]`` is the coefficient of t**(min_exp + k)."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
     def max_exp(self) -> int:
         if not self.nums:
             raise ValueError("zero Laurent polynomial has no exponent range")
         return self.min_exp + len(self.nums) - 1
-
-    def coefficient(self, exponent: int) -> Fraction:
-        k = exponent - self.min_exp
-        if 0 <= k < len(self.nums):
-            return Fraction(self.nums[k], self.den)
-        return Fraction(0)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t**k."""
@@ -250,68 +343,7 @@ class LaurentPoly:
         """Convert to a Poly; rejects surviving negative powers of t."""
         if self.nums and self.min_exp < 0:
             raise ValueError(f"negative powers of t down to t^{self.min_exp} remain")
-        return Poly([0] * self.min_exp + list(self.coeffs))
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _laurent([other.numerator], other.denominator, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.nums:
-            return other
-        if not other.nums:
-            return self
-        # a/da + b/db over lcm(da, db) = da * (db / g)
-        g = gcd(self.den, other.den)
-        scale_self, scale_other = other.den // g, self.den // g
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        out = [0] * (hi - lo + 1)
-        for k, c in enumerate(self.nums, self.min_exp - lo):
-            out[k] = c * scale_self
-        for k, c in enumerate(other.nums, other.min_exp - lo):
-            out[k] += c * scale_other
-        return _laurent(out, self.den * scale_self, lo)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _laurent([-c for c in self.nums], self.den, self.min_exp)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return _ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for k, y in enumerate(b, i):
-                        out[k] += x * y
-            return _laurent(out, self.den * other.den, self.min_exp + other.min_exp)
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _laurent(
-                [c * p for c in self.nums], self.den * other.denominator, self.min_exp
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return _poly(self.nums, self.den, self.min_exp)
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
@@ -329,7 +361,7 @@ class LaurentPoly:
             # a Poly is the Laurent polynomial with no negative power
             if not isinstance(other, Poly):
                 return NotImplemented
-            coerced = LaurentPoly(other.coeffs)
+            coerced = _laurent(other.nums, other.den, 0)
         return (
             self.min_exp == coerced.min_exp
             and self.den == coerced.den
@@ -345,42 +377,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({list(self.coeffs)!r}, min_exp={self.min_exp})"
-
-
-def _canonicalise(out: LaurentPoly, nums, den: int, min_exp: int):
-    """Store nums / den (den > 0) at min_exp in ``out``, in canonical form:
-    zeros trimmed at both ends and one gcd divided out."""
-    hi = len(nums)
-    while hi and not nums[hi - 1]:
-        hi -= 1
-    lo = 0
-    while lo < hi and not nums[lo]:
-        lo += 1
-    if lo == hi:
-        nums, den, min_exp = (), 1, 0
-    else:
-        if lo or hi < len(nums):
-            nums = nums[lo:hi]
-            min_exp += lo
-        g = gcd(den, *nums)
-        if g == 1:
-            nums = tuple(nums)
-        else:
-            nums = tuple(c // g for c in nums)
-            den //= g
-    object.__setattr__(out, "nums", nums)
-    object.__setattr__(out, "den", den)
-    object.__setattr__(out, "min_exp", min_exp)
-
-
-def _laurent(nums, den: int, min_exp: int) -> LaurentPoly:
-    """The LaurentPoly nums / den (den > 0) at min_exp, in canonical form."""
-    out = object.__new__(LaurentPoly)
-    _canonicalise(out, nums, den, min_exp)
-    return out
-
-
-_ZERO = _laurent((), 1, 0)
 
 
 def multinomial(n: int, parts) -> int:
@@ -444,4 +440,4 @@ def eulerian(i: int) -> Poly:
             prev_k1 = row[k - 1] if 0 <= k - 1 < len(row) else 0
             new[k] = (k + 1) * prev_k + (n - k) * prev_k1
         row = new
-    return Poly(row)
+    return _poly(row, 1)

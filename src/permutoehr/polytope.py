@@ -98,13 +98,20 @@ class PartialPermutohedron:
         return out
 
     def vertex_count(self) -> int:
-        """sum_{i=0..min(m,n)} m!/(m-i)!, without enumerating."""
+        """sum_{i=0..min(m,n)} m!/(m-i)!, without enumerating, by binary
+        splitting of 1 + m(1 + (m-1)(1 + ...)) so that big products pair
+        up evenly."""
         m = self.m
-        total = falling = 1
-        for i in range(min(m, self.n)):
-            falling *= m - i
-            total += falling
-        return total
+
+        def split(a: int, b: int) -> tuple[int, int]:
+            # prod_{a<=j<b} (m-j) and sum_{i=a+1..b} prod_{a<=j<i} (m-j)
+            if b - a == 1:
+                return m - a, m - a
+            left_prod, left_sum = split(a, (a + b) // 2)
+            right_prod, right_sum = split((a + b) // 2, b)
+            return left_prod * right_prod, left_sum + left_prod * right_sum
+
+        return 1 + split(0, min(m, self.n))[1]
 
     def facets(self) -> list[FacetInequality]:
         """One inequality per facet: x_i >= 0; the |S| <= min(m,n)-1 subset
@@ -123,13 +130,15 @@ class PartialPermutohedron:
         return out
 
     def facet_count(self) -> int:
-        """m + sum_{i=0..min(m,n)-1} C(m, i), without enumerating."""
-        m = self.m
-        total, binom = m, 1
-        for i in range(min(m, self.n)):
+        """m + sum_{i=0..min(m,n)-1} C(m, i), without enumerating; past m/2
+        the sum is taken as 2^m less the binomials it leaves out."""
+        m, k = self.m, min(self.m, self.n)
+        top = k if 2 * k <= m else m - k + 1
+        total, binom = 0, 1
+        for i in range(top):
             total += binom
             binom = binom * (m - i) // (i + 1)
-        return total
+        return m + (total if top == k else 2**m - total)
 
     # -- membership and counting ------------------------------------------
 

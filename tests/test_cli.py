@@ -191,6 +191,17 @@ class TestOtherCommands:
         assert (code, out) == (3, "")
         assert f"{stated} {command} exceeds budget" in err
 
+    @pytest.mark.parametrize(
+        "command, stated",
+        (("vertices", "more than 2^1516705"), ("facets", "more than 2^100000")),
+    )
+    def test_huge_listing_refused_quickly(self, capsys, monkeypatch, command, stated):
+        # the counts behind these messages have 1.5 million and 100,001 bits
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, command, "--m", "100000", "--n", "100000")
+        assert (code, out) == (3, "")
+        assert f"error: {stated} {command} exceeds budget 100000000" in err
+
     @pytest.mark.parametrize("command", ("vertices", "facets"))
     def test_listing_at_its_budget_is_unchanged(self, capsys, monkeypatch, command):
         poly = PartialPermutohedron(3, 2)

@@ -228,6 +228,43 @@ def _connected(graph):
     return len(reached) == graph.m
 
 
+class TestSymmetricWalks:
+    """The counting walks visit one loop set per loop count and weight it
+    by the number of loop sets of that size; the listing walks every loop
+    set, so it checks the weights."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_census_matches_the_listing(self, m):
+        listed: dict = {}
+        for graph in enumerate_graphs(m):
+            key = graph_stats(graph)
+            listed[key] = listed.get(key, 0) + 1
+        assert graph_census(m) == listed
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_structure_counts_match_the_listing(self, m):
+        shapes = [0, 0, 0, 0]  # trees, looped, enhanced, quasitrees
+        for graph in enumerate_graphs(m):
+            if not _connected(graph):
+                continue
+            edges = sum(graph.loops) + sum(graph.pair_mult)
+            if edges == m - 1:
+                shapes[0] += 1
+            elif any(graph.loops):
+                shapes[1] += 1
+            elif 2 in graph.pair_mult:
+                shapes[2] += 1
+            else:
+                shapes[3] += 1
+        assert tuple(structure_counts(m)) == tuple(shapes)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_loops_at_most_once_and_pairs_at_most_twice(self, m):
+        for loop_mults, pair_mults in sequence_census(m):
+            assert all(a == 1 for a in loop_mults)
+            assert all(a <= 2 for a in pair_mults)
+
+
 class TestOrientationWitness:
     def test_indegree_profiles_m4(self):
         for graph in enumerate_graphs(4):

@@ -408,3 +408,140 @@ class TestPolyProperties:
     def test_evaluation_is_a_ring_homomorphism(self, p, q, x):
         assert (p * q)(x) == p(x) * q(x)
         assert (p + q)(x) == p(x) + q(x)
+
+
+class ReferencePoly:
+    """The Fraction-per-coefficient polynomial Poly was before its int
+    numerators: arithmetic, evaluation and str as they were, as an oracle."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return ReferencePoly(out)
+
+    def __neg__(self):
+        return ReferencePoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return ReferencePoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return ReferencePoly(out)
+
+    def __pow__(self, e):
+        acc = ReferencePoly([1])
+        for _ in range(e):
+            acc = acc * self
+        return acc
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            cs = str(mag) if mag.denominator == 1 else f"({mag})"
+            if i == 0:
+                term = cs
+            elif i == 1:
+                term = "t" if mag == 1 else f"{cs}*t"
+            else:
+                term = f"t^{i}" if mag == 1 else f"{cs}*t^{i}"
+            parts.append((sign, term))
+        first_sign, first_term = parts[0]
+        out = ("-" if first_sign == "-" else "") + first_term
+        for sign, term in parts[1:]:
+            out += f" {sign} {term}"
+        return out
+
+
+def reference_compose(outer, inner):
+    acc = ReferencePoly()
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + ReferencePoly([c])
+    return acc
+
+
+poly_coeff_lists = st.lists(
+    st.one_of(scalars, st.just(Fraction(0)), st.sampled_from((1, -1))), max_size=5
+)
+
+
+def assert_canonical_poly(p):
+    if not p.nums:
+        assert (p.nums, p.den) == ((), 1)
+        return
+    assert isinstance(p.nums, tuple) and all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+
+
+class TestIntNumeratorPoly:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_coeff_lists, poly_coeff_lists, st.integers(0, 4), int_scalars, scalars)
+    def test_agrees_with_fraction_reference(self, ca, cb, e, k, x):
+        a, b = Poly(ca), Poly(cb)
+        ra, rb = ReferencePoly(ca), ReferencePoly(cb)
+        for got, want in (
+            (a, ra),
+            (a + b, ra + rb),
+            (a - b, ra - rb),
+            (a * b, ra * rb),
+            (a**e, ra**e),
+            (a + k, ra + ReferencePoly([k])),
+            (k - a, ReferencePoly([k]) - ra),
+            (x * a, ReferencePoly([x]) * ra),
+            (a.compose(b), reference_compose(ra, rb)),
+        ):
+            assert got.coeffs == want.coeffs
+            assert str(got) == str(want)
+            assert_canonical_poly(got)
+        for point in (k, x):
+            value = a(point)
+            assert type(value) is Fraction and value == ra(point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_coeff_lists, poly_coeff_lists, nonzero_scalars)
+    def test_equal_values_have_equal_fields_and_hash(self, ca, cb, s):
+        a, b = Poly(ca), Poly(cb)
+        padded = Poly(list(a.coeffs) + [0, 0])
+        for same in (padded, (a * s) * (1 / s), (a + b) - b, a * 1, a**1):
+            assert (same.nums, same.den) == (a.nums, a.den)
+            assert same == a and hash(same) == hash(a)
+            assert_canonical_poly(same)
+        # hashing is that of the Fraction coefficients, as before
+        if a.degree >= 1:
+            assert hash(a) == hash(a.coeffs)
+
+    def test_str_of_mixed_coefficients(self):
+        p = Poly([Fraction(-3, 4), 0, -1, Fraction(6, 4), 1])
+        assert str(p) == "t^4 + (3/2)*t^3 - t^2 - (3/4)"
+        assert str(-p) == "-t^4 - (3/2)*t^3 + t^2 + (3/4)"
+        assert str(Poly([0, Fraction(-1, 2)])) == "-(1/2)*t"

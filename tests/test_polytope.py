@@ -79,6 +79,22 @@ class TestVertices:
         assert reconstructed == vertices
 
 
+class TestCountsWithoutEnumerating:
+    @pytest.mark.parametrize("m", range(1, 41, 3))
+    def test_counts_equal_the_step_by_step_sums(self, m):
+        for n in range(1, 45, 2):  # n < m, n = m +- 1 and n > m
+            poly = PartialPermutohedron(m, n)
+            vertices = facets = 0
+            falling = 1
+            for i in range(min(m, n) + 1):
+                vertices += falling
+                falling *= m - i
+                if i < min(m, n):
+                    facets += comb(m, i)
+            assert poly.vertex_count() == vertices
+            assert poly.facet_count() == m + facets
+
+
 class TestFacets:
     def test_triangle_inequalities(self):
         facets = PartialPermutohedron(2, 1).facets()
