@@ -73,14 +73,19 @@ def _point_budget() -> int:
     return budget
 
 
-def _refuse_listing_above_budget(count: int, what: str) -> None:
-    """Refuse, before enumerating, a listing longer than the budget."""
+def _refuse_listing_above_budget(count, what: str, floor: int = 0) -> None:
+    """Refuse, before enumerating, a listing longer than the budget.
+
+    ``count`` is called for the listing's length, unless ``floor``, a lower
+    bound on it, is past both 2^64 and the budget: the listing is then
+    refused on that bound, without counting."""
     budget = _point_budget()
-    if count > budget:
+    known = floor if floor > budget and floor.bit_length() > 64 else count()
+    if known > budget:
         # past 2^64 the count is stated by its size: str() of an int over
         # 4300 digits raises
-        bits = count.bit_length()
-        stated = str(count) if bits <= 64 else f"more than 2^{bits - 1}"
+        bits = known.bit_length()
+        stated = str(known) if bits <= 64 else f"more than 2^{bits - 1}"
         raise BudgetError(f"{stated} {what} exceeds budget {budget}")
 
 
@@ -168,7 +173,7 @@ def cmd_fpoly(args) -> int:
 def cmd_vertices(args) -> int:
     started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
-    _refuse_listing_above_budget(poly.vertex_count(), "vertices")
+    _refuse_listing_above_budget(poly.vertex_count, "vertices")
     vertices = sorted(poly.vertices())
     if args.format == "json":
         report = _start_report("vertices", args, ("m", "n"))
@@ -190,7 +195,7 @@ def cmd_vertices(args) -> int:
 def cmd_facets(args) -> int:
     started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
-    _refuse_listing_above_budget(poly.facet_count(), "facets")
+    _refuse_listing_above_budget(poly.facet_count, "facets", poly.facet_count_floor())
     facets = poly.facets()
     if args.format == "json":
         report = _start_report("facets", args, ("m", "n"))

@@ -29,12 +29,16 @@ lists and divide once at the end: O(m^3) and O(m^2) integer operations.
 polynomials per census entry in ``Poly``, whose int numerators over one
 common denominator make every product an int convolution and every sum
 one rescaling and one gcd.
-``ehrhart_egf`` builds the Laurent-coefficient exponential (O(m) Laurent
-products) and forms only [z^m] of its product with the Fraction series
-sqrt(1-z) (O(m) more); ``ehrhart_egf_tree`` composes that exponential with
-a Fraction tree function (O(m^2) Laurent-by-scalar products plus O(m^3)
-Fraction operations) and forms [z^m] of its product with the Fraction
-series 1/sqrt(1 - T(z)) the same way.
+The series of the generating-function engines hold int numerators over
+one denominator (see :mod:`.series`), so no ``Fraction`` is formed per
+coefficient.  ``ehrhart_egf`` builds the Laurent-coefficient exponential
+(O(m) Laurent products on integer numerators) and forms only [z^m] of its
+product with the rational series sqrt(1-z) (O(m^2) int products, then m + 1
+Laurent-by-int products and one division); ``ehrhart_egf_tree`` composes
+that exponential with the tree function (O(m^3) int products for the powers
+of T(z), then O(m^2) Laurent-by-int products) and forms [z^m] of its
+product with the rational series 1/sqrt(1 - T(z)) (O(m^2) int products)
+the same way.
 
 The two combinatorial engines share no enumerator, so their agreement
 witnesses the bijection between Hall-feasible sequences and multigraphs
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DEFAULT_GRAPH_BOUND
+from .errors import DEFAULT_GRAPH_BOUND, require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
     LaurentPoly,
@@ -61,19 +65,13 @@ from .polynomials import (
     multinomial,
     rising_binomial,
 )
-from .series import TruncatedSeries, one_minus_z
+from .series import TruncatedSeries, _series, one_minus_z
 
 METHOD_NAMES = ("closed", "postnikov", "graphsum", "egf", "egf-tree", "recurrence")
 
 
-def _require_int(**values):
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def _require_formula_domain(m: int, n: int):
-    _require_int(m=m, n=n)
+    require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError(f"need integers m >= 1 and n >= 1, got m={m}, n={n}")
     if n < m - 1:
@@ -157,12 +155,15 @@ def tree_function(order: int) -> TruncatedSeries:
     """The tree function T(z) = sum_{k>=1} k^(k-1) z^k / k! (the EGF of
     rooted labelled trees, equal to -W(-z) in Lambert W terms), truncated
     at the given order.  Satisfies T = z exp(T)."""
+    require_int(order=order)
     if order < 1:
         raise ValueError("tree_function needs order >= 1")
-    return TruncatedSeries(
-        [Fraction(0)]
-        + [Fraction(k ** (k - 1), factorial(k)) for k in range(1, order + 1)]
-    )
+    top = factorial(order)
+    nums, fall = [0], top  # fall = order! / k!
+    for k in range(1, order + 1):
+        fall //= k
+        nums.append(k ** (k - 1) * fall)
+    return _series(nums, top)
 
 
 def _laurent_exponent_series(linear: LaurentPoly, m: int) -> TruncatedSeries:
@@ -176,20 +177,22 @@ def _laurent_exponent_series(linear: LaurentPoly, m: int) -> TruncatedSeries:
 
 
 def _extract_ehrhart(laurent: TruncatedSeries, scalar: TruncatedSeries, m: int) -> Poly:
-    """m! t^m [z^m] of laurent * scalar, a Laurent-coefficient and a Fraction
-    series, forming that one coefficient only: m + 1 Laurent-by-scalar
-    products, a shift and a scaling.  The t^m factor must clear every
-    negative power of t; ``as_poly`` refuses any that survive."""
+    """m! t^m [z^m] of laurent * scalar, a Laurent-coefficient and a rational
+    series, forming that one coefficient only: m + 1 Laurent-by-int
+    products over the two denominators, one division, a shift and a
+    scaling.  The t^m factor must clear every negative power of t;
+    ``as_poly`` refuses any that survive."""
     coeff = LaurentPoly()
     for j in range(m + 1):
-        coeff = coeff + laurent.coefficient(m - j) * scalar.coefficient(j)
-    return (coeff.shifted(m) * factorial(m)).as_poly()
+        coeff = coeff + laurent.nums[m - j] * scalar.nums[j]
+    coeff = coeff * Fraction(factorial(m), laurent.den * scalar.den)
+    return coeff.shifted(m).as_poly()
 
 
 def ehrhart_egf(m: int, n: int) -> Poly:
     """m! t^m [z^m] sqrt(1-z) exp((n + 1/2 + 1/t) z - z^2/(4t)).
 
-    Only [z^m] of the product is formed, with sqrt(1-z) a Fraction series."""
+    Only [z^m] of the product is formed, with sqrt(1-z) a rational series."""
     _require_formula_domain(m, n)
     linear = LaurentPoly.constant(Fraction(2 * n + 1, 2)) + LaurentPoly.term(1, -1)
     exponential = _laurent_exponent_series(linear, m).exp()
@@ -200,7 +203,7 @@ def ehrhart_egf(m: int, n: int) -> Poly:
 def ehrhart_egf_tree(m: int, n: int) -> Poly:
     """m! t^m [z^m] exp((n - m + 1/2 + 1/t) T(z) - T(z)^2/(4t)) / sqrt(1 - T(z)),
     with the Laurent-coefficient exponential composed with the tree function
-    over Fraction powers of T(z), and 1/sqrt(1 - T(z)) a Fraction series.
+    over rational powers of T(z), and 1/sqrt(1 - T(z)) a rational series.
     Only [z^m] of their product is formed."""
     _require_formula_domain(m, n)
     linear = LaurentPoly.constant(Fraction(2 * (n - m) + 1, 2)) + LaurentPoly.term(1, -1)
@@ -255,7 +258,7 @@ def f_polynomial(m: int, n: int) -> Poly:
     1 + sum_{i=0..n-1} C(m, i) A_i(t+1) sum_{j=1..m-i} (t+1)^j,
     with A_i the Eulerian polynomial; every term is an integer polynomial,
     summed on int coefficient lists."""
-    _require_int(m=m, n=n)
+    require_int(m=m, n=n)
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     total = [1] + [0] * m
@@ -279,9 +282,9 @@ def f_polynomial_stable(m: int, n: int | None = None) -> Poly:
     all combinatorially equivalent): 1 + (t+1) sum_{i=1..m} C(m, i) A_i(t+1).
 
     Does not hold below n = m: P(2, 1) is a triangle, not a pentagon."""
-    _require_int(m=m)
+    require_int(m=m)
     if n is not None:
-        _require_int(n=n)
+        require_int(n=n)
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     if n is not None and n < m:
@@ -297,12 +300,13 @@ def coefficient_transfer_check(f: Poly, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the tree-function coefficient identity
     [z^k] f(T(z)) = [z^k] f(z) (1 - z) exp(k z), computed independently
     (composition with T on the left, direct multiplication on the right)."""
+    require_int(k=k)
     if k < 0:
         raise ValueError("need k >= 0")
     order = max(k, 1)
     f_series = TruncatedSeries.from_poly(f, order)
     lhs = f_series.compose(tree_function(order)).coefficient(k)
-    kz = TruncatedSeries([Fraction(0), Fraction(k)], order=order)
+    kz = TruncatedSeries([0, k], order=order)
     rhs = (f_series * one_minus_z(order) * kz.exp()).coefficient(k)
     return lhs, rhs
 

@@ -20,14 +20,18 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 
-def convolve(a, b) -> list[int]:
-    """Product of two int coefficient sequences (lowest power first)."""
+def convolve(a, b, size: int | None = None) -> list[int]:
+    """Product of two coefficient sequences (lowest power first): ints, or
+    for a power series also integer LaurentPolys.  Cut to its first
+    ``size`` coefficients when a size is given."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+    full = len(a) + len(b) - 1
+    size = full if size is None else min(size, full)
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
         if x:
-            for k, y in enumerate(b, i):
+            for k, y in enumerate(b[: size - i], i):
                 out[k] += x * y
     return out
 
@@ -316,6 +320,9 @@ class LaurentPoly:
 
     def __new__(cls, coeffs=(), min_exp: int = 0):
         return _laurent(*_numerators(coeffs), min_exp)
+
+    def __bool__(self):
+        return bool(self.nums)
 
     def __reduce__(self):
         # copy and pickle rebuild through _laurent, not __setattr__

@@ -140,6 +140,21 @@ class PartialPermutohedron:
             binom = binom * (m - i) // (i + 1)
         return m + (total if top == k else 2**m - total)
 
+    def facet_count_floor(self) -> int:
+        """A lower bound on ``facet_count()`` that takes no binomial sum,
+        with k = min(m, n): the count itself for k = m or k = 1;
+        m + 2^(m-1) for m/2 < k < m, since the binomials the count leaves
+        out of 2^m then sum to at most 2^(m-1); otherwise
+        m + (m // (k-1))^(k-1), at most m + C(m, k-1)."""
+        m, k = self.m, min(self.m, self.n)
+        if k == m:
+            return m + 2**m - 1
+        if 2 * k > m:
+            return m + 2 ** (m - 1)
+        if k == 1:
+            return m + 1
+        return m + (m // (k - 1)) ** (k - 1)
+
     # -- membership and counting ------------------------------------------
 
     @cached_property

@@ -202,6 +202,28 @@ class TestOtherCommands:
         assert (code, out) == (3, "")
         assert f"error: {stated} {command} exceeds budget 100000000" in err
 
+    def test_facets_refused_on_a_floor_without_the_binomial_sum(self, capsys, monkeypatch):
+        # C(100000, i) summed over i < 50000 has 99,999 bits; the refusal
+        # states the floor 100000 + 2^49999 instead of summing
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, "facets", "--m", "100000", "--n", "50000")
+        assert (code, out) == (3, "")
+        assert "error: more than 2^49999 facets exceeds budget 100000000" in err
+
+    def test_facet_floor_refuses_but_never_admits(self, capsys, monkeypatch):
+        # floor 140 + 2^65; the count, 140 + sum_{i<66} C(140, i), is near 2^136
+        poly = PartialPermutohedron(140, 66)
+        assert poly.facet_count_floor() == 140 + 2**65
+        bits = poly.facet_count().bit_length()
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(2**66))
+        code, out, err = run(capsys, "facets", "--m", "140", "--n", "66")
+        assert (code, out) == (3, "")
+        assert f"more than 2^{bits - 1} facets exceeds budget {2**66}" in err
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(2**64))
+        code, out, err = run(capsys, "facets", "--m", "140", "--n", "66")
+        assert (code, out) == (3, "")
+        assert f"more than 2^65 facets exceeds budget {2**64}" in err
+
     @pytest.mark.parametrize("command", ("vertices", "facets"))
     def test_listing_at_its_budget_is_unchanged(self, capsys, monkeypatch, command):
         poly = PartialPermutohedron(3, 2)

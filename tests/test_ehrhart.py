@@ -143,6 +143,11 @@ class TestTreeFunction:
         with pytest.raises(ValueError):
             tree_function(0)
 
+    @pytest.mark.parametrize("order", (True, 2.0, Fraction(2), "2"))
+    def test_rejects_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="must be an integer"):
+            tree_function(order)
+
 
 class TestEgf:
     @pytest.mark.parametrize("n", range(1, 5))
@@ -243,6 +248,11 @@ class TestCoefficientTransfer:
     def test_square_at_k2(self):
         lhs, rhs = coefficient_transfer_check(Poly([0, 0, 1]), 2)
         assert lhs == rhs == 1
+
+    @pytest.mark.parametrize("k", (True, 2.0, Fraction(2), "2"))
+    def test_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coefficient_transfer_check(Poly([0, 1]), k)
 
 
 class TestShape:

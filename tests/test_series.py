@@ -1,12 +1,15 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutoehr.polynomials import LaurentPoly, Poly
-from permutoehr.series import TruncatedSeries, one_minus_z
+from permutoehr.series import TruncatedSeries, _exact_quotient, one_minus_z
 
 
 def rational(coeffs, order=None):
@@ -212,3 +215,209 @@ class TestLaurentCoefficients:
         assert (base.log() * Fraction(-1, 2)).exp() * root == TruncatedSeries(
             [one], order=6
         )
+
+
+class ReferenceSeries:
+    """The Fraction-per-coefficient series TruncatedSeries was before its
+    int numerators, generic over the coefficient ring, as an oracle.  It
+    takes ints as Fractions: its recurrences divide by ints."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
+        self.order = len(self.coeffs) - 1
+
+    def __add__(self, other):
+        if isinstance(other, ReferenceSeries):
+            return ReferenceSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return ReferenceSeries([self.coeffs[0] + other, *self.coeffs[1:]])
+
+    def __neg__(self):
+        return ReferenceSeries([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferenceSeries):
+            return ReferenceSeries([c * other for c in self.coeffs])
+        n = self.order
+        out = [self.coeffs[0] * 0 * other.coeffs[0]] * (n + 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                out[i + j] = out[i + j] + a * b
+        return ReferenceSeries(out)
+
+    def exp(self):
+        n, zero = self.order, self.coeffs[0] * 0
+        out = [zero + 1] + [zero] * n
+        for k in range(1, n + 1):
+            acc = zero
+            for j in range(1, k + 1):
+                acc = acc + self.coeffs[j] * j * out[k - j]
+            out[k] = acc / k
+        return ReferenceSeries(out)
+
+    def log(self):
+        n, zero = self.order, self.coeffs[0] * 0
+        out = [zero] * (n + 1)
+        for k in range(1, n + 1):
+            acc = zero
+            for j in range(1, k):
+                acc = acc + (out[j] * j) * self.coeffs[k - j]
+            out[k] = self.coeffs[k] - acc / k
+        return ReferenceSeries(out)
+
+    def sqrt(self):
+        n, zero = self.order, self.coeffs[0] * 0
+        out = [zero + 1] + [zero] * n
+        for k in range(1, n + 1):
+            acc = zero
+            for i in range(1, k):
+                acc = acc + out[i] * out[k - i]
+            out[k] = (self.coeffs[k] - acc) / 2
+        return ReferenceSeries(out)
+
+    def compose(self, inner):
+        n = self.order
+        power = ReferenceSeries([inner.coeffs[0] * 0 + 1] + [inner.coeffs[0] * 0] * n)
+        out = ReferenceSeries([self.coeffs[0] * 0] * (n + 1))
+        for c in self.coeffs:
+            out = out + power * c
+            power = power * inner
+        return out
+
+
+def assert_canonical(s):
+    assert type(s.den) is int and s.den > 0
+    assert isinstance(s.nums, tuple) and s.nums
+    if all(type(c) is int for c in s.nums):
+        assert gcd(s.den, *s.nums) == 1
+    else:
+        assert all(isinstance(c, LaurentPoly) and c.den == 1 for c in s.nums)
+        assert gcd(s.den, *(x for c in s.nums for x in c.nums)) == 1
+
+
+def assert_matches(got, want):
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
+    assert not any(isinstance(c, float) for c in got.coeffs)
+    assert_canonical(got)
+
+
+@st.composite
+def series_pairs(draw, coefficients):
+    """Two coefficient lists of one order, the second with constant term 0."""
+    order = draw(st.integers(min_value=0, max_value=7))
+    outer = draw(st.lists(coefficients, min_size=order + 1, max_size=order + 1))
+    inner = draw(st.lists(coefficients, min_size=order, max_size=order))
+    return outer, [outer[0] * 0] + inner
+
+
+rational_coefficients = st.one_of(st.integers(-30, 30), fractions)
+
+
+class TestIntNumeratorSeries:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(series_pairs(rational_coefficients), series_pairs(small_laurents)),
+        st.one_of(st.integers(-9, 9), fractions, small_laurents),
+    )
+    def test_agrees_with_fraction_reference(self, pair, scalar):
+        ca, cb = pair
+        a, b = TruncatedSeries(ca), TruncatedSeries(cb)
+        ra, rb = ReferenceSeries(ca), ReferenceSeries(cb)
+        one_plus = ca[0] * 0 + 1
+        for got, want in (
+            (a, ra),
+            (a + b, ra + rb),
+            (a - b, ra - rb),
+            (a * b, ra * rb),
+            (a * scalar, ra * scalar),
+            (scalar * a, ra * scalar),
+            (a + scalar, ra + scalar),
+            (scalar - a, -ra + scalar),
+            (b.exp(), rb.exp()),
+            ((b + one_plus).log(), (rb + one_plus).log()),
+            ((b + one_plus).sqrt(), (rb + one_plus).sqrt()),
+            (a.compose(b), ra.compose(rb)),
+        ):
+            assert_matches(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(series_pairs(rational_coefficients), st.integers(1, 12))
+    def test_equal_values_have_equal_fields(self, pair, k):
+        ca, cb = pair
+        a, b = TruncatedSeries(ca), TruncatedSeries(cb)
+        order = a.order
+        for same in (
+            TruncatedSeries(ca + [0, 0], order=order),
+            TruncatedSeries([Fraction(c) * k / k for c in ca]),
+            (a * k) * Fraction(1, k),
+            (a + b) - b,
+            a * TruncatedSeries([1], order=order),
+            a.compose(TruncatedSeries([0, 1], order=order)) if order else a,
+        ):
+            assert (same.nums, same.den) == (a.nums, a.den)
+            assert same == a
+            assert_canonical(same)
+
+    def test_canonical_zero_and_constants(self):
+        zero = TruncatedSeries([Fraction(0, 1)], order=3)
+        assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
+        half = TruncatedSeries([Fraction(2, 4), 0])
+        assert (half.nums, half.den) == ((1, 0), 2)
+        laurent = TruncatedSeries([LaurentPoly.term(Fraction(3, 6), -1), LaurentPoly()])
+        assert laurent.den == 2
+        assert laurent.nums == (LaurentPoly.term(1, -1), LaurentPoly())
+        assert laurent.coefficient(0) == LaurentPoly.term(Fraction(1, 2), -1)
+
+    def test_int_input_never_gives_floats(self):
+        # the generic recurrences used to divide ints: exp of z read [1, 1.0]
+        z = TruncatedSeries([0, 1], order=6)
+        geometric = TruncatedSeries([1] * 7)
+        for result in (
+            TruncatedSeries([0, 1]).exp(),
+            z.exp(),
+            geometric.log(),
+            geometric.sqrt(),
+            (1 - z).sqrt(),
+            geometric.compose(z),
+            z.compose(z * z),
+        ):
+            assert all(type(c) is Fraction for c in result.coeffs)
+        assert TruncatedSeries([0, 1]).exp().coeffs == (1, 1)
+
+    def test_copy_and_pickle_round_trip(self):
+        cases = (
+            TruncatedSeries([Fraction(1, 2), -3, Fraction(5, 7)]),
+            TruncatedSeries([LaurentPoly([Fraction(1, 2), 3], -1), LaurentPoly()], order=3),
+        )
+        for s in cases:
+            for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert twin == s
+                assert (twin.nums, twin.den) == (s.nums, s.den)
+                assert twin.coeffs == s.coeffs
+                with pytest.raises(AttributeError):
+                    twin.den = 1
+
+    @pytest.mark.parametrize("order", (True, 2.0, Fraction(2), "2"))
+    def test_rejects_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncatedSeries([1, 2], order=order)
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncatedSeries.from_poly(Poly([1, 2]), order)
+        with pytest.raises(ValueError, match="must be an integer"):
+            one_minus_z(order)
+
+    @pytest.mark.parametrize("bad", (True, 0.5, "1", Poly([1])))
+    def test_rejects_coefficients_outside_the_rings(self, bad):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, bad])
+
+    def test_kernel_division_checks_its_remainder(self):
+        assert _exact_quotient(12, 4) == 3
+        assert _exact_quotient(LaurentPoly([6, 4], -1), 2) == LaurentPoly([3, 2], -1)
+        with pytest.raises(ArithmeticError):
+            _exact_quotient(7, 2)
+        with pytest.raises(ArithmeticError):
+            _exact_quotient(LaurentPoly([6, 3], -1), 2)
