@@ -15,9 +15,10 @@ parking       number of integer points of the parking-function polytope.
 verify        run the full cross-verification suite.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 invalid parameters (the message names the violated precondition),
-3 resource-budget refusal.  Exact rationals are printed as "p/q" ("p"
-when the denominator is 1); JSON output never contains floats.
+1 a ``verify`` check failed, 2 invalid parameters (the message names the
+violated precondition), 3 resource-budget refusal.  Exact rationals are
+printed as "p/q" ("p" when the denominator is 1); JSON output never
+contains floats.
 
 Usage examples
 --------------
@@ -33,7 +34,12 @@ over (entries placed, running sum) states of the sorted points, and are
 refused when its work bound, values * states * run lengths =
 t*n * (K + 1)(S + 1) * K with S the dilated full-sum bound and
 K = min(m, S), exceeds the budget.  vertices and facets are refused when
-the number of items they would list exceeds it.
+the number of items they would list exceeds it.  ehrhart (every method but
+postnikov and graphsum, which are bounded by the graph walk's vertex
+bound), volume and fpoly are refused when their loop count (m^2 for
+closed, recurrence, egf and fpoly, m^3 for egf-tree and fpoly --stable,
+m for volume) times the size in 64-bit words of 2^m m! (2n+1)^m exceeds
+it.  Parameters outside a command's domain exit 2 before any budget test.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .ehrhart import (
     compute_ehrhart,
     f_polynomial,
     f_polynomial_stable,
+    formula_work,
     volume_closed,
 )
 from .errors import BudgetError, DEFAULT_POINT_BUDGET
@@ -82,11 +89,32 @@ def _refuse_listing_above_budget(count, what: str, floor: int = 0) -> None:
     budget = _point_budget()
     known = floor if floor > budget and floor.bit_length() > 64 else count()
     if known > budget:
-        # past 2^64 the count is stated by its size: str() of an int over
-        # 4300 digits raises
-        bits = known.bit_length()
-        stated = str(known) if bits <= 64 else f"more than 2^{bits - 1}"
-        raise BudgetError(f"{stated} {what} exceeds budget {budget}")
+        raise BudgetError(f"{_stated(known)} {what} exceeds budget {budget}")
+
+
+def _refuse_formula_above_budget(route: str, m: int, n: int | None) -> None:
+    """Refuse, before computing, a formula route whose work bound, loop
+    count times operand words (see :func:`.ehrhart.formula_work`), exceeds
+    the budget.  Parameters outside the route's domain raise ValueError
+    first."""
+    work = formula_work(route, m, n)
+    if work is None:
+        return
+    loops, words = work
+    budget = _point_budget()
+    if loops * words > budget:
+        raise BudgetError(
+            f"{route} work bound loops*64-bit operand words "
+            f"{_stated(loops)}*{_stated(words)} = {_stated(loops * words)} "
+            f"exceeds budget {budget}"
+        )
+
+
+def _stated(count: int) -> str:
+    """A count as a refusal states it: past 2^64 by its size, because str()
+    of an int over 4300 digits raises."""
+    bits = count.bit_length()
+    return str(count) if bits <= 64 else f"more than 2^{bits - 1}"
 
 
 def _frac_str(value: Fraction) -> str:
@@ -128,6 +156,7 @@ def _start_report(command: str, args, fields: tuple[str, ...]) -> dict:
 def cmd_ehrhart(args) -> int:
     if args.t is not None and args.t < 1:
         raise ValueError("evaluation point t must be >= 1")
+    _refuse_formula_above_budget(args.method, args.m, args.n)
     started = time.monotonic()
     result = compute_ehrhart(args.m, args.n, args.method)
     value = None
@@ -140,6 +169,7 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    _refuse_formula_above_budget("volume", args.m, args.n)
     started = time.monotonic()
     volume = volume_closed(args.m, args.n)
     if args.format == "json":
@@ -156,12 +186,13 @@ def cmd_volume(args) -> int:
 
 
 def cmd_fpoly(args) -> int:
+    if not args.stable and args.n is None:
+        raise ValueError("fpoly needs --n unless --stable is given")
+    _refuse_formula_above_budget("fpoly-stable" if args.stable else "fpoly", args.m, args.n)
     started = time.monotonic()
     if args.stable:
         poly = f_polynomial_stable(args.m, args.n)
     else:
-        if args.n is None:
-            raise ValueError("fpoly needs --n unless --stable is given")
         poly = f_polynomial(args.m, args.n)
     report = _start_report("fpoly", args, ("m", "n"))
     report["stable"] = args.stable

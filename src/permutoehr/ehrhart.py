@@ -6,7 +6,8 @@ points in the dilate t*P(m, n).  For n >= m - 1 it admits several very
 different exact expressions, all implemented here in exact arithmetic:
 
 ``ehrhart_closed``      an explicit double sum with multinomials and
-                        double factorials;
+                        double factorials, taken by Horner's rule in
+                        the base 2 + (2n+1)t;
 ``ehrhart_postnikov``   a sum over Hall-feasible edge-multiplicity
                         sequences of products of rising-factorial
                         binomials (lattice points of a Minkowski sum of
@@ -24,7 +25,12 @@ different exact expressions, all implemented here in exact arithmetic:
 Each engine works in the cheapest exact ring for what it returns.  Since
 2^m ehr(t) has integer coefficients, ``ehrhart_closed`` and
 ``ehrhart_recurrence`` (like ``f_polynomial``) run on Python int coefficient
-lists and divide once at the end: O(m^3) and O(m^2) integer operations.
+lists and divide once at the end, each in O(m^2) integer operations:
+``ehrhart_closed`` by Horner's rule in its base polynomial, with scalars
+from one factorial and one double-factorial table, and ``f_polynomial`` on
+ordered-set-partition rows summed by Horner's rule in t + 1.
+``volume_closed`` is one Horner pass, O(m).  ``formula_work`` states these
+loop counts, with a bound on the operand size, for the CLI's budget.
 ``ehrhart_postnikov`` and ``ehrhart_graphsum`` sum one product of small
 polynomials per census entry in ``Poly``, whose int numerators over one
 common denominator make every product an int convolution and every sum
@@ -62,7 +68,6 @@ from .polynomials import (
     convolve,
     double_factorial,
     eulerian,
-    multinomial,
     rising_binomial,
 )
 from .series import TruncatedSeries, _series, one_minus_z
@@ -80,24 +85,40 @@ def _require_formula_domain(m: int, n: int):
         )
 
 
+def _require_face_domain(m: int, n: int):
+    require_int(m=m, n=n)
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+
+
+def _require_stable_domain(m: int, n: int | None):
+    require_int(m=m)
+    if n is not None:
+        require_int(n=n)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    if n is not None and n < m:
+        raise ValueError(f"the stable face-count formula requires n >= m, got n={n}")
+
+
 def _closed_scaled(m: int, n: int) -> list[int]:
-    """2^m ehr(t) of P(m, n) as integer coefficients, from the closed form."""
-    base = [2, 2 * n + 1]  # 2nt + t + 2
-    base_pow = [[1]]
-    for _ in range(m):
-        base_pow.append(convolve(base_pow[-1], base))
-    total = [0] * (m + 1)
-    for i in range(m // 2 + 1):
-        for j in range(2 * i, m + 1):
-            scalar = (
-                (-1) ** (i + 1)
-                * multinomial(m, (m - j, j - 2 * i, i, i))
-                * factorial(i)
-                * double_factorial(2 * (j - 2 * i) - 3)
-            )
-            for k, c in enumerate(base_pow[m - j], start=j - i):
-                total[k] += scalar * c
-    return total
+    """2^m ehr(t) of P(m, n) as integer coefficients, from the closed form
+    by Horner's rule in the base 2 + (2n+1)t."""
+    fact = [1]
+    for k in range(1, m + 1):
+        fact.append(fact[-1] * k)
+    odd = [double_factorial(-3)]  # (2k - 3)!! for k = 0..m, by k!! = k (k - 2)!!
+    for k in range(1, m + 1):
+        odd.append(odd[-1] * (2 * k - 3))
+    slope = 2 * n + 1
+    acc: list[int] = []
+    for j in range(m + 1):
+        acc = [2 * a + slope * b for a, b in zip(acc + [0], [0] + acc)]
+        falling = fact[m] // fact[m - j]  # m! / (m-j)!
+        for i in range(j // 2 + 1):
+            c = falling // (fact[j - 2 * i] * fact[i]) * odd[j - 2 * i]
+            acc[j - i] += c if i % 2 else -c
+    return acc
 
 
 def ehrhart_closed(m: int, n: int) -> Poly:
@@ -106,8 +127,12 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     (1/2^m) sum over 0 <= i <= floor(m/2), 2i <= j <= m of
     (-1)^(i+1) * multinom(m; m-j, j-2i, i, i) * i! * (2j-4i-3)!!
     * t^(j-i) * (2nt + t + 2)^(m-j),
-    with the (-3)!! = -1 double-factorial convention.  The sum is taken in
-    integers and divided by 2^m once.
+    with the (-3)!! = -1 double-factorial convention.  Grouped by j, the
+    sum is sum_j Q_j(t) B(t)^(m-j) with B = 2 + (2n+1)t and
+    Q_j(t) = sum_i (-1)^(i+1) m!/((m-j)! (j-2i)! i!) (2(j-2i)-3)!! t^(j-i),
+    which Horner's rule acc <- acc * B + Q_j takes in O(m^2) integer
+    operations, its scalars read from one factorial and one double-factorial
+    table.  The sum is taken in integers and divided by 2^m once.
     """
     _require_formula_domain(m, n)
     return _poly(_closed_scaled(m, n), 2**m)
@@ -243,11 +268,13 @@ def ehrhart_recurrence(m: int, n: int) -> Poly:
 
 def volume_closed(m: int, n: int) -> Fraction:
     """Volume of P(m, n) for n >= m - 1:
-    -(1/2^m) sum_{i=0..m} C(m, i) (2i-3)!! (2n+1)^(m-i)."""
+    -(1/2^m) sum_{i=0..m} C(m, i) (2i-3)!! (2n+1)^(m-i),
+    taken by Horner's rule in 2n + 1: O(m) integer operations."""
     _require_formula_domain(m, n)
-    total = 0
+    total, term = 0, double_factorial(-3)  # term = C(m, i) (2i - 3)!!
     for i in range(m + 1):
-        total += comb(m, i) * double_factorial(2 * i - 3) * (2 * n + 1) ** (m - i)
+        total = total * (2 * n + 1) + term
+        term = term * (m - i) * (2 * i - 1) // (i + 1)
     return Fraction(-total, 2**m)
 
 
@@ -256,24 +283,29 @@ def f_polynomial(m: int, n: int) -> Poly:
     number of i-dimensional faces (the polytope itself included).
 
     1 + sum_{i=0..n-1} C(m, i) A_i(t+1) sum_{j=1..m-i} (t+1)^j,
-    with A_i the Eulerian polynomial; every term is an integer polynomial,
-    summed on int coefficient lists."""
-    require_int(m=m, n=n)
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    total = [1] + [0] * m
-    for i in range(min(n, m + 1)):  # C(m, i) = 0 beyond i = m
-        eulerian_coeffs = eulerian(i).nums  # den 1: A_i has int coefficients
-        # A_i(t+1): the coefficient of t^r is sum_k a_k C(k, r)
-        shifted = [
-            sum(a * comb(k, r) for k, a in enumerate(eulerian_coeffs))
-            for r in range(len(eulerian_coeffs))
-        ]
-        # sum_{j=1..m-i} (t+1)^j: the coefficient of t^r is C(m-i+1, r+1) - [r = 0]
-        geometric = [comb(m - i + 1, r + 1) for r in range(m - i + 1)]
-        geometric[0] -= 1
-        for r, c in enumerate(convolve(shifted, geometric)):
-            total[r] += comb(m, i) * c
+    with A_i the Eulerian polynomial, read through the ordered-set-partition
+    numbers T(i, k) = k! S(i, k): A_i(t+1) = sum_{k=1..i} T(i, k) t^(i-k)
+    (A_0 = 1), each row from the last by T(i, k) = k (T(i-1, k) + T(i-1, k-1)).
+    Regrouped by the power of t + 1, the sum is
+    sum_{j=1..m} (t+1)^j P_(m-j) with the prefix sums
+    P_k = sum_{i <= min(k, n-1)} C(m, i) A_i(t+1), taken by Horner's rule
+    in t + 1: O(m^2) integer operations on int coefficient lists."""
+    _require_face_domain(m, n)
+    row = [1]  # T(i, k) for k = 0..i
+    prefix = [1]  # P_i, from P_0 = A_0 = 1
+    binom = 1  # C(m, i)
+    acc = [1]  # sum_{k=0..i} (t+1)^(i-k) P_k
+    for i in range(1, m):
+        if i < n:
+            row = [0] + [k * (a + b) for k, (a, b) in enumerate(zip(row[1:] + [0], row), 1)]
+            binom = binom * (m - i + 1) // i
+            # A_i(t+1) has i coefficients; P_(i-1) has i - 1, or 1 at i = 1
+            prefix = [a + binom * b for a, b in zip(prefix + [0], reversed(row[1:]))]
+        acc = [a + b for a, b in zip(acc + [0], [0] + acc)]  # times t + 1
+        for r, c in enumerate(prefix):
+            acc[r] += c
+    total = [a + b for a, b in zip(acc + [0], [0] + acc)]
+    total[0] += 1
     return _poly(total, 1)
 
 
@@ -282,13 +314,7 @@ def f_polynomial_stable(m: int, n: int | None = None) -> Poly:
     all combinatorially equivalent): 1 + (t+1) sum_{i=1..m} C(m, i) A_i(t+1).
 
     Does not hold below n = m: P(2, 1) is a triangle, not a pentagon."""
-    require_int(m=m)
-    if n is not None:
-        require_int(n=n)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    if n is not None and n < m:
-        raise ValueError(f"the stable face-count formula requires n >= m, got n={n}")
+    _require_stable_domain(m, n)
     shift = Poly([1, 1])
     acc = Poly()
     for i in range(1, m + 1):
@@ -319,6 +345,48 @@ _ENGINES = {
     "egf-tree": ehrhart_egf_tree,
     "recurrence": ehrhart_recurrence,
 }
+
+
+# The depth of each formula route's loop nest, as the power of m its integer
+# (or Laurent-by-int) steps reach: the Horner passes of ``closed`` and
+# ``fpoly``, the m steps of width m of ``recurrence`` and the Laurent exp and
+# extraction of ``egf`` are m^2; the powers of T(z) in ``egf-tree`` and the
+# Eulerian polynomial and its shift per i in ``f_polynomial_stable`` are
+# m^3; the Horner pass of ``volume`` is m.  ``postnikov`` and ``graphsum``
+# are bounded by their walks' vertex bound instead.
+_LOOP_POWER = {
+    "closed": 2,
+    "recurrence": 2,
+    "egf": 2,
+    "egf-tree": 3,
+    "volume": 1,
+    "fpoly": 2,
+    "fpoly-stable": 3,
+}
+
+
+def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
+    """Work bound of a formula route on P(m, n) as (loop count, operand
+    size in 64-bit words), or None for ``postnikov`` and ``graphsum``.
+
+    The loop count is m to the depth of the route's loop nest.  The operand
+    size is that of 2^m m! (2n+1)^m, of at most m (1 + bits(m) + bits(2n+1))
+    bits, with n capped at m for the face counts, which stop growing there.
+    (m, n) is first checked against the route's domain, as the route
+    itself checks it."""
+    if route == "fpoly":
+        _require_face_domain(m, n)
+    elif route == "fpoly-stable":
+        _require_stable_domain(m, n)
+    else:
+        _require_formula_domain(m, n)
+    power = _LOOP_POWER.get(route)
+    if power is None:
+        return None
+    if route.startswith("fpoly"):
+        n = m if n is None else min(n, m)
+    bits = m * (1 + m.bit_length() + (2 * n + 1).bit_length())
+    return m**power, bits // 64 + 1
 
 
 @dataclass(frozen=True)

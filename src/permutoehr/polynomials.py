@@ -386,19 +386,6 @@ class LaurentPoly:
         return f"LaurentPoly({list(self.coeffs)!r}, min_exp={self.min_exp})"
 
 
-def multinomial(n: int, parts) -> int:
-    """Multinomial coefficient n! / (p1! p2! ...); parts must be >= 0 and sum to n."""
-    parts = tuple(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative multinomial part in {parts}")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial parts {parts} do not sum to {n}")
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
 def rising_binomial(x: Poly, a: int) -> Poly:
     """binom(x + a - 1, a) as a polynomial: x(x+1)...(x+a-1) / a!.
 

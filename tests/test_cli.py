@@ -301,6 +301,104 @@ class TestOtherCommands:
         assert "m >= 2" in err
 
 
+def _engines_must_not_run(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the engine ran")
+
+    for name in ("compute_ehrhart", "volume_closed", "f_polynomial", "f_polynomial_stable"):
+        monkeypatch.setattr(cli_module, name, must_not_run)
+
+
+class TestFormulaBudget:
+    @pytest.mark.parametrize(
+        "argv, stated",
+        (
+            (("ehrhart", "--m", "5000", "--n", "5000"),
+             "closed work bound loops*64-bit operand words 25000000*2188 = 54700000000"),
+            (("ehrhart", "--method", "recurrence", "--m", "3000", "--n", "3000"),
+             "recurrence work bound loops*64-bit operand words 9000000*1219 = 10971000000"),
+            (("ehrhart", "--method", "egf", "--m", "2000", "--n", "2000"),
+             "egf work bound loops*64-bit operand words 4000000*751 = 3004000000"),
+            (("fpoly", "--m", "5000", "--n", "5000"),
+             "fpoly work bound loops*64-bit operand words 25000000*2188 = 54700000000"),
+            (("volume", "--m", "200000", "--n", "200000"),
+             "volume work bound loops*64-bit operand words 200000*118751 = 23750200000"),
+        ),
+    )
+    def test_absurd_request_refused_before_computing(self, capsys, monkeypatch, argv, stated):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        _engines_must_not_run(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert f"error: {stated} exceeds budget 100000000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("ehrhart", "--m", "5000", "--n", "3"),
+            ("ehrhart", "--method", "egf-tree", "--m", "0", "--n", "5"),
+            ("volume", "--m", "200000", "--n", "5"),
+            ("fpoly", "--m", "5000", "--n", "0"),
+            ("fpoly", "--m", "5000", "--n", "3", "--stable"),
+        ),
+    )
+    def test_domain_errors_come_first(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "1")
+        _engines_must_not_run(monkeypatch)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
+
+    def test_astronomical_request_refused_with_its_size(self, capsys, monkeypatch):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        _engines_must_not_run(monkeypatch)
+        m = "9" * 4000
+        code, out, err = run(capsys, "fpoly", "--m", m, "--stable")
+        assert (code, out) == (3, "")
+        assert re.search(r"= more than 2\^\d+ exceeds budget 100000000", err)
+
+    # at m = 3 every operand fits in one word, so the bound is the loop count
+    @pytest.mark.parametrize(
+        "argv, work",
+        (
+            (("ehrhart", "--m", "3", "--n", "3"), 9),
+            (("ehrhart", "--method", "egf-tree", "--m", "3", "--n", "3"), 27),
+            (("volume", "--m", "3", "--n", "3"), 3),
+            (("fpoly", "--m", "3", "--n", "3"), 9),
+            (("fpoly", "--m", "3", "--stable"), 27),
+        ),
+    )
+    def test_inclusive_at_the_bound(self, capsys, monkeypatch, argv, work):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work))
+        assert run(capsys, *argv) == expected
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work - 1))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert f"= {work} exceeds budget {work - 1}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("ehrhart", "--m", "36", "--n", "41", "--t", "7"),
+            ("ehrhart", "--method", "egf", "--m", "36", "--n", "41"),
+            ("ehrhart", "--method", "recurrence", "--m", "48", "--n", "53"),
+            ("ehrhart", "--method", "egf-tree", "--m", "16", "--n", "21"),
+            ("volume", "--m", "36", "--n", "41"),
+            ("fpoly", "--m", "36", "--n", "41"),
+            ("fpoly", "--m", "36", "--stable"),
+        ),
+    )
+    def test_largest_benchmark_cells_run_under_the_default_budget(
+        self, capsys, monkeypatch, argv
+    ):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestVerifyCommand:
     def test_passes_at_small_scale(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-m", "2", "--max-t", "1")

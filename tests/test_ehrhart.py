@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -20,7 +21,7 @@ from permutoehr.ehrhart import (
 from permutoehr import ehrhart, graphs
 from permutoehr.errors import BudgetError
 from permutoehr.graphs import graph_census, structure_counts
-from permutoehr.polynomials import Poly, rising_binomial
+from permutoehr.polynomials import Poly, convolve, double_factorial, eulerian, rising_binomial
 from permutoehr.polytope import PartialPermutohedron
 
 T = Poly([0, 1])
@@ -235,6 +236,94 @@ class TestFPolynomial:
         for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
             assert f_polynomial(m, n).leading_coefficient == 1
             assert f_polynomial(m, n).degree == m
+
+
+def reference_closed(m, n):
+    """The closed form's double sum over (i, j), one multinomial term times
+    a stored power of the base 2 + (2n+1)t at a time."""
+    base_pow = [[1]]
+    for _ in range(m):
+        base_pow.append(convolve(base_pow[-1], [2, 2 * n + 1]))
+    total = [0] * (m + 1)
+    for i in range(m // 2 + 1):
+        for j in range(2 * i, m + 1):
+            multinom = factorial(m) // (
+                factorial(m - j) * factorial(j - 2 * i) * factorial(i) ** 2
+            )
+            scalar = (
+                (-1) ** (i + 1)
+                * multinom
+                * factorial(i)
+                * double_factorial(2 * (j - 2 * i) - 3)
+            )
+            for k, c in enumerate(base_pow[m - j], start=j - i):
+                total[k] += scalar * c
+    return Poly([Fraction(c, 2**m) for c in total])
+
+
+def reference_f_polynomial(m, n):
+    """1 + sum_{i<n} C(m, i) A_i(t+1) sum_{j=1..m-i} (t+1)^j, term by term,
+    with each A_i(t+1) the Eulerian polynomial shifted by binomials."""
+    total = [1] + [0] * m
+    for i in range(min(n, m + 1)):
+        eulerian_coeffs = eulerian(i).nums
+        shifted = [
+            sum(a * comb(k, r) for k, a in enumerate(eulerian_coeffs))
+            for r in range(len(eulerian_coeffs))
+        ]
+        geometric = [comb(m - i + 1, r + 1) for r in range(m - i + 1)]
+        geometric[0] -= 1
+        for r, c in enumerate(convolve(shifted, geometric)):
+            total[r] += comb(m, i) * c
+    return Poly(total)
+
+
+class TestAgainstTermByTermSums:
+    """The Horner and ordered-set-partition forms against the sums they
+    regroup, evaluated term by term."""
+
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_closed(self, m):
+        for n in (m - 1, m, m + 1, m + 5):
+            if n >= 1:
+                assert ehrhart_closed(m, n) == reference_closed(m, n)
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_f_polynomial(self, m):
+        for n in range(1, m + 4):
+            assert f_polynomial(m, n) == reference_f_polynomial(m, n)
+
+
+def face_identity_cells():
+    """(m, n) for m <= 30 and n in {1, 2, m // 2, m - 2, m - 1, m, m + 3}."""
+    return [
+        (m, n)
+        for m in range(1, 31)
+        for n in sorted({1, 2, m // 2, m - 2, m - 1, m, m + 3})
+        if n >= 1
+    ]
+
+
+class TestFaceCountIdentities:
+    """P(m, n) is a simple m-polytope for every n >= 1, so its f-vector
+    satisfies Euler's relation, 2 f_1 = m f_0 and the Dehn-Sommerville
+    symmetry of its h-vector."""
+
+    cells = face_identity_cells()
+
+    def test_cell_count(self):
+        assert len(self.cells) == 196
+
+    @pytest.mark.parametrize("m, n", cells)
+    def test_identities(self, m, n):
+        f = f_polynomial(m, n)
+        faces = [f.coefficient(i) for i in range(m + 1)]
+        assert sum((-1) ** i * c for i, c in enumerate(faces)) == 1
+        assert 2 * faces[1] == m * faces[0]
+        # sum_i f_i (t - 1)^i = sum_k h_k t^k
+        h = [f.compose(Poly([-1, 1])).coefficient(k) for k in range(m + 1)]
+        assert h == h[::-1]
+        assert all(c >= 1 for c in h)
 
 
 class TestCoefficientTransfer:

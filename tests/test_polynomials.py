@@ -14,7 +14,6 @@ from permutoehr.polynomials import (
     Poly,
     double_factorial,
     eulerian,
-    multinomial,
     rising_binomial,
 )
 
@@ -142,18 +141,6 @@ class TestEulerian:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             eulerian(-1)
-
-
-class TestMultinomial:
-    def test_values(self):
-        assert multinomial(4, (2, 1, 1)) == 12
-        assert multinomial(2, (0, 2, 0, 0)) == 1
-
-    def test_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            multinomial(3, (4, -1))
-        with pytest.raises(ValueError):
-            multinomial(3, (1, 1))
 
 
 class TestLaurentPoly:
