@@ -13,33 +13,35 @@ The objects here come in two equivalent presentations:
 ``to_multigraph`` / ``from_multigraph`` realize the bijection between the
 two feasible sets.
 
-Each presentation has its own counting walk, a depth-first assignment of
-multiplicities that tallies its leaves instead of building them, once per
-m and process.  Relabelling the vertices keeps every tallied quantity, so
-for each loop count l = 0 .. m a walk puts the loops on vertices
-0 .. l - 1, assigns the pairs only, and counts each leaf C(m, l) times.
+Each presentation has a counting walk and its own lazy listing, both
+depth-first assignments of multiplicities.  A counting walk tallies its
+leaves instead of building them, once per m and process: relabelling the
+vertices keeps every tallied quantity, so for each loop count l = 0 .. m
+it puts the loops on vertices 0 .. l - 1, assigns the pairs only, and
+counts each leaf C(m, l) times.  A listing walks every loop set and
+builds every member, in lexicographic order.
 
-* The union-find walk enumerates multigraphs.  It gives a pair
-  multiplicity 0, 1 or 2, pruning any branch in which a component
-  acquires a second cycle, and tallies the graphs by (loops, single edges,
-  doubled pairs, connected).  ``graph_census`` (and with it the
-  ``graphsum`` engine) and ``structure_counts`` read it.
-* The Hall walk enumerates multiplicity sequences.  It keeps a live
-  slot-to-vertex matching, the copy of each loop matched to its vertex,
-  and gives a pair one more copy for as long as an augmenting path
-  extends the matching, and tallies the sequences by the multisets of
-  their nonzero loop and pair multiplicities.  ``sequence_census`` (and
-  with it the ``postnikov`` engine) reads it.
+* The union-find walks give a pair multiplicity 0, 1 or 2, pruning any
+  branch in which a component acquires a second cycle.  The tally counts
+  multigraphs by (loops, single edges, doubled pairs, connected) for
+  ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``;
+  the listing is ``enumerate_graphs``.
+* The Hall walks keep a live slot-to-vertex matching, the copy of each
+  loop matched to its vertex, and give a pair one more copy for as long
+  as an augmenting path extends the matching.  The tally counts sequences
+  by the multisets of their nonzero loop and pair multiplicities for
+  ``sequence_census`` (and the ``postnikov`` engine); the listing is
+  ``enumerate_sequences``.
 
-The listings ``enumerate_graphs`` and ``enumerate_sequences`` walk the
-multigraphs lazily and build every member.
+The walks of one presentation share no code with the other's, so the two
+listings, like the two tallies, can fail independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -154,19 +156,27 @@ def satisfies_hall(seq: EdgeMultiplicities) -> bool:
     return find_sdr(seq) is not None
 
 
+def _root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
 def component_cycle_check(graph: Multigraph) -> bool:
     """True iff every connected component has #edges <= #vertices, i.e. at
     most one cycle (a loop counts as one edge and one cycle)."""
-    dsu = _DisjointSet(graph.m)
-    for i, c in enumerate(graph.loops):
-        for _ in range(c):
-            dsu.add_loop(i)
+    parent = list(range(graph.m))
+    size = [1] * graph.m
+    edges = list(graph.loops)
     for (i, j), c in zip(vertex_pairs(graph.m), graph.pair_mult):
-        for _ in range(c):
-            dsu.add_edge(i, j)
-    return all(
-        dsu.edges[r] <= dsu.size[r] for r in range(graph.m) if dsu.parent[r] == r
-    )
+        if c:
+            i, j = _root(parent, i), _root(parent, j)
+            if i != j:
+                parent[j] = i
+                size[i] += size[j]
+                edges[i] += edges[j]
+            edges[i] += c
+    return all(edges[r] <= size[r] for r in range(graph.m) if parent[r] == r)
 
 
 def to_multigraph(seq: EdgeMultiplicities) -> Multigraph:
@@ -185,103 +195,6 @@ def from_multigraph(graph: Multigraph) -> EdgeMultiplicities:
     return EdgeMultiplicities(graph.m, graph.loops, graph.pair_mult)
 
 
-class _DisjointSet:
-    """Union-find with per-component vertex and edge counters.
-
-    No path compression, so unions can be rolled back from an undo log;
-    the enumerator leans on that to reuse one structure across the whole
-    depth-first search.
-    """
-
-    __slots__ = ("parent", "size", "edges", "log")
-
-    def __init__(self, m: int):
-        self.parent = list(range(m))
-        self.size = [1] * m
-        self.edges = [0] * m
-        self.log: list[tuple] = []
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            i = p[i]
-        return i
-
-    def add_loop(self, i: int) -> bool:
-        """Add one edge wholly inside i's component; False if that gives
-        the component a second cycle."""
-        r = self.find(i)
-        self.edges[r] += 1
-        self.log.append(("e", r))
-        return self.edges[r] <= self.size[r]
-
-    def add_edge(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return self.add_loop(ri)
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        self.edges[ri] += self.edges[rj] + 1
-        self.log.append(("u", rj, ri))
-        return self.edges[ri] <= self.size[ri]
-
-    def mark(self) -> int:
-        return len(self.log)
-
-    def rollback(self, mark: int):
-        while len(self.log) > mark:
-            op = self.log.pop()
-            if op[0] == "e":
-                self.edges[op[1]] -= 1
-            else:
-                _, child, root = op
-                self.parent[child] = child
-                self.size[root] -= self.size[child]
-                self.edges[root] -= self.edges[child] + 1
-
-
-def _iter_raw(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (loops, pair_mult) for every feasible assignment; the caller
-    wraps into Multigraph where object identity matters."""
-    pairs = vertex_pairs(m)
-    n_pairs = len(pairs)
-    loops = [0] * m
-    mult = [0] * n_pairs
-    dsu = _DisjointSet(m)
-
-    def walk(slot: int):
-        if slot == m + n_pairs:
-            yield tuple(loops), tuple(mult)
-            return
-        if slot < m:
-            yield from walk(slot + 1)
-            mark = dsu.mark()
-            if dsu.add_loop(slot):
-                loops[slot] = 1
-                yield from walk(slot + 1)
-                loops[slot] = 0
-            dsu.rollback(mark)
-        else:
-            k = slot - m
-            i, j = pairs[k]
-            yield from walk(slot + 1)
-            mark = dsu.mark()
-            if dsu.add_edge(i, j):
-                mult[k] = 1
-                yield from walk(slot + 1)
-                mark2 = dsu.mark()
-                if dsu.add_edge(i, j):
-                    mult[k] = 2
-                    yield from walk(slot + 1)
-                dsu.rollback(mark2)
-                mult[k] = 0
-            dsu.rollback(mark)
-
-    yield from walk(0)
-
-
 def _check_enum_bound(m: int, bound: int):
     if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError(f"m must be an integer, got {m!r}")
@@ -295,19 +208,80 @@ def enumerate_graphs(
     m: int, bound: int = DEFAULT_GRAPH_BOUND
 ) -> Iterator[Multigraph]:
     """Yield every labelled multigraph on m vertices in which each
-    component has at most one cycle, exactly once."""
+    component has at most one cycle, exactly once, in lexicographic order
+    of (loops, pair_mult).  The union-find forest lives in flat lists
+    (no path compression), each union undone inline on the way back."""
     _check_enum_bound(m, bound)
-    for loops, mult in _iter_raw(m):
-        yield Multigraph(m, loops, mult)
+    pairs = vertex_pairs(m)
+    n_pairs = len(pairs)
+    parent = list(range(m))
+    size = [1] * m
+    edges = [0] * m
+    mult = [0] * n_pairs
+
+    def walk(k: int, used: int) -> Iterator[Multigraph]:
+        # m edges saturate every component, so the remaining pairs stay 0
+        if k == n_pairs or used == m:
+            yield Multigraph(m, loops, tuple(mult))
+            return
+        yield from walk(k + 1, used)
+        i, j = pairs[k]
+        i, j = _root(parent, i), _root(parent, j)
+        e, s = edges[i], size[i]
+        joined_e, joined_s = (e, s) if i == j else (e + edges[j], s + size[j])
+        parent[j] = i  # a no-op when both ends are already in one component
+        size[i] = joined_s
+        for c in (1, 2):
+            if joined_e + c > joined_s:
+                break
+            mult[k] = c
+            edges[i] = joined_e + c
+            yield from walk(k + 1, used + c)
+        mult[k] = 0
+        parent[j] = j
+        size[i] = s
+        edges[i] = e
+
+    for loops in product((0, 1), repeat=m):
+        edges[:] = loops
+        yield from walk(0, sum(loops))
 
 
 def enumerate_sequences(
     m: int, bound: int = DEFAULT_GRAPH_BOUND
 ) -> Iterator[EdgeMultiplicities]:
-    """Yield every Hall-feasible multiplicity sequence, via the bijection."""
+    """Yield every Hall-feasible multiplicity sequence exactly once, in
+    lexicographic order of (loop, pair).  A loop multiplicity is 0 or 1,
+    as two copies of {v} have no distinct representatives; each pair copy
+    frees its vertex on the way back."""
     _check_enum_bound(m, bound)
-    for loops, mult in _iter_raw(m):
-        yield EdgeMultiplicities(m, loops, mult)
+    pairs = vertex_pairs(m)
+    n_pairs = len(pairs)
+    copies: list[tuple[int, ...]] = []  # endpoints of each matched copy
+    owner = [-1] * m  # vertex -> index into copies
+    mult = [0] * n_pairs
+
+    def walk(k: int) -> Iterator[EdgeMultiplicities]:
+        # a perfect matching leaves no free vertex, so the remaining pairs stay 0
+        if k == n_pairs or len(copies) == m:
+            yield EdgeMultiplicities(m, loop, tuple(mult))
+            return
+        yield from walk(k + 1)
+        copies.append(pairs[k])
+        while _augment(len(copies) - 1, copies, owner, [False] * m):
+            mult[k] += 1
+            yield from walk(k + 1)
+            copies.append(pairs[k])
+        copies.pop()
+        for _ in range(mult[k]):
+            owner[owner.index(len(copies) - 1)] = -1
+            copies.pop()
+        mult[k] = 0
+
+    for loop in product((0, 1), repeat=m):
+        copies[:] = [(v,) for v in range(m) if loop[v]]
+        owner[:] = [copies.index((v,)) if loop[v] else -1 for v in range(m)]
+        yield from walk(0)
 
 
 @lru_cache(maxsize=None)

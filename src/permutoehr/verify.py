@@ -144,15 +144,20 @@ def check_structure_counts(max_m: int = 5) -> list[CheckResult]:
 
 
 def check_bijection(max_m: int = 4) -> list[CheckResult]:
-    """Round trip of the sequence/multigraph bijection, plus the
-    Hall-vs-cycle equivalence over the extended multiplicity box."""
+    """Round trip of the sequence/multigraph bijection and equality of the
+    two listings as sets, plus the Hall-vs-cycle equivalence over the
+    extended multiplicity box."""
     bad_round = []
-    for m in range(1, min(max_m, 4) + 1):
+    for m in range(1, max_m + 1):
+        listed = set()
         for graph in graphs.enumerate_graphs(m):
-            seq = graphs.from_multigraph(graph)
-            if graphs.to_multigraph(seq) != graph:
+            listed.add((graph.loops, graph.pair_mult))
+            if m <= 4 and graphs.to_multigraph(graphs.from_multigraph(graph)) != graph:
                 bad_round.append(f"m={m}")
                 break
+        else:
+            if listed != {(s.loop, s.pair) for s in graphs.enumerate_sequences(m)}:
+                bad_round.append(f"m={m} (the listings differ)")
     bad_equiv = []
     for m in range(1, min(max_m, 3) + 1):
         n_pairs = m * (m - 1) // 2

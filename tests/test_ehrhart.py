@@ -396,32 +396,43 @@ def _refuse(*args, **kwargs):
 
 
 class TestIndependentEnumerators:
-    """postnikov and graphsum run on walks that share no code, so their
-    agreement with each other witnesses the Hall <=> at-most-one-cycle
-    bijection.  The cached walks are swapped for their uncached bodies so
-    that each test walks afresh."""
+    """postnikov and graphsum, and the two listings, run on walks that share
+    no code, so their agreement with each other witnesses the Hall <=>
+    at-most-one-cycle bijection.  The cached walks are swapped for their
+    uncached bodies so that each engine test walks afresh."""
+
+    UNION_FIND = (
+        "_union_find_tally", "_root", "enumerate_graphs", "component_cycle_check"
+    )
+    MATCHING = ("_hall_tally", "_augment", "find_sdr", "satisfies_hall")
 
     def test_postnikov_reaches_no_union_find_code(self, monkeypatch):
-        for name in (
-            "_union_find_tally",
-            "_DisjointSet",
-            "_iter_raw",
-            "enumerate_graphs",
-            "component_cycle_check",
-        ):
+        for name in self.UNION_FIND:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "graph_census", _refuse)
         monkeypatch.setattr(graphs, "_hall_tally", graphs._hall_tally.__wrapped__)
         assert ehrhart_postnikov(4, 4) == ehrhart_closed(4, 4)
 
     def test_graphsum_reaches_no_matching_code(self, monkeypatch):
-        for name in ("_hall_tally", "_augment", "find_sdr", "satisfies_hall"):
+        for name in self.MATCHING:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "sequence_census", _refuse)
         monkeypatch.setattr(
             graphs, "_union_find_tally", graphs._union_find_tally.__wrapped__
         )
         assert ehrhart_graphsum(4, 4) == ehrhart_closed(4, 4)
+
+    def test_sequence_listing_reaches_no_union_find_code(self, monkeypatch):
+        expected = sum(graphs.graph_census(4).values())
+        for name in self.UNION_FIND:
+            monkeypatch.setattr(graphs, name, _refuse)
+        assert sum(1 for _ in graphs.enumerate_sequences(4)) == expected
+
+    def test_graph_listing_reaches_no_matching_code(self, monkeypatch):
+        expected = sum(graphs.sequence_census(4).values())
+        for name in self.MATCHING:
+            monkeypatch.setattr(graphs, name, _refuse)
+        assert sum(1 for _ in graphs.enumerate_graphs(4)) == expected
 
 
 class TestEnumerationBound:

@@ -129,15 +129,22 @@ class TestEnumeration:
         assert len(list(enumerate_graphs(2))) == 8
 
     def test_m3_against_hall_filter(self):
-        brute = sum(
-            1
-            for loop in product(range(2), repeat=3)
-            for pair in product(range(3), repeat=3)
-            if satisfies_hall(EdgeMultiplicities(3, loop, pair))
-        )
-        enumerated = list(enumerate_graphs(3))
-        assert len(enumerated) == brute
-        assert len(set(enumerated)) == brute  # no duplicates
+        # each listing, in order, is the lexicographically sorted part of
+        # {0,1}^m x {0,1,2}^C(m,2) that its own feasibility test keeps
+        for m in range(1, 5):
+            box = sorted(
+                (loop, pair)
+                for loop in product(range(2), repeat=m)
+                for pair in product(range(3), repeat=m * (m - 1) // 2)
+            )
+            graphs = [(g.loops, g.pair_mult) for g in enumerate_graphs(m)]
+            assert graphs == [
+                member for member in box if component_cycle_check(Multigraph(m, *member))
+            ]
+            sequences = [(s.loop, s.pair) for s in enumerate_sequences(m)]
+            assert sequences == [
+                member for member in box if satisfies_hall(EdgeMultiplicities(m, *member))
+            ]
 
     def test_members_satisfy_cycle_limit(self):
         for graph in enumerate_graphs(4):
@@ -230,8 +237,8 @@ def _connected(graph):
 
 class TestSymmetricWalks:
     """The counting walks visit one loop set per loop count and weight it
-    by the number of loop sets of that size; the listing walks every loop
-    set, so it checks the weights."""
+    by the number of loop sets of that size; each listing walks every loop
+    set, so it checks the weights of its own presentation's tally."""
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_census_matches_the_listing(self, m):
@@ -257,6 +264,17 @@ class TestSymmetricWalks:
             else:
                 shapes[3] += 1
         assert tuple(structure_counts(m)) == tuple(shapes)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_sequence_census_matches_the_listing(self, m):
+        listed: dict = {}
+        for seq in enumerate_sequences(m):
+            key = (
+                tuple(sorted(a for a in seq.loop if a)),
+                tuple(sorted(a for a in seq.pair if a)),
+            )
+            listed[key] = listed.get(key, 0) + 1
+        assert sequence_census(m) == listed
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_loops_at_most_once_and_pairs_at_most_twice(self, m):

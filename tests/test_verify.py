@@ -1,6 +1,6 @@
 import pytest
 
-from permutoehr import ehrhart, verify
+from permutoehr import ehrhart, graphs, verify
 
 
 class TestRunAll:
@@ -54,3 +54,14 @@ class TestFaultInjection:
         monkeypatch.setattr(engine_module, "graph_census", shaved)
         results = {r.name: r for r in verify.check_engine_agreement(max_m=3)}
         assert not results["closed-vs-graphsum"].passed
+
+    def test_listing_mismatch_is_caught(self, monkeypatch):
+        good = graphs.enumerate_sequences
+
+        def short(m, bound=7):
+            return list(good(m, bound=bound))[:-1]
+
+        monkeypatch.setattr(graphs, "enumerate_sequences", short)
+        results = {r.name: r for r in verify.check_bijection(max_m=3)}
+        assert not results["bijection-round-trip"].passed
+        assert "the listings differ" in results["bijection-round-trip"].detail
