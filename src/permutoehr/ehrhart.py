@@ -17,8 +17,8 @@ different exact expressions, all implemented here in exact arithmetic:
                         whose components each have at most one cycle,
                         over the graphs the union-find walk enumerates;
 ``ehrhart_egf``         m! t^m [z^m] sqrt(1-z) exp((n+1/2+1/t) z - z^2/(4t)),
-                        extracted from a series with Laurent-in-t
-                        coefficients (``ehrhart_egf_tree`` takes the
+                        with exp(.../t) expanded in powers of 1/t over
+                        rational series (``ehrhart_egf_tree`` takes the
                         equivalent route through the tree function T(z));
 ``ehrhart_recurrence``  a three-term recurrence in m.
 
@@ -35,16 +35,17 @@ loop counts, with a bound on the operand size, for the CLI's budget.
 polynomials per census entry in ``Poly``, whose int numerators over one
 common denominator make every product an int convolution and every sum
 one rescaling and one gcd.
-The series of the generating-function engines hold int numerators over
-one denominator (see :mod:`.series`), so no ``Fraction`` is formed per
-coefficient.  ``ehrhart_egf`` builds the Laurent-coefficient exponential
-(O(m) Laurent products on integer numerators) and forms only [z^m] of its
-product with the rational series sqrt(1-z) (O(m^2) int products, then m + 1
-Laurent-by-int products and one division); ``ehrhart_egf_tree`` composes
-that exponential with the tree function (O(m^3) int products for the powers
-of T(z), then O(m^2) Laurent-by-int products) and forms [z^m] of its
-product with the rational series 1/sqrt(1 - T(z)) (O(m^2) int products)
-the same way.
+The generating-function engines write ehr(t) as
+m! t^m [z^m] F exp(w(u)/t) with w(u) = u - u^2/4, u = z or T(z), and F a
+rational series whose int numerators over one denominator (see
+:mod:`.series`) form no ``Fraction`` per coefficient.  Expanding
+exp(w/t) = sum_k u^k (1 - u/4)^k / (k! t^k) leaves only the numbers
+[z^m] u^i F, which one integer double sum turns into the coefficients of
+t^(m-k), divided once (``_exp_over_t``, O(m^2) int products).
+``ehrhart_egf`` reads those numbers off F = sqrt(1-z) exp((n+1/2) z)
+(O(m^2) int products); ``ehrhart_egf_tree`` sums
+G(y) = exp((n-m+1/2) y)/sqrt(1-y) against [z^m] of the powers of T(z)
+(O(m^3) int products for the powers, O(m^2) for the sums).
 
 The two combinatorial engines share no enumerator, so their agreement
 witnesses the bijection between Hall-feasible sequences and multigraphs
@@ -57,12 +58,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import DEFAULT_GRAPH_BOUND, require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
-    LaurentPoly,
     Poly,
     _poly,
     convolve,
@@ -191,52 +191,55 @@ def tree_function(order: int) -> TruncatedSeries:
     return _series(nums, top)
 
 
-def _laurent_exponent_series(linear: LaurentPoly, m: int) -> TruncatedSeries:
-    """The series c1 * z - z^2/(4t) truncated at order m, Laurent coefficients."""
-    zero = LaurentPoly()
-    coeffs = [zero] * (m + 1)
-    coeffs[1] = linear
-    if m >= 2:
-        coeffs[2] = LaurentPoly.term(Fraction(-1, 4), -1)
-    return TruncatedSeries(coeffs)
+def _exp_over_t(c: list[int], den: int, m: int) -> Poly:
+    """m! t^m [z^m] F(z) exp(w(u)/t), w(u) = u - u^2/4 for a series u with
+    zero constant term, from c_i = c[i] / den = [z^m] u^i F (i = 0..m).
 
-
-def _extract_ehrhart(laurent: TruncatedSeries, scalar: TruncatedSeries, m: int) -> Poly:
-    """m! t^m [z^m] of laurent * scalar, a Laurent-coefficient and a rational
-    series, forming that one coefficient only: m + 1 Laurent-by-int
-    products over the two denominators, one division, a shift and a
-    scaling.  The t^m factor must clear every negative power of t;
-    ``as_poly`` refuses any that survive."""
-    coeff = LaurentPoly()
-    for j in range(m + 1):
-        coeff = coeff + laurent.nums[m - j] * scalar.nums[j]
-    coeff = coeff * Fraction(factorial(m), laurent.den * scalar.den)
-    return coeff.shifted(m).as_poly()
+    exp(w/t) = sum_k u^k (1 - u/4)^k / (k! t^k), so the coefficient of
+    t^(m-k) is (m!/k!) sum_{j <= min(k, m-k)} C(k, j) (-1/4)^j c_(k+j);
+    it is summed in integers scaled by 4^m den and divided once."""
+    nums = [0] * (m + 1)
+    falling = 1  # m!/k!
+    for k in range(m, -1, -1):
+        acc, binom = 0, 1  # binom = (-1)^j C(k, j)
+        for j in range(min(k, m - k) + 1):
+            acc += binom * c[k + j] << 2 * (m - j)
+            binom = -binom * (k - j) // (j + 1)
+        nums[m - k] = falling * acc
+        falling *= k
+    return _poly(nums, 4**m * den)
 
 
 def ehrhart_egf(m: int, n: int) -> Poly:
     """m! t^m [z^m] sqrt(1-z) exp((n + 1/2 + 1/t) z - z^2/(4t)).
 
-    Only [z^m] of the product is formed, with sqrt(1-z) a rational series."""
+    With F = sqrt(1-z) exp((n + 1/2) z), a rational series, [z^m] z^i F is
+    the coefficient of z^(m-i) in F, and the 1/t part expands in
+    :func:`_exp_over_t`."""
     _require_formula_domain(m, n)
-    linear = LaurentPoly.constant(Fraction(2 * n + 1, 2)) + LaurentPoly.term(1, -1)
-    exponential = _laurent_exponent_series(linear, m).exp()
-    root = one_minus_z(m).sqrt()
-    return _extract_ehrhart(exponential, root, m)
+    linear = TruncatedSeries([0, Fraction(2 * n + 1, 2)], order=m)
+    f = one_minus_z(m).sqrt() * linear.exp()
+    return _exp_over_t(f.nums[::-1], f.den, m)
 
 
 def ehrhart_egf_tree(m: int, n: int) -> Poly:
-    """m! t^m [z^m] exp((n - m + 1/2 + 1/t) T(z) - T(z)^2/(4t)) / sqrt(1 - T(z)),
-    with the Laurent-coefficient exponential composed with the tree function
-    over rational powers of T(z), and 1/sqrt(1 - T(z)) a rational series.
-    Only [z^m] of their product is formed."""
+    """m! t^m [z^m] exp((n - m + 1/2 + 1/t) T(z) - T(z)^2/(4t)) / sqrt(1 - T(z)).
+
+    With G(y) = exp((n - m + 1/2) y) / sqrt(1 - y), a rational series taken
+    as exp((n - m + 1/2) y - log(1 - y)/2), [z^m] T^i G(T) is
+    sum_{k >= i} G_(k-i) [z^m] T^k over the powers of the tree function,
+    and the 1/t part expands in :func:`_exp_over_t`."""
     _require_formula_domain(m, n)
-    linear = LaurentPoly.constant(Fraction(2 * (n - m) + 1, 2)) + LaurentPoly.term(1, -1)
     tree = tree_function(m)
-    gaussian = _laurent_exponent_series(linear, m).exp().compose(tree)
-    # 1/sqrt(1 - T) as exp(-log(1 - T)/2)
-    inv_root = ((1 - tree).log() * Fraction(-1, 2)).exp()
-    return _extract_ehrhart(gaussian, inv_root, m)
+    powers = [TruncatedSeries([1], order=m)]
+    for _ in range(m):
+        powers.append(powers[-1] * tree)
+    common = lcm(*(p.den for p in powers))
+    at_m = [p.nums[m] * (common // p.den) for p in powers]  # [z^m] T^k, times common
+    linear = TruncatedSeries([0, Fraction(2 * (n - m) + 1, 2)], order=m)
+    g = (linear - one_minus_z(m).log() * Fraction(1, 2)).exp()
+    c = [sum(g.nums[k - i] * at_m[k] for k in range(i, m + 1)) for i in range(m + 1)]
+    return _exp_over_t(c, g.den * common, m)
 
 
 def ehrhart_recurrence(m: int, n: int) -> Poly:
@@ -348,12 +351,12 @@ _ENGINES = {
 
 
 # The depth of each formula route's loop nest, as the power of m its integer
-# (or Laurent-by-int) steps reach: the Horner passes of ``closed`` and
-# ``fpoly``, the m steps of width m of ``recurrence`` and the Laurent exp and
-# extraction of ``egf`` are m^2; the powers of T(z) in ``egf-tree`` and the
-# Eulerian polynomial and its shift per i in ``f_polynomial_stable`` are
-# m^3; the Horner pass of ``volume`` is m.  ``postnikov`` and ``graphsum``
-# are bounded by their walks' vertex bound instead.
+# steps reach: the Horner passes of ``closed`` and ``fpoly``, the m steps of
+# width m of ``recurrence`` and the series and 1/t expansion of ``egf`` are
+# m^2; the powers of T(z) in ``egf-tree`` and the Eulerian polynomial and
+# its shift per i in ``f_polynomial_stable`` are m^3; the Horner pass of
+# ``volume`` is m.  ``postnikov`` and ``graphsum`` are bounded by their
+# walks' vertex bound instead.
 _LOOP_POWER = {
     "closed": 2,
     "recurrence": 2,

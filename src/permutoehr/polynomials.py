@@ -2,16 +2,17 @@
 
 Nothing in this package ever touches floating point.  ``Poly`` is a dense
 polynomial in t (the carrier for Ehrhart, face-count and Eulerian
-polynomials).  ``LaurentPoly`` additionally allows negative powers of t,
-which the generating-function extraction needs for its 1/t bookkeeping.
-Both hold their coefficients as Python int numerators over one positive
-common denominator, in a canonical form (no zero at the top, for
-``LaurentPoly`` none at the bottom either, and gcd(den, *nums) = 1), so
-equal values have equal fields.  They share one ring core on those ints:
-the sum, negation, difference and product below (``convolve`` for two
-polynomials), each result normalised by one gcd.  ``fractions.Fraction``
-appears only at their edges: constructor input, ``coeffs``,
-``coefficient``, and the value of a ``Poly`` at a point.
+polynomials).  ``LaurentPoly`` additionally allows negative powers of t;
+no engine uses it, since the generating-function engines expand their 1/t
+part over rational series.  Both hold their coefficients as Python int
+numerators over one positive common denominator, in a canonical form (no
+zero at the top, for ``LaurentPoly`` none at the bottom either, and
+gcd(den, *nums) = 1), so equal values have equal fields.  They share
+one ring core on those ints: the sum, negation, difference and product
+below (``convolve`` for two polynomials), each result normalised by one
+gcd.  ``fractions.Fraction`` appears only at their edges: constructor
+input, ``coeffs``, ``coefficient``, and the value of a ``Poly`` at a
+point.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from math import factorial, gcd, lcm
 
 
 def convolve(a, b, size: int | None = None) -> list[int]:
-    """Product of two coefficient sequences (lowest power first): ints, or
-    for a power series also integer LaurentPolys.  Cut to its first
-    ``size`` coefficients when a size is given."""
+    """Product of two int coefficient sequences (lowest power first), cut
+    to its first ``size`` coefficients when a size is given."""
     if not a or not b:
         return []
     full = len(a) + len(b) - 1

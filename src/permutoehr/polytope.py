@@ -62,11 +62,6 @@ class PartialPermutohedron:
         self.m = m
         self.n = n
 
-    @property
-    def ehrhart_formula_applies(self) -> bool:
-        """Whether the closed Ehrhart formulas cover this polytope (n >= m - 1)."""
-        return self.n >= self.m - 1
-
     def __repr__(self):
         return f"PartialPermutohedron({self.m}, {self.n})"
 

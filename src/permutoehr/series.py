@@ -1,16 +1,13 @@
-"""Truncated formal power series in z with exact coefficients.
+"""Truncated formal power series in z with exact rational coefficients.
 
 A series of order N carries exact coefficients for z^0 .. z^N; every
 operation is exact modulo z^(N+1).
 
-The ring contract: a series holds numerators ``nums`` (one per power of z)
-over one positive int denominator ``den``, like ``Poly``.  The numerators
-are either all Python ints (a series over the rationals) or all
-``LaurentPoly`` with integer coefficients (``den`` 1 on each), when the
-coefficients carry powers of 1/t.  Every instance is in one canonical form,
-gcd(den, every integer in nums) = 1, so equal values have equal fields, and
-every operation normalises its result by that one gcd.  The operations are
-integer kernels on the numerators:
+The ring contract: a series holds int numerators ``nums`` (one per power
+of z) over one positive int denominator ``den``, like ``Poly``.  Every
+instance is in one canonical form, gcd(den, *nums) = 1, so equal values
+have equal fields, and every operation normalises its result by that one
+gcd.  The operations are integer kernels on the numerators:
 
   - ``+`` and ``-`` bring both operands onto one denominator; ``*`` is a
     truncated convolution of the numerators over the product of the
@@ -22,11 +19,8 @@ integer kernels on the numerators:
   - ``compose`` builds the powers of the inner series by series products
     and sums the outer numerators times theirs over one common denominator.
 
-A rational numerator times a Laurent one is a Laurent one, so the rings mix
-in ``*``, ``+`` and ``compose``.  ``Fraction`` appears only at the edges: the
-constructor takes ints, ``Fraction``s and ``LaurentPoly``s, and ``coeffs``
-and ``coefficient`` hand out ``Fraction``s (``LaurentPoly``s for a Laurent
-series).
+``Fraction`` appears only at the edges: the constructor takes ints and
+``Fraction``s, and ``coeffs`` and ``coefficient`` hand out ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -35,35 +29,23 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import require_int
-from .polynomials import LaurentPoly, Poly, _laurent, convolve
+from .polynomials import Poly, convolve
 
 
-def _split(c) -> tuple:
-    """A coefficient as (numerator, positive int denominator), the
-    numerator an int or an integer LaurentPoly."""
-    if isinstance(c, LaurentPoly):
-        return _laurent(c.nums, 1, c.min_exp), c.den
+def _split(c) -> tuple[int, int]:
+    """A coefficient as (int numerator, positive int denominator)."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"series coefficients are ints, Fractions or LaurentPolys, got {c!r}")
+        raise TypeError(f"series coefficients are ints or Fractions, got {c!r}")
     return c.numerator, c.denominator
 
 
 def _series(nums, den: int) -> "TruncatedSeries":
-    """The series nums / den (den > 0) in canonical form: all numerators of
-    one kind and one gcd divided out."""
-    if all(type(c) is int for c in nums):
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [c // g for c in nums]
-            den //= g
-    else:
-        nums = [c if isinstance(c, LaurentPoly) else _laurent((c,), 1, 0) for c in nums]
-        g = den
-        for c in nums:
-            g = gcd(g, *c.nums)
-        if g != 1:
-            nums = [_laurent([x // g for x in c.nums], 1, c.min_exp) for c in nums]
-            den //= g
+    """The series nums / den (den > 0) in canonical form: one gcd divided
+    out."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
     out = object.__new__(TruncatedSeries)
     object.__setattr__(out, "nums", tuple(nums))
     object.__setattr__(out, "den", den)
@@ -76,17 +58,12 @@ def _require_order(order) -> None:
         raise ValueError("series order must be nonnegative")
 
 
-def _exact_quotient(num, q: int):
+def _exact_quotient(num: int, q: int) -> int:
     """num / q where q divides num; a remainder means a kernel's scale is
     wrong, so it raises instead of rounding."""
-    if isinstance(num, int):
-        out, rem = divmod(num, q)
-        if not rem:
-            return out
-    else:
-        out = num / q
-        if out.den == 1:
-            return out
+    out, rem = divmod(num, q)
+    if not rem:
+        return out
     raise ArithmeticError(f"series kernel: {q} does not divide a scaled numerator")
 
 
@@ -138,8 +115,8 @@ class TruncatedSeries:
             raise ValueError(f"coefficient index {k} outside order {self.order}")
         return self._value(self.nums[k])
 
-    def _value(self, num):
-        return Fraction(num, self.den) if type(num) is int else num / self.den
+    def _value(self, num: int) -> Fraction:
+        return Fraction(num, self.den)
 
     def _check_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -155,7 +132,7 @@ class TruncatedSeries:
                 [a * scale_self + b * scale_other for a, b in zip(self.nums, other.nums)],
                 self.den * scale_self,
             )
-        if not isinstance(other, (int, Fraction, LaurentPoly)):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         # a scalar adds to the constant term
         num, q = _split(other)
@@ -180,7 +157,7 @@ class TruncatedSeries:
             return _series(
                 convolve(self.nums, other.nums, len(self.nums)), self.den * other.den
             )
-        if not isinstance(other, (int, Fraction, LaurentPoly)):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         num, q = _split(other)
         return _series([c * num for c in self.nums], self.den * q)
@@ -273,8 +250,7 @@ class TruncatedSeries:
         ``inner`` are built by series products (O(N) of them, O(N^3)
         numerator products), and ``self``'s numerators only ever meet
         theirs in the O(N^2) products that sum over one common
-        denominator: with a Laurent outer series over a rational inner one,
-        those are Laurent-by-int products."""
+        denominator."""
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._check_order(inner)

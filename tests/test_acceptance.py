@@ -58,8 +58,8 @@ def test_criterion_1_five_way_engine_agreement():
             )
         cases += 1
     # the formula routes further out: integer closed sum, integer recurrence,
-    # one-coefficient egf extraction and composition with T(z)
-    for m in (12, 16):
+    # egf extraction in 1/t over z and over the powers of T(z)
+    for m in (12, 16, 36):
         for n in (m - 1, m, m + 5):
             reference = ehrhart_closed(m, n)
             for method in ("egf", "egf-tree", "recurrence"):

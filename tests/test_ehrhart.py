@@ -163,7 +163,7 @@ class TestEgf:
         for n in (m - 1, m, m + 2):
             if n < 1:
                 continue
-            assert ehrhart_egf_tree(m, n) == ehrhart_egf(m, n)
+            assert ehrhart_egf_tree(m, n) == ehrhart_closed(m, n)
 
 
 class TestRecurrence:

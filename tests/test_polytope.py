@@ -329,10 +329,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             PartialPermutohedron(m, n)
 
-    def test_formula_flag(self):
-        assert PartialPermutohedron(3, 2).ehrhart_formula_applies
-        assert not PartialPermutohedron(3, 1).ehrhart_formula_applies
-
 
 class TestParkingCount:
     def test_small_values(self):

@@ -132,9 +132,6 @@ def horner_compose(outer, inner):
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-laurents = st.builds(
-    LaurentPoly, st.lists(fractions, max_size=4), st.integers(min_value=-3, max_value=2)
-)
 
 
 @st.composite
@@ -157,12 +154,6 @@ class TestComposeProperties:
         outer, inner = pair
         assert outer.compose(inner) == horner_compose(outer, inner)
 
-    @settings(max_examples=60, deadline=None)
-    @given(compose_pairs(laurents))
-    def test_matches_horner_with_laurent_outer(self, pair):
-        outer, inner = pair
-        assert outer.compose(inner) == horner_compose(outer, inner)
-
 
 @st.composite
 def one_plus_series(draw, coefficients):
@@ -176,50 +167,22 @@ def one_plus_series(draw, coefficients):
     return 1 + s
 
 
-small_laurents = st.builds(
-    LaurentPoly, st.lists(fractions, max_size=3), st.integers(min_value=-2, max_value=1)
-)
-
-
 class TestSeriesIdentities:
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(one_plus_series(fractions), one_plus_series(small_laurents)))
+    @given(one_plus_series(fractions))
     def test_exp_of_log_is_identity(self, base):
         assert base.log().exp() == base
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(one_plus_series(fractions), one_plus_series(small_laurents)))
+    @given(one_plus_series(fractions))
     def test_sqrt_squared_is_identity(self, base):
         root = base.sqrt()
         assert root * root == base
 
 
-class TestLaurentCoefficients:
-    def test_exp_tracks_inverse_powers(self):
-        # exp(z/t): coefficient of z^k is 1/(k! t^k)
-        zero = LaurentPoly()
-        s = TruncatedSeries([zero, LaurentPoly.term(1, -1), zero, zero])
-        e = s.exp()
-        import math
-
-        for k in range(4):
-            assert e.coefficient(k) == LaurentPoly.term(
-                Fraction(1, math.factorial(k)), -k
-            )
-
-    def test_sqrt_log_over_laurent_ring(self):
-        one = LaurentPoly.constant(1)
-        base = TruncatedSeries([one, -one], order=6)
-        root = base.sqrt()
-        assert root * root == base
-        assert (base.log() * Fraction(-1, 2)).exp() * root == TruncatedSeries(
-            [one], order=6
-        )
-
-
 class ReferenceSeries:
     """The Fraction-per-coefficient series TruncatedSeries was before its
-    int numerators, generic over the coefficient ring, as an oracle.  It
+    int numerators, as an oracle.  It
     takes ints as Fractions: its recurrences divide by ints."""
 
     def __init__(self, coeffs):
@@ -290,11 +253,8 @@ class ReferenceSeries:
 def assert_canonical(s):
     assert type(s.den) is int and s.den > 0
     assert isinstance(s.nums, tuple) and s.nums
-    if all(type(c) is int for c in s.nums):
-        assert gcd(s.den, *s.nums) == 1
-    else:
-        assert all(isinstance(c, LaurentPoly) and c.den == 1 for c in s.nums)
-        assert gcd(s.den, *(x for c in s.nums for x in c.nums)) == 1
+    assert all(type(c) is int for c in s.nums)
+    assert gcd(s.den, *s.nums) == 1
 
 
 def assert_matches(got, want):
@@ -319,8 +279,8 @@ rational_coefficients = st.one_of(st.integers(-30, 30), fractions)
 class TestIntNumeratorSeries:
     @settings(max_examples=120, deadline=None)
     @given(
-        st.one_of(series_pairs(rational_coefficients), series_pairs(small_laurents)),
-        st.one_of(st.integers(-9, 9), fractions, small_laurents),
+        series_pairs(rational_coefficients),
+        st.one_of(st.integers(-9, 9), fractions),
     )
     def test_agrees_with_fraction_reference(self, pair, scalar):
         ca, cb = pair
@@ -366,10 +326,6 @@ class TestIntNumeratorSeries:
         assert (zero.nums, zero.den) == ((0, 0, 0, 0), 1)
         half = TruncatedSeries([Fraction(2, 4), 0])
         assert (half.nums, half.den) == ((1, 0), 2)
-        laurent = TruncatedSeries([LaurentPoly.term(Fraction(3, 6), -1), LaurentPoly()])
-        assert laurent.den == 2
-        assert laurent.nums == (LaurentPoly.term(1, -1), LaurentPoly())
-        assert laurent.coefficient(0) == LaurentPoly.term(Fraction(1, 2), -1)
 
     def test_int_input_never_gives_floats(self):
         # the generic recurrences used to divide ints: exp of z read [1, 1.0]
@@ -388,17 +344,13 @@ class TestIntNumeratorSeries:
         assert TruncatedSeries([0, 1]).exp().coeffs == (1, 1)
 
     def test_copy_and_pickle_round_trip(self):
-        cases = (
-            TruncatedSeries([Fraction(1, 2), -3, Fraction(5, 7)]),
-            TruncatedSeries([LaurentPoly([Fraction(1, 2), 3], -1), LaurentPoly()], order=3),
-        )
-        for s in cases:
-            for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-                assert twin == s
-                assert (twin.nums, twin.den) == (s.nums, s.den)
-                assert twin.coeffs == s.coeffs
-                with pytest.raises(AttributeError):
-                    twin.den = 1
+        s = TruncatedSeries([Fraction(1, 2), -3, Fraction(5, 7)])
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s
+            assert (twin.nums, twin.den) == (s.nums, s.den)
+            assert twin.coeffs == s.coeffs
+            with pytest.raises(AttributeError):
+                twin.den = 1
 
     @pytest.mark.parametrize("order", (True, 2.0, Fraction(2), "2"))
     def test_rejects_non_integer_order(self, order):
@@ -409,15 +361,12 @@ class TestIntNumeratorSeries:
         with pytest.raises(ValueError, match="must be an integer"):
             one_minus_z(order)
 
-    @pytest.mark.parametrize("bad", (True, 0.5, "1", Poly([1])))
+    @pytest.mark.parametrize("bad", (True, 0.5, "1", Poly([1]), LaurentPoly([1])))
     def test_rejects_coefficients_outside_the_rings(self, bad):
         with pytest.raises(TypeError):
             TruncatedSeries([1, bad])
 
     def test_kernel_division_checks_its_remainder(self):
         assert _exact_quotient(12, 4) == 3
-        assert _exact_quotient(LaurentPoly([6, 4], -1), 2) == LaurentPoly([3, 2], -1)
         with pytest.raises(ArithmeticError):
             _exact_quotient(7, 2)
-        with pytest.raises(ArithmeticError):
-            _exact_quotient(LaurentPoly([6, 3], -1), 2)
