@@ -38,7 +38,6 @@ from .graphs import (
     find_sdr,
     from_multigraph,
     graph_census,
-    graph_stats,
     satisfies_hall,
     sequence_census,
     structure_counts,
@@ -93,7 +92,6 @@ __all__ = [
     "find_sdr",
     "from_multigraph",
     "graph_census",
-    "graph_stats",
     "rising_binomial",
     "satisfies_hall",
     "sequence_census",

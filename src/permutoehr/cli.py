@@ -35,7 +35,7 @@ refused when its work bound, values * states * run lengths =
 t*n * (K + 1)(S + 1) * K with S the dilated full-sum bound and
 K = min(m, S), exceeds the budget.  vertices and facets are refused when
 the number of items they would list exceeds it.  ehrhart (every method but
-postnikov and graphsum, which are bounded by the graph walk's vertex
+postnikov and graphsum, which are bounded by the graph counts' vertex
 bound), volume and fpoly are refused when their loop count (m^2 for
 closed, recurrence, egf and fpoly, m^3 for egf-tree and fpoly --stable,
 m for volume) times the size in 64-bit words of 2^m m! (2n+1)^m exceeds

@@ -15,7 +15,8 @@ different exact expressions, all implemented here in exact arithmetic:
                         the Hall walk of :mod:`.graphs` enumerates;
 ``ehrhart_graphsum``    an edge-weighted sum over labelled multigraphs
                         whose components each have at most one cycle,
-                        over the graphs the union-find walk enumerates;
+                        over the census the component DP of
+                        :mod:`.graphs` counts;
 ``ehrhart_egf``         m! t^m [z^m] sqrt(1-z) exp((n+1/2+1/t) z - z^2/(4t)),
                         with exp(.../t) expanded in powers of 1/t over
                         rational series (``ehrhart_egf_tree`` takes the
@@ -47,7 +48,7 @@ t^(m-k), divided once (``_exp_over_t``, O(m^2) int products).
 G(y) = exp((n-m+1/2) y)/sqrt(1-y) against [z^m] of the powers of T(z)
 (O(m^3) int products for the powers, O(m^2) for the sums).
 
-The two combinatorial engines share no enumerator, so their agreement
+The two combinatorial engines share no counting code, so their agreement
 witnesses the bijection between Hall-feasible sequences and multigraphs
 with at most one cycle per component.  Agreement of all of them, and of
 their values with brute-force lattice point counts, is what the
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .errors import DEFAULT_GRAPH_BOUND, require_int
+from .errors import require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
     Poly,
@@ -138,7 +139,7 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     return _poly(_closed_scaled(m, n), 2**m)
 
 
-def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
+def ehrhart_postnikov(m: int, n: int) -> Poly:
     """Sum over Hall-feasible multiplicity sequences a of
     prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
     prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
@@ -147,7 +148,7 @@ def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
     multiplicities, so the sum runs over :func:`.graphs.sequence_census`,
     the Hall walk's tally; no multigraph or union-find code is reached."""
     _require_formula_domain(m, n)
-    census = sequence_census(m, bound=bound)
+    census = sequence_census(m)
     # rising binomials by multiplicity: Hall's condition on the copies of
     # one slot allows at most 1 copy of a loop and 2 of a pair
     loop_factor = [rising_binomial(Poly([0, n - m + 1]), a) for a in range(2)]
@@ -163,7 +164,7 @@ def ehrhart_postnikov(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
     return total
 
 
-def ehrhart_graphsum(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
+def ehrhart_graphsum(m: int, n: int) -> Poly:
     """Sum over multigraphs G (components with at most one cycle) of
     ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs."""
     _require_formula_domain(m, n)
@@ -171,7 +172,7 @@ def ehrhart_graphsum(m: int, n: int, bound: int = DEFAULT_GRAPH_BOUND) -> Poly:
     single_w = Poly([0, 1])
     double_w = Poly([0, Fraction(1, 2), Fraction(1, 2)])  # t(t+1)/2
     total = Poly()
-    for (loops, single, doubled), count in graph_census(m, bound=bound).items():
+    for (loops, single, doubled), count in graph_census(m).items():
         total = total + loop_w**loops * single_w**single * double_w**doubled * count
     return total
 
@@ -355,8 +356,8 @@ _ENGINES = {
 # width m of ``recurrence`` and the series and 1/t expansion of ``egf`` are
 # m^2; the powers of T(z) in ``egf-tree`` and the Eulerian polynomial and
 # its shift per i in ``f_polynomial_stable`` are m^3; the Horner pass of
-# ``volume`` is m.  ``postnikov`` and ``graphsum`` are bounded by their
-# walks' vertex bound instead.
+# ``volume`` is m.  ``postnikov`` and ``graphsum`` are bounded by the
+# vertex bound of their graph counts instead.
 _LOOP_POWER = {
     "closed": 2,
     "recurrence": 2,

@@ -13,28 +13,29 @@ The objects here come in two equivalent presentations:
 ``to_multigraph`` / ``from_multigraph`` realize the bijection between the
 two feasible sets.
 
-Each presentation has a counting walk and its own lazy listing, both
-depth-first assignments of multiplicities.  A counting walk tallies its
-leaves instead of building them, once per m and process: relabelling the
-vertices keeps every tallied quantity, so for each loop count l = 0 .. m
-it puts the loops on vertices 0 .. l - 1, assigns the pairs only, and
-counts each leaf C(m, l) times.  A listing walks every loop set and
-builds every member, in lexicographic order.
+The multigraphs are counted by a component DP and listed by a
+union-find walk; the sequences are counted and listed by Hall walks.
 
-* The union-find walks give a pair multiplicity 0, 1 or 2, pruning any
-  branch in which a component acquires a second cycle.  The tally counts
+* The component DP adds the vertices one at a time and keeps only the
+  multiset of (size, has a cycle) of the components so far, with the
+  tallies, since the counts factor over connected components.  It counts
   multigraphs by (loops, single edges, doubled pairs, connected) for
-  ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``;
-  the listing is ``enumerate_graphs``.
+  ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``.
+* The union-find walk ``enumerate_graphs`` gives a pair multiplicity 0, 1
+  or 2, pruning any branch in which a component acquires a second cycle.
 * The Hall walks keep a live slot-to-vertex matching, the copy of each
   loop matched to its vertex, and give a pair one more copy for as long
-  as an augmenting path extends the matching.  The tally counts sequences
-  by the multisets of their nonzero loop and pair multiplicities for
-  ``sequence_census`` (and the ``postnikov`` engine); the listing is
-  ``enumerate_sequences``.
+  as an augmenting path extends the matching.  The counting walk, run
+  once per m and process, visits one loop set per loop count (relabelling
+  the vertices, it stands for every loop set of its size) and counts
+  sequences by the multisets of their nonzero loop and pair
+  multiplicities for ``sequence_census`` (and the ``postnikov`` engine);
+  the listing is ``enumerate_sequences``.
 
-The walks of one presentation share no code with the other's, so the two
-listings, like the two tallies, can fail independently.
+Each listing walks every loop set and builds every member, in
+lexicographic order.  The DP, the union-find walk and the Hall walks share
+no code, so the census and the graph listing, like the two presentations,
+can fail independently.
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ class GraphStats(NamedTuple):
     n_loops: int
     n_single: int
     n_pairs: int
-
-
-def graph_stats(graph: Multigraph) -> GraphStats:
-    return GraphStats(
-        n_loops=sum(graph.loops),
-        n_single=sum(1 for c in graph.pair_mult if c == 1),
-        n_pairs=sum(1 for c in graph.pair_mult if c == 2),
-    )
 
 
 def edge_slots(seq: EdgeMultiplicities) -> list[tuple[int, ...]]:
@@ -195,23 +188,21 @@ def from_multigraph(graph: Multigraph) -> EdgeMultiplicities:
     return EdgeMultiplicities(graph.m, graph.loops, graph.pair_mult)
 
 
-def _check_enum_bound(m: int, bound: int):
+def _check_enum_bound(m: int):
     if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("need m >= 1")
-    if m > bound:
-        raise BudgetError(f"enumeration for m={m} exceeds the bound {bound}")
+    if m > DEFAULT_GRAPH_BOUND:
+        raise BudgetError(f"enumeration for m={m} exceeds the bound {DEFAULT_GRAPH_BOUND}")
 
 
-def enumerate_graphs(
-    m: int, bound: int = DEFAULT_GRAPH_BOUND
-) -> Iterator[Multigraph]:
+def enumerate_graphs(m: int) -> Iterator[Multigraph]:
     """Yield every labelled multigraph on m vertices in which each
     component has at most one cycle, exactly once, in lexicographic order
     of (loops, pair_mult).  The union-find forest lives in flat lists
     (no path compression), each union undone inline on the way back."""
-    _check_enum_bound(m, bound)
+    _check_enum_bound(m)
     pairs = vertex_pairs(m)
     n_pairs = len(pairs)
     parent = list(range(m))
@@ -247,14 +238,12 @@ def enumerate_graphs(
         yield from walk(0, sum(loops))
 
 
-def enumerate_sequences(
-    m: int, bound: int = DEFAULT_GRAPH_BOUND
-) -> Iterator[EdgeMultiplicities]:
+def enumerate_sequences(m: int) -> Iterator[EdgeMultiplicities]:
     """Yield every Hall-feasible multiplicity sequence exactly once, in
     lexicographic order of (loop, pair).  A loop multiplicity is 0 or 1,
     as two copies of {v} have no distinct representatives; each pair copy
     frees its vertex on the way back."""
-    _check_enum_bound(m, bound)
+    _check_enum_bound(m)
     pairs = vertex_pairs(m)
     n_pairs = len(pairs)
     copies: list[tuple[int, ...]] = []  # endpoints of each matched copy
@@ -285,84 +274,56 @@ def enumerate_sequences(
 
 
 @lru_cache(maxsize=None)
-def _union_find_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
+def _component_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
     """Counts of the multigraphs on m vertices by (loops, single edges,
-    doubled pairs, connected), from one depth-first walk per loop count.
+    doubled pairs, connected), by a dynamic programme over components.
 
-    Relabelling the vertices keeps that signature, so for each l = 0 .. m
-    the walk puts one loop on each of vertices 0 .. l - 1, assigns the pairs
-    (0, 1 or 2 edges each) and counts every leaf C(m, l) times.  The
-    union-find forest lives in flat lists (no path compression, union by
-    size), each union undone inline on the way back.  The signature travels
-    down as one integer with a digit per field in base m + 1, the last one
-    counting unions: the graph is connected when they reach m - 1."""
-    pairs = vertex_pairs(m)
-    n_pairs = len(pairs)
-    parent = list(range(m))
-    size = [1] * m
-    edges = [0] * m
-    base = m + 1
-    loop_w, single_w, double_w = base**3, base**2, base
-    codes: dict[int, int] = {}
-    weight = 1
-
-    def walk(k: int, code: int, used: int):
-        # m edges saturate every component, so the remaining pairs stay 0
-        if k == n_pairs or used == m:
-            codes[code] = codes.get(code, 0) + weight
-            return
-        walk(k + 1, code, used)
-        i, j = pairs[k]
-        while parent[i] != i:
-            i = parent[i]
-        while parent[j] != j:
-            j = parent[j]
-        e, s = edges[i], size[i]
-        if i == j:  # both ends already in one component
-            if e < s:
-                edges[i] = e + 1
-                walk(k + 1, code + single_w, used + 1)
-                if e + 1 < s:
-                    edges[i] = e + 2
-                    walk(k + 1, code + double_w, used + 2)
-                edges[i] = e
-        else:
-            if s < size[j]:
-                i, j = j, i
-                e, s = edges[i], size[i]
-            joined_e, joined_s = e + edges[j] + 1, s + size[j]
-            if joined_e <= joined_s:
-                parent[j] = i
-                size[i] = joined_s
-                edges[i] = joined_e
-                walk(k + 1, code + single_w + 1, used + 1)
-                if joined_e < joined_s:
-                    edges[i] = joined_e + 1
-                    walk(k + 1, code + double_w + 1, used + 2)
-                parent[j] = j
-                size[i] = s
-                edges[i] = e
-
-    for loops in range(m + 1):
-        edges[:loops] = [1] * loops  # one loop at each of vertices 0 .. loops - 1
-        weight = comb(m, loops)
-        walk(0, loops * loop_w, loops)
+    The vertices come one at a time.  A state is the sorted multiset of
+    (size, has a cycle) of the components so far, with the tallies.  A new
+    vertex takes a loop or not, then joins each earlier component of size s
+    by no edge, by one single edge (s ways) or, if neither side has a cycle
+    yet, by two single edges to distinct vertices (C(s, 2) ways) or one
+    doubled edge (s ways); a branch whose merged component would hold two
+    cycles is dropped.  The graph fixes each vertex's edges to the earlier
+    ones, so each multigraph arises exactly once."""
+    states = {((), 0, 0, 0): 1}  # (components, loops, single, doubled) -> graphs
+    for _ in range(m):
+        grown: dict = {}
+        for (parts, loops, single, doubled), count in states.items():
+            for loop in (0, 1):
+                # (parts left apart, merged size, merged cycles, single, doubled)
+                branches = {((), 1, loop, single, doubled): count}
+                for s, cyc in parts:
+                    step: dict = {}
+                    for (kept, size, c, si, do), w in branches.items():
+                        joined = size + s
+                        joins = [((kept + ((s, cyc),), size, c, si, do), w)]
+                        if c + cyc <= 1:
+                            joins.append(((kept, joined, c + cyc, si + 1, do), w * s))
+                        if c + cyc == 0:
+                            joins.append(((kept, joined, 1, si, do + 1), w * s))
+                            joins.append(((kept, joined, 1, si + 2, do), w * comb(s, 2)))
+                        for key, weight in joins:
+                            if weight:  # C(1, 2) = 0: a lone vertex takes no two edges
+                                step[key] = step.get(key, 0) + weight
+                    branches = step
+                for (kept, size, c, si, do), w in branches.items():
+                    key = (tuple(sorted(kept + ((size, c),))), loops + loop, si, do)
+                    grown[key] = grown.get(key, 0) + w
+        states = grown
     tally: dict[tuple[int, int, int, bool], int] = {}
-    for code, count in codes.items():
-        code, unions = divmod(code, base)
-        code, doubled = divmod(code, base)
-        loops, single = divmod(code, base)
-        key = (loops, single, doubled, unions == m - 1)
+    for (parts, loops, single, doubled), count in states.items():
+        key = (loops, single, doubled, len(parts) == 1)
         tally[key] = tally.get(key, 0) + count
     return tuple(tally.items())
 
 
-def graph_census(m: int, bound: int = DEFAULT_GRAPH_BOUND) -> dict[GraphStats, int]:
+def graph_census(m: int) -> dict[GraphStats, int]:
     """Counts of graphs by (n_loops, n_single, n_pairs) signature, in
     signature order."""
-    _check_enum_bound(m, bound)
+    _check_enum_bound(m)
     counts: dict[GraphStats, int] = {}
-    for (loops, single, doubled, _), count in _union_find_tally(m):
+    for (loops, single, doubled, _), count in _component_tally(m):
         key = GraphStats(loops, single, doubled)
         counts[key] = counts.get(key, 0) + count
     return dict(sorted(counts.items()))
@@ -375,14 +336,14 @@ class StructureCounts(NamedTuple):
     quasitrees: int
 
 
-def structure_counts(m: int, bound: int = DEFAULT_GRAPH_BOUND) -> StructureCounts:
+def structure_counts(m: int) -> StructureCounts:
     """Counts of the connected graphs, split into the four shapes a
     connected at-most-one-cycle multigraph can take: tree (#edges = m-1),
     tree plus one loop, tree with one edge doubled, and simple unicyclic
     with cycle length >= 3."""
-    _check_enum_bound(m, bound)
+    _check_enum_bound(m)
     trees = looped = enhanced = quasi = 0
-    for (loops, single, doubled, connected), count in _union_find_tally(m):
+    for (loops, single, doubled, connected), count in _component_tally(m):
         if not connected:
             continue
         if loops + single + 2 * doubled == m - 1:
@@ -454,12 +415,10 @@ def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], 
     return tuple(tally)
 
 
-def sequence_census(
-    m: int, bound: int = DEFAULT_GRAPH_BOUND
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def sequence_census(m: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """Counts of the Hall-feasible multiplicity sequences by
     (loop multiplicities, pair multiplicities): the nonzero entries of
     ``loop`` and of ``pair``, each as a sorted tuple.  Read off the Hall
-    walk, which shares no code with the multigraph walks."""
-    _check_enum_bound(m, bound)
+    walk, which shares no code with the multigraph census or listing."""
+    _check_enum_bound(m)
     return dict(sorted(_hall_tally(m)))

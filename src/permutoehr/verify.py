@@ -17,6 +17,7 @@ from itertools import product
 from math import factorial
 
 from . import ehrhart, graphs
+from .errors import DEFAULT_GRAPH_BOUND
 from .polynomials import Poly
 from .polytope import PartialPermutohedron
 from .series import TruncatedSeries
@@ -111,7 +112,7 @@ def check_structure_counts(max_m: int = 5) -> list[CheckResult]:
     against m! [z^m] (-T/2 - T^2/4 - log sqrt(1 - T))."""
     bad_closed = []
     bad_series = []
-    top = min(max_m, 7)
+    top = min(max_m, DEFAULT_GRAPH_BOUND)
     order = max(top, 1)
     tree = ehrhart.tree_function(order)
     tree_sq = tree * tree
@@ -217,9 +218,10 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
         raise ValueError("need max_m >= 1")
     if max_t < 1:
         raise ValueError("need max_t >= 1")
-    if max_m > 6:
+    cap = DEFAULT_GRAPH_BOUND - 1
+    if max_m > cap:
         raise ValueError(
-            "max_m is capped at 6; the engines beyond that exceed the "
+            f"max_m is capped at {cap}; the engines beyond that exceed the "
             "default enumeration bound"
         )
     results = []

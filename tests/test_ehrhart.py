@@ -396,18 +396,18 @@ def _refuse(*args, **kwargs):
 
 
 class TestIndependentEnumerators:
-    """postnikov and graphsum, and the two listings, run on walks that share
-    no code, so their agreement with each other witnesses the Hall <=>
-    at-most-one-cycle bijection.  The cached walks are swapped for their
-    uncached bodies so that each engine test walks afresh."""
+    """postnikov and graphsum, and the two listings, run on counts and walks
+    that share no code, so their agreement with each other witnesses the
+    Hall <=> at-most-one-cycle bijection.  The cached tallies are swapped
+    for their uncached bodies so that each engine test counts afresh."""
 
-    UNION_FIND = (
-        "_union_find_tally", "_root", "enumerate_graphs", "component_cycle_check"
+    MULTIGRAPH = (
+        "_component_tally", "_root", "enumerate_graphs", "component_cycle_check"
     )
     MATCHING = ("_hall_tally", "_augment", "find_sdr", "satisfies_hall")
 
     def test_postnikov_reaches_no_union_find_code(self, monkeypatch):
-        for name in self.UNION_FIND:
+        for name in self.MULTIGRAPH:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "graph_census", _refuse)
         monkeypatch.setattr(graphs, "_hall_tally", graphs._hall_tally.__wrapped__)
@@ -418,13 +418,13 @@ class TestIndependentEnumerators:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "sequence_census", _refuse)
         monkeypatch.setattr(
-            graphs, "_union_find_tally", graphs._union_find_tally.__wrapped__
+            graphs, "_component_tally", graphs._component_tally.__wrapped__
         )
         assert ehrhart_graphsum(4, 4) == ehrhart_closed(4, 4)
 
     def test_sequence_listing_reaches_no_union_find_code(self, monkeypatch):
         expected = sum(graphs.graph_census(4).values())
-        for name in self.UNION_FIND:
+        for name in self.MULTIGRAPH:
             monkeypatch.setattr(graphs, name, _refuse)
         assert sum(1 for _ in graphs.enumerate_sequences(4)) == expected
 
@@ -438,7 +438,7 @@ class TestIndependentEnumerators:
 class TestEnumerationBound:
     def test_refused_before_any_walk(self, monkeypatch):
         monkeypatch.setattr(graphs, "_hall_tally", _refuse)
-        monkeypatch.setattr(graphs, "_union_find_tally", _refuse)
+        monkeypatch.setattr(graphs, "_component_tally", _refuse)
         with pytest.raises(BudgetError):
             ehrhart_postnikov(8, 8)
         with pytest.raises(BudgetError):

@@ -45,8 +45,8 @@ class TestFaultInjection:
 
         good = engine_module.graph_census
 
-        def shaved(m, bound=7):
-            census = dict(good(m, bound=bound))
+        def shaved(m):
+            census = dict(good(m))
             key = next(iter(census))
             census[key] += 1
             return census
@@ -58,8 +58,8 @@ class TestFaultInjection:
     def test_listing_mismatch_is_caught(self, monkeypatch):
         good = graphs.enumerate_sequences
 
-        def short(m, bound=7):
-            return list(good(m, bound=bound))[:-1]
+        def short(m):
+            return list(good(m))[:-1]
 
         monkeypatch.setattr(graphs, "enumerate_sequences", short)
         results = {r.name: r for r in verify.check_bijection(max_m=3)}
