@@ -14,7 +14,7 @@ The objects here come in two equivalent presentations:
 two feasible sets.
 
 The multigraphs are counted by a component DP and listed by a
-union-find walk; the sequences are counted and listed by Hall walks.
+union-find walk; the sequences are counted and listed by one Hall walk.
 
 * The component DP adds the vertices one at a time and keeps only the
   multiset of (size, has a cycle) of the components so far, with the
@@ -23,17 +23,19 @@ union-find walk; the sequences are counted and listed by Hall walks.
   ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``.
 * The union-find walk ``enumerate_graphs`` gives a pair multiplicity 0, 1
   or 2, pruning any branch in which a component acquires a second cycle.
-* The Hall walks keep a live slot-to-vertex matching, the copy of each
-  loop matched to its vertex, and give a pair one more copy for as long
-  as an augmenting path extends the matching.  The counting walk, run
-  once per m and process, visits one loop set per loop count (relabelling
-  the vertices, it stands for every loop set of its size) and counts
-  sequences by the multisets of their nonzero loop and pair
-  multiplicities for ``sequence_census`` (and the ``postnikov`` engine);
-  the listing is ``enumerate_sequences``.
+* The Hall walk ``_hall_walk``, for one loop set, keeps a live
+  slot-to-vertex matching, the copy of each loop matched to its vertex,
+  and steps like an odometer through the pair multiplicities in one
+  frame: a pair takes one more copy while an augmenting path extends the
+  matching.  ``enumerate_sequences`` runs it on every loop set.  The
+  count behind ``sequence_census`` (and the ``postnikov`` engine), run
+  once per m and process, runs it on one loop set per loop count
+  (relabelling the vertices, that set stands for every loop set of its
+  size) and counts sequences by the multisets of their nonzero loop and
+  pair multiplicities.
 
 Each listing walks every loop set and builds every member, in
-lexicographic order.  The DP, the union-find walk and the Hall walks share
+lexicographic order.  The DP, the union-find walk and the Hall walk share
 no code, so the census and the graph listing, like the two presentations,
 can fail independently.
 """
@@ -238,39 +240,55 @@ def enumerate_graphs(m: int) -> Iterator[Multigraph]:
         yield from walk(0, sum(loops))
 
 
-def enumerate_sequences(m: int) -> Iterator[EdgeMultiplicities]:
-    """Yield every Hall-feasible multiplicity sequence exactly once, in
-    lexicographic order of (loop, pair).  A loop multiplicity is 0 or 1,
-    as two copies of {v} have no distinct representatives; each pair copy
-    frees its vertex on the way back."""
-    _check_enum_bound(m)
-    pairs = vertex_pairs(m)
-    n_pairs = len(pairs)
-    copies: list[tuple[int, ...]] = []  # endpoints of each matched copy
-    owner = [-1] * m  # vertex -> index into copies
-    mult = [0] * n_pairs
+def _hall_walk(m: int, loops: tuple[int, ...]) -> Iterator[list[int]]:
+    """Yield the live pair-multiplicity list (indexed as in
+    :func:`vertex_pairs`) once for every Hall-feasible sequence with the
+    0/1 loop multiplicities ``loops``, in lexicographic order; read it
+    before the next step.
 
-    def walk(k: int) -> Iterator[EdgeMultiplicities]:
-        # a perfect matching leaves no free vertex, so the remaining pairs stay 0
-        if k == n_pairs or len(copies) == m:
-            yield EdgeMultiplicities(m, loop, tuple(mult))
-            return
-        yield from walk(k + 1)
-        copies.append(pairs[k])
-        while _augment(len(copies) - 1, copies, owner, [False] * m):
-            mult[k] += 1
-            yield from walk(k + 1)
+    The walk keeps a live copy-to-vertex matching, each loop's copy matched
+    to its vertex, and steps like an odometer.  From the last pair
+    backwards, a pair takes one more copy if an augmenting path extends
+    the matching, and the walk yields and, unless the matching is now
+    perfect, starts again from the last pair; otherwise the pair frees its
+    copies' vertices and the pair before it is tried.  Hall's condition is closed downwards, so each step reaches
+    the lexicographically next sequence.  Copies sit in pair order, so the
+    copies a pair frees are the last ones matched."""
+    pairs = vertex_pairs(m)
+    copies: list[tuple[int, ...]] = [(v,) for v in range(m) if loops[v]]
+    owner = [-1] * m  # vertex -> index into copies
+    for s, (v,) in enumerate(copies):
+        owner[v] = s
+    mult = [0] * len(pairs)
+    yield mult
+    k = len(pairs) - 1
+    while k >= 0:
+        # a perfect matching leaves no free vertex for another copy
+        if len(copies) < m:
             copies.append(pairs[k])
-        copies.pop()
+            if _augment(len(copies) - 1, copies, owner, [False] * m):
+                mult[k] += 1
+                yield mult
+                if len(copies) < m:  # else the pairs after k stay at 0
+                    k = len(pairs) - 1
+                continue
+            copies.pop()
         for _ in range(mult[k]):
             owner[owner.index(len(copies) - 1)] = -1
             copies.pop()
         mult[k] = 0
+        k -= 1
 
+
+def enumerate_sequences(m: int) -> Iterator[EdgeMultiplicities]:
+    """Yield every Hall-feasible multiplicity sequence exactly once, in
+    lexicographic order of (loop, pair), from one Hall walk per loop set.
+    A loop multiplicity is 0 or 1, as two copies of {v} have no distinct
+    representatives."""
+    _check_enum_bound(m)
     for loop in product((0, 1), repeat=m):
-        copies[:] = [(v,) for v in range(m) if loop[v]]
-        owner[:] = [copies.index((v,)) if loop[v] else -1 for v in range(m)]
-        yield from walk(0)
+        for mult in _hall_walk(m, loop):
+            yield EdgeMultiplicities(m, loop, tuple(mult))
 
 
 @lru_cache(maxsize=None)
@@ -361,58 +379,23 @@ def structure_counts(m: int) -> StructureCounts:
 def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], int], ...]:
     """Counts of the Hall-feasible multiplicity sequences for m by the
     multisets of their nonzero loop and pair multiplicities (each a sorted
-    tuple), from one depth-first walk per loop count.
+    tuple), from one Hall walk per loop count.
 
-    Two copies of one singleton {v} have no distinct representatives, so a
-    loop multiplicity is 0 or 1 and its copy is matched to v.  Relabelling
-    the vertices keeps Hall's condition and both multisets, so for each
-    l = 0 .. m the walk seeds the live copy-to-vertex matching with loops
-    on vertices 0 .. l - 1 and counts every leaf C(m, l) times.  Pair by
-    pair it adds one more copy for as long as one augmenting path extends
-    the matching (Hall's condition alone decides how far a multiplicity
-    goes), and frees each copy's vertex on the way back.  The multisets
-    travel down as one integer in base m + 1: digit 0 counts the loops,
-    digit a the pairs of multiplicity a."""
-    pairs = vertex_pairs(m)
-    n_pairs = len(pairs)
-    base = m + 1
-    pair_w = [base**a for a in range(m + 1)]
-    copies: list[tuple[int, ...]] = []  # endpoints of each matched copy
-    owner = [-1] * m  # vertex -> index into copies
-    codes: dict[int, int] = {}
-    weight = 1
-
-    def walk(k: int, code: int):
-        # a perfect matching leaves no free vertex, so the remaining pairs stay 0
-        if k == n_pairs or len(copies) == m:
-            codes[code] = codes.get(code, 0) + weight
-            return
-        walk(k + 1, code)
-        copies.append(pairs[k])
-        a = 0
-        while _augment(len(copies) - 1, copies, owner, [False] * m):
-            a += 1
-            walk(k + 1, code + pair_w[a])
-            copies.append(pairs[k])
-        copies.pop()
-        for _ in range(a):
-            owner[owner.index(len(copies) - 1)] = -1
-            copies.pop()
-
+    Relabelling the vertices keeps Hall's condition and both multisets, so
+    for each l = 0 .. m the walk puts the loops on vertices 0 .. l - 1 and
+    counts every sequence C(m, l) times.  A pair has two endpoints, so its
+    multiplicity is at most 2 and (l, #pairs of 1, #pairs of 2) names the
+    multisets."""
+    counts: dict[tuple[int, int, int], int] = {}
     for loops in range(m + 1):
-        copies[:] = [(v,) for v in range(loops)]
-        owner[:] = list(range(loops)) + [-1] * (m - loops)
         weight = comb(m, loops)
-        walk(0, loops)
-    tally = []
-    for code, count in codes.items():
-        code, loops = divmod(code, base)
-        pair_mults: list[int] = []
-        for a in range(1, m + 1):
-            code, times = divmod(code, base)
-            pair_mults += [a] * times
-        tally.append((((1,) * loops, tuple(pair_mults)), count))
-    return tuple(tally)
+        for mult in _hall_walk(m, (1,) * loops + (0,) * (m - loops)):
+            key = (loops, mult.count(1), mult.count(2))
+            counts[key] = counts.get(key, 0) + weight
+    return tuple(
+        (((1,) * loops, (1,) * single + (2,) * double), count)
+        for (loops, single, double), count in counts.items()
+    )
 
 
 def sequence_census(m: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:

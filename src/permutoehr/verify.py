@@ -220,9 +220,11 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
         raise ValueError("need max_t >= 1")
     cap = DEFAULT_GRAPH_BOUND - 1
     if max_m > cap:
+        listed = sum(graphs.graph_census(cap + 1).values())
         raise ValueError(
-            f"max_m is capped at {cap}; the engines beyond that exceed the "
-            "default enumeration bound"
+            f"max_m is capped at {cap} to keep the run short; at m={cap + 1} "
+            f"the bijection check would list {listed:,} graphs and as many "
+            "sequences"
         )
     results = []
     results.extend(check_engine_agreement(max_m))

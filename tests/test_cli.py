@@ -419,6 +419,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "max_t >= 1" in err
 
+    def test_max_m_cap_states_the_listing_size(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-m", "7")
+        assert code == 2
+        assert out == ""
+        assert "max_m is capped at 6 to keep the run short" in err
+        assert "1,261,748 graphs and as many sequences" in err
+
 
 class TestParserBehaviour:
     def test_unknown_method_rejected_by_argparse(self):

@@ -404,7 +404,7 @@ class TestIndependentEnumerators:
     MULTIGRAPH = (
         "_component_tally", "_root", "enumerate_graphs", "component_cycle_check"
     )
-    MATCHING = ("_hall_tally", "_augment", "find_sdr", "satisfies_hall")
+    MATCHING = ("_hall_tally", "_hall_walk", "_augment", "find_sdr", "satisfies_hall")
 
     def test_postnikov_reaches_no_union_find_code(self, monkeypatch):
         for name in self.MULTIGRAPH:

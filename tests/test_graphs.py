@@ -146,6 +146,14 @@ class TestEnumeration:
                 member for member in box if satisfies_hall(EdgeMultiplicities(m, *member))
             ]
 
+    @pytest.mark.parametrize("m", (5, 6))
+    def test_sequence_listing_strictly_increasing_past_m4(self, m):
+        # strict lexicographic order rules out repeats, and the census
+        # total, from the component DP, then rules out gaps in the count
+        listed = [(s.loop, s.pair) for s in enumerate_sequences(m)]
+        assert all(a < b for a, b in zip(listed, listed[1:]))
+        assert len(listed) == sum(graph_census(m).values())
+
     def test_members_satisfy_cycle_limit(self):
         for graph in enumerate_graphs(4):
             assert component_cycle_check(graph)
@@ -280,7 +288,7 @@ class TestSymmetricWalks:
                 shapes[3] += 1
         assert tuple(structure_counts(m)) == tuple(shapes)
 
-    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 7))
     def test_sequence_census_matches_the_listing(self, m):
         listed: dict = {}
         for seq in enumerate_sequences(m):
