@@ -14,7 +14,11 @@ graphs        the multigraph family behind the combinatorial engines
 parking       number of integer points of the parking-function polytope.
 verify        run the full cross-verification suite.
 
-Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
+Data goes to stdout, diagnostics to stderr.  Every subcommand but verify
+takes ``--format plain`` (the default), ``csv`` or ``json``, and all three
+go through one emitter: a JSON report holds the command, its arguments,
+the payload and ``elapsed_ms``; csv puts its header row first; plain sends
+its notes (the item count of a listing) to stderr.  Exit codes: 0 success,
 1 a ``verify`` check failed, 2 invalid parameters (the message names the
 violated precondition), 3 resource-budget refusal.  Exact rationals are
 printed as "p/q" ("p" when the denominator is 1); JSON output never
@@ -39,7 +43,10 @@ postnikov and graphsum, which are bounded by the graph counts' vertex
 bound), volume and fpoly are refused when their loop count (m^2 for
 closed, recurrence, egf and fpoly, m^3 for egf-tree and fpoly --stable,
 m for volume) times the size in 64-bit words of 2^m m! (2n+1)^m exceeds
-it.  Parameters outside a command's domain exit 2 before any budget test.
+it.  verify is refused before any check runs when its brute-force
+oracle's largest count, at (min(max_m, 4), 4, max_t), exceeds the default
+budget.  Parameters outside a command's domain exit 2 before any budget
+test.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .ehrhart import (
     METHOD_NAMES,
@@ -117,71 +125,89 @@ def _stated(count: int) -> str:
     return str(count) if bits <= 64 else f"more than 2^{bits - 1}"
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
+def _write_lines(lines) -> None:
+    """Write ``lines`` to stdout, each ended by a newline, in blocks of
+    4096; the lines made before an error are still written, as they would
+    be by one print per line."""
+    out = sys.stdout
+    block = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == 4096:
+                full, block = block, []
+                out.write("\n".join(full) + "\n")
+    finally:
+        if block:
+            out.write("\n".join(block) + "\n")
 
 
-def _poly_coeff_strings(poly: Poly) -> list[str]:
-    return [_frac_str(c) for c in poly.coeffs] or ["0"]
-
-
-def _emit_json(report: dict) -> None:
-    print(json.dumps(report, indent=2))
-
-
-def _emit_poly(args, poly: Poly, report: dict, value: Fraction | None) -> None:
+def _emit(args, report, rows, lines, note=None) -> None:
+    """Write one result in the encoding ``--format`` chose:
+    - json: the command, then the dict ``report()`` builds (its arguments
+      and its payload), then ``elapsed_ms``, indented by two;
+    - csv: the ``rows``, header first, fields joined by commas;
+    - plain: the ``lines``, then the line ``note()`` builds on stderr.
+    Only the chosen encoding is built: ``report`` and ``note`` are
+    callables, and ``rows`` and ``lines`` are read lazily."""
     if args.format == "json":
-        report["coefficients"] = _poly_coeff_strings(poly)
-        report["value"] = None if value is None else _frac_str(value)
-        _emit_json(report)
+        report = {"command": args.subcommand, **report()}
+        report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
+        print(json.dumps(report, indent=2))
     elif args.format == "csv":
-        print("power,coefficient")
-        for i, c in enumerate(_poly_coeff_strings(poly)):
-            print(f"{i},{c}")
-        if value is not None:
-            print(f"value,{_frac_str(value)}")
+        _write_lines(",".join(map(str, row)) for row in rows)
     else:
-        print(poly)
-        if value is not None:
-            print(f"value at t={args.t}: {_frac_str(value)}")
+        _write_lines(lines)
+        if note is not None:
+            print(note(), file=sys.stderr)
 
 
-def _start_report(command: str, args, fields: tuple[str, ...]) -> dict:
-    report: dict = {"command": command}
-    for name in fields:
-        report[name] = getattr(args, name, None)
-    return report
+def _emit_scalar(args, head: dict, key: str, value) -> None:
+    """One value, under ``key`` in the JSON report and as the csv header."""
+    _emit(args, lambda: {**head, key: value}, ((key,), (value,)), (str(value),))
+
+
+def _emit_poly(args, head: dict, poly: Poly, value: Fraction | None) -> None:
+    """A polynomial's coefficients from the constant term up ("0" for the
+    zero polynomial), and its value at ``--t`` when one was given."""
+
+    def coefficients():
+        return [str(c) for c in poly.coeffs] or ["0"]
+
+    def report():
+        # elapsed_ms comes before the coefficients; _emit sets it in place
+        return {**head, "elapsed_ms": None, "coefficients": coefficients(), "value": text}
+
+    def rows():
+        yield "power", "coefficient"
+        yield from enumerate(coefficients())
+        if text is not None:
+            yield "value", text
+
+    def lines():
+        yield str(poly)
+        if text is not None:
+            yield f"value at t={args.t}: {text}"
+
+    text = None if value is None else str(value)
+    _emit(args, report, rows(), lines())
 
 
 def cmd_ehrhart(args) -> int:
     if args.t is not None and args.t < 1:
         raise ValueError("evaluation point t must be >= 1")
     _refuse_formula_above_budget(args.method, args.m, args.n)
-    started = time.monotonic()
-    result = compute_ehrhart(args.m, args.n, args.method)
-    value = None
-    if args.t is not None:
-        value = result.polynomial(args.t)
-    report = _start_report("ehrhart", args, ("m", "n", "t", "method"))
-    report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-    _emit_poly(args, result.polynomial, report, value)
+    poly = compute_ehrhart(args.m, args.n, args.method).polynomial
+    value = None if args.t is None else poly(args.t)
+    head = {"m": args.m, "n": args.n, "t": args.t, "method": args.method}
+    _emit_poly(args, head, poly, value)
     return 0
 
 
 def cmd_volume(args) -> int:
     _refuse_formula_above_budget("volume", args.m, args.n)
-    started = time.monotonic()
     volume = volume_closed(args.m, args.n)
-    if args.format == "json":
-        report = _start_report("volume", args, ("m", "n"))
-        report["volume"] = _frac_str(volume)
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit_json(report)
-    elif args.format == "csv":
-        print("volume")
-        print(_frac_str(volume))
-    else:
-        print(_frac_str(volume))
+    _emit_scalar(args, {"m": args.m, "n": args.n}, "volume", str(volume))
     return 0
 
 
@@ -189,92 +215,68 @@ def cmd_fpoly(args) -> int:
     if not args.stable and args.n is None:
         raise ValueError("fpoly needs --n unless --stable is given")
     _refuse_formula_above_budget("fpoly-stable" if args.stable else "fpoly", args.m, args.n)
-    started = time.monotonic()
-    if args.stable:
-        poly = f_polynomial_stable(args.m, args.n)
-    else:
-        poly = f_polynomial(args.m, args.n)
-    report = _start_report("fpoly", args, ("m", "n"))
-    report["stable"] = args.stable
-    report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-    _emit_poly(args, poly, report, None)
+    poly = (f_polynomial_stable if args.stable else f_polynomial)(args.m, args.n)
+    _emit_poly(args, {"m": args.m, "n": args.n, "stable": args.stable}, poly, None)
     return 0
 
 
 def cmd_vertices(args) -> int:
-    started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
     _refuse_listing_above_budget(poly.vertex_count, "vertices")
     vertices = sorted(poly.vertices())
-    if args.format == "json":
-        report = _start_report("vertices", args, ("m", "n"))
-        report["count"] = len(vertices)
-        report["vertices"] = [list(v) for v in vertices]
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit_json(report)
-    elif args.format == "csv":
-        print(",".join(f"x{i + 1}" for i in range(args.m)))
-        for v in vertices:
-            print(",".join(str(c) for c in v))
-    else:
-        for v in vertices:
-            print(" ".join(str(c) for c in v))
-        print(f"# {len(vertices)} vertices", file=sys.stderr)
+    _emit(
+        args,
+        lambda: {"m": args.m, "n": args.n, "count": len(vertices),
+                 "vertices": [list(v) for v in vertices]},
+        chain([[f"x{i + 1}" for i in range(args.m)]], vertices),
+        (" ".join(map(str, v)) for v in vertices),
+        lambda: f"# {len(vertices)} vertices",
+    )
     return 0
 
 
 def cmd_facets(args) -> int:
-    started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
     _refuse_listing_above_budget(poly.facet_count, "facets", poly.facet_count_floor())
     facets = poly.facets()
-    if args.format == "json":
-        report = _start_report("facets", args, ("m", "n"))
-        report["count"] = len(facets)
-        report["facets"] = [
-            {"coeffs": list(f.coeffs), "sense": f.sense, "bound": f.bound}
-            for f in facets
-        ]
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit_json(report)
-    elif args.format == "csv":
-        print(",".join(f"c{i + 1}" for i in range(args.m)) + ",sense,bound")
-        for f in facets:
-            print(",".join(str(c) for c in f.coeffs) + f",{f.sense},{f.bound}")
-    else:
-        for f in facets:
-            print(f)
-        print(f"# {len(facets)} facets", file=sys.stderr)
+    _emit(
+        args,
+        lambda: {"m": args.m, "n": args.n, "count": len(facets), "facets": [
+            {"coeffs": list(f.coeffs), "sense": f.sense, "bound": f.bound} for f in facets
+        ]},
+        chain(
+            [[*(f"c{i + 1}" for i in range(args.m)), "sense", "bound"]],
+            ((*f.coeffs, f.sense, f.bound) for f in facets),
+        ),
+        map(str, facets),
+        lambda: f"# {len(facets)} facets",
+    )
     return 0
 
 
 def cmd_count_points(args) -> int:
-    started = time.monotonic()
     poly = PartialPermutohedron(args.m, args.n)
     count = poly.count_lattice_points(args.t, budget=_point_budget())
-    if args.format == "json":
-        report = _start_report("count-points", args, ("m", "n", "t"))
-        report["count"] = count
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit_json(report)
-    elif args.format == "csv":
-        print("count")
-        print(count)
-    else:
-        print(count)
+    _emit_scalar(args, {"m": args.m, "n": args.n, "t": args.t}, "count", count)
     return 0
 
 
-def _graph_json(loops: list[int], edges: dict[str, int]) -> str:
+def _edge_labels(pairs, form: str) -> list[list[str]]:
+    """``form`` filled with the 1-based ends of each pair and each
+    multiplicity 0, 1, 2: a listing row looks its edges up here."""
+    return [[form.format(i + 1, j + 1, c) for c in range(3)] for i, j in pairs]
+
+
+def _edges(labels, mult, separator: str) -> str:
+    return separator.join([row[c] for row, c in zip(labels, mult) if c])
+
+
+def _graph_json(loops, edges: str) -> str:
     """One graph as ``json.dumps(..., indent=2)`` lays it out as an element
     of the report's "graphs" list (two levels deep), without the pure-Python
-    encoder that ``indent`` selects."""
+    encoder that ``indent`` selects; ``edges`` holds its "edges" members."""
     loop_lines = ",\n".join(f"        {c}" for c in loops)
-    if edges:
-        edge_lines = ",\n".join(f'        "{k}": {v}' for k, v in edges.items())
-        edge_block = "{\n" + edge_lines + "\n      }"
-    else:
-        edge_block = "{}"
+    edge_block = "{\n" + edges + "\n      }" if edges else "{}"
     return (
         '    {\n      "loops": [\n' + loop_lines
         + '\n      ],\n      "edges": ' + edge_block + "\n    }"
@@ -282,77 +284,63 @@ def _graph_json(loops: list[int], edges: dict[str, int]) -> str:
 
 
 def cmd_graphs(args) -> int:
-    started = time.monotonic()
     if args.stats:
-        census = sorted(graph_census(args.m).items())
-        if args.format == "json":
-            report = _start_report("graphs", args, ("m",))
-            report["census"] = [
-                {"loops": k.n_loops, "single": k.n_single, "pairs": k.n_pairs, "count": c}
-                for k, c in census
-            ]
-            report["total"] = sum(c for _, c in census)
-            report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-            _emit_json(report)
-        elif args.format == "csv":
-            print("loops,single,pairs,count")
-            for k, c in census:
-                print(f"{k.n_loops},{k.n_single},{k.n_pairs},{c}")
-        else:
-            for k, c in census:
-                print(f"loops={k.n_loops} single={k.n_single} pairs={k.n_pairs}: {c}")
-            print(f"total: {sum(c for _, c in census)}")
+        header = ("loops", "single", "pairs", "count")
+        census = [(*k, c) for k, c in sorted(graph_census(args.m).items())]
+        total = sum(row[-1] for row in census)
+        _emit(
+            args,
+            lambda: {"m": args.m, "census": [dict(zip(header, row)) for row in census],
+                     "total": total},
+            chain([header], census),
+            chain(
+                ("loops={} single={} pairs={}: {}".format(*row) for row in census),
+                [f"total: {total}"],
+            ),
+        )
         return 0
+    # Each graph is written as it is enumerated: at m = 7 there are 1.26 M.
     pairs = vertex_pairs(args.m)
-
-    def rows():
-        for graph in enumerate_graphs(args.m):
-            edges = {
-                f"{i + 1},{j + 1}": c for (i, j), c in zip(pairs, graph.pair_mult) if c
-            }
-            yield list(graph.loops), edges
-
-    # Each graph is printed as it is enumerated: at m = 7 there are 1.26 M.
+    graphs = enumerate_graphs(args.m)
     if args.format == "json":
         # the document json.dumps(report, indent=2) gives, written piece by piece
-        report = _start_report("graphs", args, ("m",))
-        report["count"] = sum(graph_census(args.m).values())
+        count = sum(graph_census(args.m).values())
+        report = {"command": "graphs", "m": args.m, "count": count}
         out = sys.stdout
         out.write(json.dumps(report, indent=2)[: -len("\n}")] + ',\n  "graphs": [')
+        labels = _edge_labels(pairs, '        "{},{}": {}')
         separator = "\n"
-        for loops, edges in rows():
-            out.write(separator + _graph_json(loops, edges))
+        for graph in graphs:
+            edges = _edges(labels, graph.pair_mult, ",\n")
+            out.write(separator + _graph_json(graph.loops, edges))
             separator = ",\n"
-        elapsed_ms = int((time.monotonic() - started) * 1000)
+        elapsed_ms = int((time.monotonic() - args.started) * 1000)
         out.write(f'\n  ],\n  "elapsed_ms": {elapsed_ms}\n}}\n')
-    elif args.format == "csv":
-        print("loops,edges")
-        for loops, edges in rows():
-            edge_str = ";".join(f"{k}:{v}" for k, v in edges.items())
-            print(" ".join(str(c) for c in loops) + "," + edge_str)
-    else:
-        count = 0
-        for loops, edges in rows():
-            edge_str = " ".join(f"{{{k}}}x{v}" for k, v in edges.items()) or "-"
-            print(f"loops={tuple(loops)} edges: {edge_str}")
-            count += 1
-        print(f"# {count} graphs", file=sys.stderr)
+        return 0
+    csv_labels = _edge_labels(pairs, "{},{}:{}")
+    plain_labels = _edge_labels(pairs, "{{{},{}}}x{}")
+    _emit(
+        args,
+        None,  # the JSON listing is streamed above
+        chain(
+            [("loops", "edges")],
+            (
+                (" ".join(map(str, g.loops)), _edges(csv_labels, g.pair_mult, ";"))
+                for g in graphs
+            ),
+        ),
+        (
+            f"loops={g.loops} edges: {_edges(plain_labels, g.pair_mult, ' ') or '-'}"
+            for g in graphs
+        ),
+        lambda: f"# {sum(graph_census(args.m).values())} graphs",
+    )
     return 0
 
 
 def cmd_parking(args) -> int:
-    started = time.monotonic()
     count = count_parking_functions(args.m, budget=_point_budget())
-    if args.format == "json":
-        report = _start_report("parking", args, ("m",))
-        report["count"] = count
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit_json(report)
-    elif args.format == "csv":
-        print("count")
-        print(count)
-    else:
-        print(count)
+    _emit_scalar(args, {"m": args.m}, "count", count)
     return 0
 
 
@@ -461,6 +449,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -48,7 +48,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import BudgetError, DEFAULT_GRAPH_BOUND
+from .errors import BudgetError, DEFAULT_GRAPH_BOUND, require_int
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +191,7 @@ def from_multigraph(graph: Multigraph) -> EdgeMultiplicities:
 
 
 def _check_enum_bound(m: int):
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    require_int(m=m)
     if m < 1:
         raise ValueError("need m >= 1")
     if m > DEFAULT_GRAPH_BOUND:

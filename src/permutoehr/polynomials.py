@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from .errors import require_int
+
 
 def convolve(a, b, size: int | None = None) -> list[int]:
     """Product of two int coefficient sequences (lowest power first), cut
@@ -205,6 +207,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "Poly":
+        require_int(power=power)
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
         return cls([0] * power + [coeff])
@@ -393,6 +396,7 @@ def rising_binomial(x: Poly, a: int) -> Poly:
     At integer x0 >= 1 the value agrees with the ordinary binomial
     coefficient C(x0 + a - 1, a).
     """
+    require_int(a=a)
     if a < 0:
         raise ValueError("rising_binomial needs a >= 0")
     acc = Poly([1])
@@ -409,6 +413,7 @@ def double_factorial(k: int) -> int:
     k!! = k * (k-2)!!.  Only this convention is exposed: the closed-form
     Ehrhart and volume sums are sensitive to the sign at k = -3.
     """
+    require_int(k=k)
     if k % 2 == 0:
         raise ValueError(f"double_factorial needs odd k, got {k}")
     if k < -3:
@@ -424,6 +429,7 @@ def eulerian(i: int) -> Poly:
     """Eulerian polynomial A_i(t); coefficient of t^j counts permutations
     of {1..i} with j descents, and A_0(t) = 1.  A_i(1) = i!.
     """
+    require_int(i=i)
     if i < 0:
         raise ValueError("eulerian needs i >= 0")
     row = [1]

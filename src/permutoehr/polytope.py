@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 
-from .errors import BudgetError, DEFAULT_POINT_BUDGET
+from .errors import BudgetError, DEFAULT_POINT_BUDGET, require_int
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class PartialPermutohedron:
     """P(m, n) for positive integers m (ambient dimension) and n (value cap)."""
 
     def __init__(self, m: int, n: int):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (m, n)):
-            raise ValueError(f"m and n must be integers, got m={m!r}, n={n!r}")
+        require_int(m=m, n=n)
         if m < 1 or n < 1:
             raise ValueError(f"P(m, n) needs m >= 1 and n >= 1, got m={m}, n={n}")
         self.m = m
@@ -178,6 +177,24 @@ class PartialPermutohedron:
                 return False
         return sum(x) <= t * self.full_sum_bound()
 
+    def _count_extent(self, t: int, budget: int) -> tuple[int, int]:
+        """S = t*full_sum_bound(), the bound on the total of a point of t*P,
+        and K = min(m, S), on its nonzero entries: the extent of the count's
+        programme.  Refused with BudgetError when the programme's work bound
+        t*n * (K + 1)(S + 1) * K exceeds ``budget``."""
+        require_int(t=t)
+        if t < 1:
+            raise ValueError("dilation factor t must be >= 1")
+        full = t * self.full_sum_bound()
+        most = min(self.m, full)
+        work = t * self.n * (most + 1) * (full + 1) * most
+        if work > budget:
+            raise BudgetError(
+                f"lattice DP work bound values*states*run lengths "
+                f"tn*(K+1)(S+1)*K = {work} exceeds budget {budget}"
+            )
+        return full, most
+
     def count_lattice_points(self, t: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
         """Exact number of integer points in t*P(m, n), by a dynamic
         programme over the sorted forms of the points.
@@ -202,19 +219,8 @@ class PartialPermutohedron:
         t*n * (K + 1)(S + 1) * K, where S = t*full_sum_bound() bounds the
         total and K = min(m, S) the nonzero entries (each is >= 1).  The
         count is refused up front when that bound exceeds the budget."""
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise ValueError(f"dilation factor t must be an integer, got {t!r}")
-        if t < 1:
-            raise ValueError("dilation factor t must be >= 1")
+        full, most = self._count_extent(t, budget)
         m, n = self.m, self.n
-        full = t * self.full_sum_bound()
-        most = min(m, full)
-        work = t * n * (most + 1) * (full + 1) * most
-        if work > budget:
-            raise BudgetError(
-                f"lattice DP work bound values*states*run lengths "
-                f"tn*(K+1)(S+1)*K = {work} exceeds budget {budget}"
-            )
         # caps[i] bounds the sum of the i + 1 largest entries; past the
         # subset facets only the full sum binds, entries being >= 0.  The
         # list stops at K positions, so a long vector of few nonzero
@@ -313,6 +319,7 @@ def count_parking_functions(m: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
     That polytope is P(m, m-1) translated by (1, ..., 1), and translation
     by an integer vector preserves lattice-point counts, so this is the
     t = 1 count for P(m, m-1)."""
+    require_int(m=m)
     if m < 2:
         raise ValueError("parking-function polytope count needs m >= 2")
     return PartialPermutohedron(m, m - 1).count_lattice_points(1, budget=budget)

@@ -17,7 +17,7 @@ from itertools import product
 from math import factorial
 
 from . import ehrhart, graphs
-from .errors import DEFAULT_GRAPH_BOUND
+from .errors import DEFAULT_GRAPH_BOUND, DEFAULT_POINT_BUDGET
 from .polynomials import Poly
 from .polytope import PartialPermutohedron
 from .series import TruncatedSeries
@@ -32,6 +32,12 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: {self.detail}"
+
+
+def _verdict(name: str, bad: list, ok: str, failed: str = "mismatch at") -> CheckResult:
+    """A check that passes with the detail ``ok`` when ``bad`` is empty, and
+    fails naming the cases in ``bad`` otherwise."""
+    return CheckResult(name, not bad, ok if not bad else f"{failed} " + ", ".join(bad))
 
 
 def _grid(max_m: int, n_offsets=(-1, 0, 1, 2)):
@@ -54,17 +60,10 @@ def check_engine_agreement(max_m: int = 4) -> list[CheckResult]:
         for name in others:
             if ehrhart.compute_ehrhart(m, n, name).polynomial != reference:
                 mismatches[name].append(f"(m={m}, n={n})")
-    out = []
-    for name in others:
-        bad = mismatches[name]
-        out.append(
-            CheckResult(
-                f"closed-vs-{name}",
-                not bad,
-                f"{cases} cases agree" if not bad else "mismatch at " + ", ".join(bad),
-            )
-        )
-    return out
+    return [
+        _verdict(f"closed-vs-{name}", mismatches[name], f"{cases} cases agree")
+        for name in others
+    ]
 
 
 def check_oracle_agreement(max_m: int = 4, max_t: int = 2) -> CheckResult:
@@ -80,11 +79,7 @@ def check_oracle_agreement(max_m: int = 4, max_t: int = 2) -> CheckResult:
                 cases += 1
                 if poly(t) != poly_points.count_lattice_points(t):
                     bad.append(f"(m={m}, n={n}, t={t})")
-    return CheckResult(
-        "closed-vs-brute-force",
-        not bad,
-        f"{cases} counts match" if not bad else "mismatch at " + ", ".join(bad),
-    )
+    return _verdict("closed-vs-brute-force", bad, f"{cases} counts match")
 
 
 def check_volume(max_m: int = 4) -> CheckResult:
@@ -99,11 +94,7 @@ def check_volume(max_m: int = 4) -> CheckResult:
             lead = ehrhart.ehrhart_closed(m, n).leading_coefficient
             if lead != ehrhart.volume_closed(m, n):
                 bad.append(f"(m={m}, n={n})")
-    return CheckResult(
-        "volume-vs-leading-coefficient",
-        not bad,
-        f"{cases} cases match" if not bad else "mismatch at " + ", ".join(bad),
-    )
+    return _verdict("volume-vs-leading-coefficient", bad, f"{cases} cases match")
 
 
 def check_structure_counts(max_m: int = 5) -> list[CheckResult]:
@@ -131,16 +122,8 @@ def check_structure_counts(max_m: int = 5) -> list[CheckResult]:
         if counts.quasitrees != egf_quasi:
             bad_series.append(f"m={m}")
     return [
-        CheckResult(
-            "structure-counts-closed-forms",
-            not bad_closed,
-            f"m <= {top} match" if not bad_closed else "mismatch at " + ", ".join(bad_closed),
-        ),
-        CheckResult(
-            "quasitree-count-vs-series",
-            not bad_series,
-            f"m <= {top} match" if not bad_series else "mismatch at " + ", ".join(bad_series),
-        ),
+        _verdict("structure-counts-closed-forms", bad_closed, f"m <= {top} match"),
+        _verdict("quasitree-count-vs-series", bad_series, f"m <= {top} match"),
     ]
 
 
@@ -169,17 +152,12 @@ def check_bijection(max_m: int = 4) -> list[CheckResult]:
                 if graphs.satisfies_hall(seq) != graphs.component_cycle_check(graph):
                     bad_equiv.append(f"m={m}, a={loop + pair}")
     return [
-        CheckResult(
-            "bijection-round-trip",
-            not bad_round,
-            "identity on every graph" if not bad_round else "failed at " + ", ".join(bad_round),
-        ),
-        CheckResult(
+        _verdict("bijection-round-trip", bad_round, "identity on every graph", "failed at"),
+        _verdict(
             "hall-vs-cycle-equivalence",
-            not bad_equiv,
-            "equivalent over the extended box"
-            if not bad_equiv
-            else "diverge at " + ", ".join(bad_equiv[:5]),
+            bad_equiv[:5],
+            "equivalent over the extended box",
+            "diverge at",
         ),
     ]
 
@@ -204,12 +182,10 @@ def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResul
         lhs, rhs = ehrhart.coefficient_transfer_check(f, k)
         if lhs != rhs:
             bad.append(f"random case {case}")
-    return CheckResult(
+    return _verdict(
         "tree-coefficient-transfer",
-        not bad,
-        f"monomials and {random_cases} random polynomials agree"
-        if not bad
-        else "mismatch at " + ", ".join(bad[:5]),
+        bad[:5],
+        f"monomials and {random_cases} random polynomials agree",
     )
 
 
@@ -226,6 +202,8 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
             f"the bijection check would list {listed:,} graphs and as many "
             "sequences"
         )
+    # the brute-force oracle's largest count, refused before any check runs
+    PartialPermutohedron(min(max_m, 4), 4)._count_extent(max_t, DEFAULT_POINT_BUDGET)
     results = []
     results.extend(check_engine_agreement(max_m))
     results.append(check_oracle_agreement(max_m, max_t))

@@ -10,9 +10,10 @@ import pytest
 
 import permutoehr
 import permutoehr.cli as cli_module
+import permutoehr.verify as verify_module
 from permutoehr.cli import main
-from permutoehr.ehrhart import ehrhart_closed, f_polynomial_stable, volume_closed
-from permutoehr.graphs import enumerate_graphs, vertex_pairs
+from permutoehr.ehrhart import ehrhart_closed, f_polynomial, f_polynomial_stable, volume_closed
+from permutoehr.graphs import enumerate_graphs, graph_census, vertex_pairs
 from permutoehr.polynomials import Poly
 from permutoehr.polytope import PartialPermutohedron
 
@@ -399,6 +400,165 @@ class TestFormulaBudget:
         assert out
 
 
+def parse_poly_plain(text):
+    """Read back ``str(Poly)``: terms like (p/q)*t^k, c*t, t^k and c."""
+    coeffs = {}
+    for term in text.replace(" - ", " + -").split(" + "):
+        coeff, t, power = term.partition("t")
+        sign = -1 if coeff.startswith("-") else 1
+        coeff = coeff.lstrip("-").rstrip("*").strip("()")
+        coeffs[int(power[1:]) if power else len(t)] = sign * Fraction(coeff or 1)
+    return Poly([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+
+
+def parse_facet_plain(line, m):
+    """Read back ``str(FacetInequality)``: x_i terms with an optional c* factor."""
+    lhs, sense, bound = line.rsplit(" ", 2)
+    coeffs = [0] * m
+    for term in lhs.split(" + "):
+        c, _, i = term.rpartition("x")
+        coeffs[int(i) - 1] = int(c.rstrip("*") or 1)
+    return tuple(coeffs), sense, int(bound)
+
+
+def graph_from_edges(m, loops, edges):
+    """(loops, pair_mult) from 1-based "i,j" edge labels and their counts."""
+    mult = {tuple(int(v) - 1 for v in label.split(",")): int(c) for label, c in edges}
+    return tuple(int(c) for c in loops), tuple(mult.get(pair, 0) for pair in vertex_pairs(m))
+
+
+# every subcommand with a --format, and the library value its output encodes
+ROUND_TRIP = {
+    "ehrhart": (
+        ("ehrhart", "--m", "4", "--n", "5", "--t", "3"),
+        lambda: (ehrhart_closed(4, 5), ehrhart_closed(4, 5)(3)),
+    ),
+    "volume": (("volume", "--m", "4", "--n", "5"), lambda: volume_closed(4, 5)),
+    "fpoly": (("fpoly", "--m", "3", "--n", "4"), lambda: f_polynomial(3, 4)),
+    "vertices": (
+        ("vertices", "--m", "3", "--n", "2"),
+        lambda: sorted(PartialPermutohedron(3, 2).vertices()),
+    ),
+    "facets": (
+        ("facets", "--m", "4", "--n", "3"),
+        lambda: [(f.coeffs, f.sense, f.bound) for f in PartialPermutohedron(4, 3).facets()],
+    ),
+    "count-points": (
+        ("count-points", "--m", "3", "--n", "3", "--t", "2"), lambda: ehrhart_closed(3, 3)(2)
+    ),
+    "graphs": (
+        ("graphs", "--m", "3"),
+        lambda: [(g.loops, g.pair_mult) for g in enumerate_graphs(3)],
+    ),
+    "graphs --stats": (
+        ("graphs", "--m", "4", "--stats"),
+        lambda: {tuple(k): c for k, c in graph_census(4).items()},
+    ),
+    # the parking-function polytope is P(m, m - 1) translated
+    "parking": (("parking", "--m", "4"), lambda: ehrhart_closed(4, 3)(1)),
+}
+# the listings, whose plain form notes the item count on stderr
+LISTED = ("vertices", "facets", "graphs")
+
+
+def read_json(case, payload):
+    if case in ("ehrhart", "fpoly"):
+        poly = parse_poly_json(payload)
+        return poly if case == "fpoly" else (poly, Fraction(payload["value"]))
+    if case == "volume":
+        return Fraction(payload["volume"])
+    if case in ("count-points", "parking"):
+        return payload["count"]
+    if case == "graphs --stats":
+        census = {(r["loops"], r["single"], r["pairs"]): r["count"] for r in payload["census"]}
+        assert payload["total"] == sum(census.values())
+        return census
+    items = payload[case]
+    assert payload["count"] == len(items)
+    if case == "vertices":
+        return [tuple(v) for v in items]
+    if case == "facets":
+        return [(tuple(f["coeffs"]), f["sense"], f["bound"]) for f in items]
+    return [graph_from_edges(3, g["loops"], g["edges"].items()) for g in items]
+
+
+def read_csv(case, lines):
+    # a listed graph's edges hold commas of their own: "1,2:1;2,3:2"
+    rows = [line.split(",", 1 if case == "graphs" else -1) for line in lines]
+    header, body = rows[0], rows[1:]
+    if case in ("ehrhart", "fpoly"):
+        poly, value = parse_poly_csv("\n".join(lines))
+        return poly if case == "fpoly" else (poly, value)
+    if case in ("volume", "count-points", "parking"):
+        assert header == ["volume" if case == "volume" else "count"] and len(body) == 1
+        return Fraction(body[0][0])
+    if case == "graphs --stats":
+        assert header == ["loops", "single", "pairs", "count"]
+        return {tuple(map(int, r[:3])): int(r[3]) for r in body}
+    if case == "vertices":
+        assert header == ["x1", "x2", "x3"]
+        return [tuple(map(int, r)) for r in body]
+    if case == "facets":
+        assert header == ["c1", "c2", "c3", "c4", "sense", "bound"]
+        return [(tuple(map(int, r[:4])), r[4], int(r[5])) for r in body]
+    assert header == ["loops", "edges"]
+    edges = ([e.split(":") for e in r[-1].split(";") if e] for r in body)
+    return [graph_from_edges(3, r[0].split(), e) for r, e in zip(body, edges)]
+
+
+def read_plain(case, lines):
+    if case in ("ehrhart", "fpoly"):
+        poly = parse_poly_plain(lines[0])
+        if case == "fpoly":
+            assert len(lines) == 1
+            return poly
+        prefix, value = lines[1].split(": ")
+        assert prefix == "value at t=3" and len(lines) == 2
+        return poly, Fraction(value)
+    if case in ("volume", "count-points", "parking"):
+        assert len(lines) == 1
+        return Fraction(lines[0])
+    if case == "graphs --stats":
+        pattern = re.compile(r"loops=(\d+) single=(\d+) pairs=(\d+): (\d+)")
+        census = {}
+        for line in lines[:-1]:
+            *key, count = map(int, pattern.fullmatch(line).groups())
+            census[tuple(key)] = count
+        assert lines[-1] == f"total: {sum(census.values())}"
+        return census
+    if case == "vertices":
+        return [tuple(map(int, line.split())) for line in lines]
+    if case == "facets":
+        return [parse_facet_plain(line, 4) for line in lines]
+    out = []
+    for line in lines:
+        loops, edges = re.fullmatch(r"loops=\((.*)\) edges: (.*)", line).groups()
+        edges = [] if edges == "-" else [e.strip("{").split("}x") for e in edges.split()]
+        out.append(graph_from_edges(3, loops.replace(",", " ").split(), edges))
+    return out
+
+
+class TestEveryEncodingReadsBack:
+    @pytest.mark.parametrize("fmt", ("plain", "csv", "json"))
+    @pytest.mark.parametrize("case", ROUND_TRIP)
+    def test_output_parses_back_to_the_library_value(self, capsys, case, fmt):
+        argv, library_value = ROUND_TRIP[case]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["command"] == argv[0]
+            assert isinstance(payload["elapsed_ms"], int)
+            value = read_json(case, payload)
+        elif fmt == "csv":
+            value = read_csv(case, out.splitlines())
+        else:
+            value = read_plain(case, out.splitlines())
+        assert value == library_value()
+        noted = fmt == "plain" and case in LISTED
+        assert err == (f"# {len(value)} {case}\n" if noted else "")
+
+
 class TestVerifyCommand:
     def test_passes_at_small_scale(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-m", "2", "--max-t", "1")
@@ -418,6 +578,21 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "max_t >= 1" in err
+
+    # the oracle's largest count, at (m, n, t) = (2, 4, max_t), has work bound
+    # t * 4 * 3 * (7t + 1) * 2: 100143840 at t = 772, past the default budget
+    @pytest.mark.parametrize("max_t, work", (("772", 100143840), ("100000", 1680002400000)))
+    def test_unbounded_max_t_refused_before_any_check(self, capsys, monkeypatch, max_t, work):
+        def must_not_run(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify_module, "check_engine_agreement", must_not_run)
+        code, out, err = run(capsys, "verify", "--max-m", "2", "--max-t", max_t)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: lattice DP work bound values*states*run lengths "
+            f"tn*(K+1)(S+1)*K = {work} exceeds budget 100000000\n"
+        )
 
     def test_max_m_cap_states_the_listing_size(self, capsys):
         code, out, err = run(capsys, "verify", "--max-m", "7")

@@ -22,7 +22,7 @@ from permutoehr import ehrhart, graphs
 from permutoehr.errors import BudgetError
 from permutoehr.graphs import graph_census, structure_counts
 from permutoehr.polynomials import Poly, convolve, double_factorial, eulerian, rising_binomial
-from permutoehr.polytope import PartialPermutohedron
+from permutoehr.polytope import PartialPermutohedron, count_parking_functions
 
 T = Poly([0, 1])
 
@@ -93,6 +93,31 @@ class TestInputTypes:
     def test_stable_f_polynomial_rejects_non_integer_m(self, m):
         with pytest.raises(ValueError, match="must be an integer"):
             f_polynomial_stable(m)
+
+    @pytest.mark.parametrize("value", (True, 2.0, "2"))
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            count_parking_functions,
+            eulerian,
+            double_factorial,
+            lambda a: rising_binomial(T, a),
+            Poly.monomial,
+            lambda m: PartialPermutohedron(m, 3),
+            lambda n: PartialPermutohedron(3, n),
+            lambda t: PartialPermutohedron(3, 3).count_lattice_points(t),
+            graph_census,
+        ),
+        ids=(
+            "count_parking_functions", "eulerian", "double_factorial", "rising_binomial",
+            "Poly.monomial", "PartialPermutohedron-m", "PartialPermutohedron-n",
+            "count_lattice_points", "graph_census",
+        ),
+    )
+    def test_integer_arguments_reject_bool_float_and_str(self, entry, value):
+        # the type check comes before every domain check
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            entry(value)
 
 
 class TestPostnikovSum:
