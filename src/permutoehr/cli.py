@@ -20,9 +20,10 @@ go through one emitter: a JSON report holds the command, its arguments,
 the payload and ``elapsed_ms``; csv puts its header row first; plain sends
 its notes (the item count of a listing) to stderr.  Exit codes: 0 success,
 1 a ``verify`` check failed, 2 invalid parameters (the message names the
-violated precondition), 3 resource-budget refusal.  Exact rationals are
-printed as "p/q" ("p" when the denominator is 1); JSON output never
-contains floats.
+violated precondition), 3 resource-budget refusal, 141 (128 + SIGPIPE)
+output cut short by a closed pipe (``permutoehr vertices --m 7 --n 7 |
+head -1``), with no traceback.  Exact rationals are printed as "p/q" ("p"
+when the denominator is 1); JSON output never contains floats.
 
 Usage examples
 --------------
@@ -44,9 +45,9 @@ bound), volume and fpoly are refused when their loop count (m^2 for
 closed, recurrence, egf and fpoly, m^3 for egf-tree and fpoly --stable,
 m for volume) times the size in 64-bit words of 2^m m! (2n+1)^m exceeds
 it.  verify is refused before any check runs when its brute-force
-oracle's largest count, at (min(max_m, 4), 4, max_t), exceeds the default
-budget.  Parameters outside a command's domain exit 2 before any budget
-test.
+oracle's largest count, at (min(max_m, 4), 4, max_t), exceeds the budget,
+which also bounds each of the oracle's counts.  Parameters outside a
+command's domain exit 2 before any budget test.
 """
 
 from __future__ import annotations
@@ -284,18 +285,20 @@ def _graph_json(loops, edges: str) -> str:
 
 
 def cmd_graphs(args) -> int:
+    # the census checks m against the enumeration bound before anything is written
+    census = graph_census(args.m)
+    count = sum(census.values())
     if args.stats:
         header = ("loops", "single", "pairs", "count")
-        census = [(*k, c) for k, c in sorted(graph_census(args.m).items())]
-        total = sum(row[-1] for row in census)
+        rows = [(*k, c) for k, c in sorted(census.items())]
         _emit(
             args,
-            lambda: {"m": args.m, "census": [dict(zip(header, row)) for row in census],
-                     "total": total},
-            chain([header], census),
+            lambda: {"m": args.m, "census": [dict(zip(header, row)) for row in rows],
+                     "total": count},
+            chain([header], rows),
             chain(
-                ("loops={} single={} pairs={}: {}".format(*row) for row in census),
-                [f"total: {total}"],
+                ("loops={} single={} pairs={}: {}".format(*row) for row in rows),
+                [f"total: {count}"],
             ),
         )
         return 0
@@ -304,7 +307,6 @@ def cmd_graphs(args) -> int:
     graphs = enumerate_graphs(args.m)
     if args.format == "json":
         # the document json.dumps(report, indent=2) gives, written piece by piece
-        count = sum(graph_census(args.m).values())
         report = {"command": "graphs", "m": args.m, "count": count}
         out = sys.stdout
         out.write(json.dumps(report, indent=2)[: -len("\n}")] + ',\n  "graphs": [')
@@ -333,7 +335,7 @@ def cmd_graphs(args) -> int:
             f"loops={g.loops} edges: {_edges(plain_labels, g.pair_mult, ' ') or '-'}"
             for g in graphs
         ),
-        lambda: f"# {sum(graph_census(args.m).values())} graphs",
+        lambda: f"# {count} graphs",
     )
     return 0
 
@@ -345,7 +347,9 @@ def cmd_parking(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(max_m=args.max_m, max_t=args.max_t, seed=args.seed)
+    results = run_all(
+        max_m=args.max_m, max_t=args.max_t, seed=args.seed, budget=_point_budget()
+    )
     for result in sorted(results, key=lambda r: r.name):
         print(result.line())
     failures = [r for r in results if not r.passed]
@@ -451,7 +455,16 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     args.started = time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: point stdout at the null device so that the
+        # interpreter's flush at exit writes nothing and raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -32,10 +32,12 @@ from one factorial and one double-factorial table, and ``f_polynomial`` on
 ordered-set-partition rows summed by Horner's rule in t + 1.
 ``volume_closed`` is one Horner pass, O(m).  ``formula_work`` states these
 loop counts, with a bound on the operand size, for the CLI's budget.
-``ehrhart_postnikov`` and ``ehrhart_graphsum`` sum one product of small
-polynomials per census entry in ``Poly``, whose int numerators over one
-common denominator make every product an int convolution and every sum
-one rescaling and one gcd.
+The two combinatorial engines also sum 2^m ehr(t) as one int coefficient
+list and divide once, each over its own census: ``ehrhart_graphsum`` adds
+count * k^a 2^(m-c) C(c, i) to one coefficient per census entry
+(a loops, c doubled pairs, k = n - m + 1) and i = 0..c, and
+``ehrhart_postnikov`` convolves the int numerators of its rising-binomial
+factors per entry and scales the product onto the denominator 2^m.
 The generating-function engines write ehr(t) as
 m! t^m [z^m] F exp(w(u)/t) with w(u) = u - u^2/4, u = z or T(z), and F a
 rational series whose int numerators over one denominator (see
@@ -146,35 +148,48 @@ def ehrhart_postnikov(m: int, n: int) -> Poly:
 
     The product depends only on the multisets of nonzero loop and pair
     multiplicities, so the sum runs over :func:`.graphs.sequence_census`,
-    the Hall walk's tally; no multigraph or union-find code is reached."""
+    the Hall walk's tally; no multigraph or union-find code is reached.
+    Each term is an int convolution of the factors' numerators over the
+    product of their denominators, 2 per pair of multiplicity 2; at most
+    m/2 pairs have it, so every term is scaled onto the common denominator
+    2^m and the sum is divided once."""
     _require_formula_domain(m, n)
     census = sequence_census(m)
     # rising binomials by multiplicity: Hall's condition on the copies of
     # one slot allows at most 1 copy of a loop and 2 of a pair
     loop_factor = [rising_binomial(Poly([0, n - m + 1]), a) for a in range(2)]
     pair_factor = [rising_binomial(Poly([0, 1]), a) for a in range(3)]
-    total = Poly()
+    top = 2**m
+    nums = [0] * (m + 1)
     for (loop_mults, pair_mults), count in census.items():
-        term = Poly([count])
-        for a in loop_mults:
-            term = term * loop_factor[a]
-        for a in pair_mults:
-            term = term * pair_factor[a]
-        total = total + term
-    return total
+        term, den = [count], 1
+        for f in [loop_factor[a] for a in loop_mults] + [pair_factor[a] for a in pair_mults]:
+            term = convolve(term, f.nums)
+            den *= f.den
+        scale = top // den
+        for k, c in enumerate(term):
+            nums[k] += c * scale
+    return _poly(nums, top)
 
 
 def ehrhart_graphsum(m: int, n: int) -> Poly:
     """Sum over multigraphs G (components with at most one cycle) of
-    ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs."""
+    ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs.
+
+    Since t(t+1)/2 = t (t+1)/2, a census entry of a loops, b single edges
+    and c doubled pairs, counted N times, adds N k^a 2^(m-c) C(c, i) to the
+    coefficient of t^(a+b+c+i) in 2^m ehr(t), i = 0..c, with k = n - m + 1
+    (c <= m, and a + b + 2c <= m edges).  The sum is taken in integers and
+    divided by 2^m once."""
     _require_formula_domain(m, n)
-    loop_w = Poly([0, n - m + 1])
-    single_w = Poly([0, 1])
-    double_w = Poly([0, Fraction(1, 2), Fraction(1, 2)])  # t(t+1)/2
-    total = Poly()
+    k = n - m + 1
+    nums = [0] * (m + 1)
     for (loops, single, doubled), count in graph_census(m).items():
-        total = total + loop_w**loops * single_w**single * double_w**doubled * count
-    return total
+        scale = count * k**loops << (m - doubled)
+        low = loops + single + doubled
+        for i in range(doubled + 1):
+            nums[low + i] += scale * comb(doubled, i)
+    return _poly(nums, 2**m)
 
 
 def tree_function(order: int) -> TruncatedSeries:

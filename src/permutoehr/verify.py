@@ -66,9 +66,11 @@ def check_engine_agreement(max_m: int = 4) -> list[CheckResult]:
     ]
 
 
-def check_oracle_agreement(max_m: int = 4, max_t: int = 2) -> CheckResult:
-    """Closed form evaluated at t against brute-force counts, for
-    m <= min(max_m, 4), n up to 4, t up to max_t."""
+def check_oracle_agreement(
+    max_m: int = 4, max_t: int = 2, budget: int = DEFAULT_POINT_BUDGET
+) -> CheckResult:
+    """Closed form evaluated at t against brute-force counts, each within
+    ``budget``, for m <= min(max_m, 4), n up to 4, t up to max_t."""
     bad = []
     cases = 0
     for m in range(1, min(max_m, 4) + 1):
@@ -77,7 +79,7 @@ def check_oracle_agreement(max_m: int = 4, max_t: int = 2) -> CheckResult:
             poly_points = PartialPermutohedron(m, n)
             for t in range(1, max_t + 1):
                 cases += 1
-                if poly(t) != poly_points.count_lattice_points(t):
+                if poly(t) != poly_points.count_lattice_points(t, budget):
                     bad.append(f"(m={m}, n={n}, t={t})")
     return _verdict("closed-vs-brute-force", bad, f"{cases} counts match")
 
@@ -189,7 +191,10 @@ def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResul
     )
 
 
-def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
+def run_all(
+    max_m: int = 4, max_t: int = 2, seed: int = 0, budget: int = DEFAULT_POINT_BUDGET
+) -> list[CheckResult]:
+    """Every check; the brute-force counts are bounded by ``budget``."""
     if max_m < 1:
         raise ValueError("need max_m >= 1")
     if max_t < 1:
@@ -203,10 +208,10 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
             "sequences"
         )
     # the brute-force oracle's largest count, refused before any check runs
-    PartialPermutohedron(min(max_m, 4), 4)._count_extent(max_t, DEFAULT_POINT_BUDGET)
+    PartialPermutohedron(min(max_m, 4), 4)._count_extent(max_t, budget)
     results = []
     results.extend(check_engine_agreement(max_m))
-    results.append(check_oracle_agreement(max_m, max_t))
+    results.append(check_oracle_agreement(max_m, max_t, budget))
     results.append(check_volume(max_m))
     results.extend(check_structure_counts(max_m + 1))
     results.extend(check_bijection(max_m))

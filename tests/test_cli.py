@@ -290,6 +290,15 @@ class TestOtherCommands:
         assert elapsed.sub("", out) == elapsed.sub("", expected_out)
         assert err == expected_err
 
+    @pytest.mark.parametrize("fmt", ("plain", "csv", "json"))
+    @pytest.mark.parametrize(
+        "m, expected",
+        (("8", (3, "enumeration for m=8 exceeds the bound 7")), ("0", (2, "need m >= 1"))),
+    )
+    def test_refused_graphs_listing_writes_nothing(self, capsys, m, fmt, expected):
+        code, out, err = run(capsys, "graphs", "--m", m, "--format", fmt)
+        assert (code, out, err) == (expected[0], "", f"error: {expected[1]}\n")
+
     def test_parking(self, capsys):
         code, out, _ = run(capsys, "parking", "--m", "2")
         assert code == 0 and out.strip() == "3"
@@ -594,6 +603,16 @@ class TestVerifyCommand:
             f"tn*(K+1)(S+1)*K = {work} exceeds budget 100000000\n"
         )
 
+    def test_budget_env_bounds_the_oracle(self, capsys, monkeypatch):
+        # the oracle's largest count, at (2, 4, 1), has work bound 4 * 3 * 8 * 2
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "1")
+        code, out, err = run(capsys, "verify", "--max-m", "2", "--max-t", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: lattice DP work bound values*states*run lengths "
+            "tn*(K+1)(S+1)*K = 192 exceeds budget 1\n"
+        )
+
     def test_max_m_cap_states_the_listing_size(self, capsys):
         code, out, err = run(capsys, "verify", "--max-m", "7")
         assert code == 2
@@ -614,17 +633,40 @@ class TestParserBehaviour:
         assert excinfo.value.code == 2
 
 
+def package_env():
+    """The environment with this package's sources first on PYTHONPATH."""
+    src = str(Path(permutoehr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "argv", (("ehrhart", "--m", "2", "--n", "2"), ("ehrhart", "--m", "3", "--n", "1"))
     )
     def test_python_m_matches_main(self, capsys, argv):
-        src = str(Path(permutoehr.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "permutoehr", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=package_env(), timeout=120,
         )
         code, out, err = run(capsys, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # 13700 vertices, 191800 bytes: more than a pipe holds, so the
+        # listing is still being written when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permutoehr", "vertices", "--m", "7", "--n", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=package_env(),
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert first == "0 0 0 0 0 0 0\n"
+        assert (code, err) == (141, "")

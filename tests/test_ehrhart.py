@@ -20,7 +20,7 @@ from permutoehr.ehrhart import (
 )
 from permutoehr import ehrhart, graphs
 from permutoehr.errors import BudgetError
-from permutoehr.graphs import graph_census, structure_counts
+from permutoehr.graphs import graph_census, sequence_census, structure_counts
 from permutoehr.polynomials import Poly, convolve, double_factorial, eulerian, rising_binomial
 from permutoehr.polytope import PartialPermutohedron, count_parking_functions
 
@@ -303,9 +303,43 @@ def reference_f_polynomial(m, n):
     return Poly(total)
 
 
+def reference_graphsum(m, n):
+    """The edge-weighted sum over the multigraph census in ``Poly``, one
+    product of powers of the three edge weights per census entry."""
+    loop_w = Poly([0, n - m + 1])
+    single_w = Poly([0, 1])
+    double_w = Poly([0, Fraction(1, 2), Fraction(1, 2)])  # t(t+1)/2
+    total = Poly()
+    for (loops, single, doubled), count in graph_census(m).items():
+        total = total + loop_w**loops * single_w**single * double_w**doubled * count
+    return total
+
+
+def reference_postnikov(m, n):
+    """The sum over the Hall-feasible sequence census in ``Poly``, one
+    product of rising binomials per census entry."""
+    loop_factor = [rising_binomial(Poly([0, n - m + 1]), a) for a in range(2)]
+    pair_factor = [rising_binomial(T, a) for a in range(3)]
+    total = Poly()
+    for (loop_mults, pair_mults), count in sequence_census(m).items():
+        term = Poly([count])
+        for a in loop_mults:
+            term = term * loop_factor[a]
+        for a in pair_mults:
+            term = term * pair_factor[a]
+        total = total + term
+    return total
+
+
+def combinatorial_cells(m):
+    """n in {m - 1, m, m + 1, m + 5, m + 20}, clipped to n >= 1; the large n
+    make k = n - m + 1 large."""
+    return [n for n in (m - 1, m, m + 1, m + 5, m + 20) if n >= 1]
+
+
 class TestAgainstTermByTermSums:
-    """The Horner and ordered-set-partition forms against the sums they
-    regroup, evaluated term by term."""
+    """The Horner, ordered-set-partition and integer census forms against
+    the sums they regroup, evaluated term by term."""
 
     @pytest.mark.parametrize("m", range(1, 61))
     def test_closed(self, m):
@@ -317,6 +351,16 @@ class TestAgainstTermByTermSums:
     def test_f_polynomial(self, m):
         for n in range(1, m + 4):
             assert f_polynomial(m, n) == reference_f_polynomial(m, n)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_graphsum(self, m):
+        for n in combinatorial_cells(m):
+            assert ehrhart_graphsum(m, n) == reference_graphsum(m, n)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_postnikov(self, m):
+        for n in combinatorial_cells(m):
+            assert ehrhart_postnikov(m, n) == reference_postnikov(m, n)
 
 
 def face_identity_cells():

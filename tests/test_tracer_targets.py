@@ -8,6 +8,8 @@ rename or deletion in the package would blank the traced run's figures.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import permutoehr.cli  # noqa: F401  (every module the tracer patches is loaded)
 from permutoehr.ehrhart import compute_ehrhart
 
@@ -38,3 +40,16 @@ def test_every_metric_target_is_present():
         tracer.uninstall()
     compute_ehrhart(3, 3, "egf")
     assert tracer.ops[("ehrhart", "egf")].calls == 1
+
+
+@pytest.mark.parametrize("method", ("graphsum", "postnikov"))
+def test_combinatorial_engine_counted_under_its_op(method):
+    tr = load_tracer()
+    tracer = tr.Tracer()
+    tracer.install(tr.TARGETS)
+    try:
+        compute_ehrhart(4, 4, method)
+        assert tracer.ops[("ehrhart", method)].calls == 1
+        assert tr.layer_metrics(tracer)[f"ehrhart.{method}.busy_s"] > 0
+    finally:
+        tracer.uninstall()

@@ -1,6 +1,7 @@
 import pytest
 
 from permutoehr import ehrhart, graphs, verify
+from permutoehr.errors import BudgetError
 
 
 class TestRunAll:
@@ -23,6 +24,12 @@ class TestRunAll:
         a = verify.check_transfer_identity(seed=42)
         b = verify.check_transfer_identity(seed=42)
         assert a == b
+
+    def test_oracle_counts_within_the_budget(self):
+        # the largest count, at (2, 4, 1), has work bound 192
+        assert verify.check_oracle_agreement(2, 1, budget=192).passed
+        with pytest.raises(BudgetError, match="= 192 exceeds budget 191"):
+            verify.check_oracle_agreement(2, 1, budget=191)
 
     def test_rejects_bad_max_m(self):
         with pytest.raises(ValueError):
