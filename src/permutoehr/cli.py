@@ -34,20 +34,23 @@ Usage examples
   permutoehr verify --max-m 4 --max-t 2
 
 The environment variable PERMUTOEHR_BUDGET overrides the work budget
-(default 10^8).  count-points and parking count by a dynamic programme
-over (entries placed, running sum) states of the sorted points, and are
-refused when its work bound, values * states * run lengths =
-t*n * (K + 1)(S + 1) * K with S the dilated full-sum bound and
-K = min(m, S), exceeds the budget.  vertices and facets are refused when
-the number of items they would list exceeds it.  ehrhart (every method but
-postnikov and graphsum, which are bounded by the graph counts' vertex
-bound), volume and fpoly are refused when their loop count (m^2 for
-closed, recurrence, egf and fpoly, m^3 for egf-tree and fpoly --stable,
-m for volume) times the size in 64-bit words of 2^m m! (2n+1)^m exceeds
-it.  verify is refused before any check runs when its brute-force
-oracle's largest count, at (min(max_m, 4), 4, max_t), exceeds the budget,
-which also bounds each of the oracle's counts.  Parameters outside a
-command's domain exit 2 before any budget test.
+(default 10^8).  A budgeted command is refused with exit 3, before any
+work, when its work estimate exceeds the budget; the refusal states the
+estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
+  ehrhart, volume,  loop count * size of 2^m m! (2n+1)^m (loops * 64-bit
+  fpoly             words); m^2 loops for closed, recurrence, egf and
+                    fpoly, m^3 for egf-tree and fpoly --stable, m for volume
+  count-points,     t*n * (K + 1)(S + 1) * K with S = t*full_sum_bound()
+  parking           and K = min(m, S) (values * states * run lengths of
+                    the dynamic programme over (entries placed, running
+                    sum) states of the sorted points; parking is t = 1)
+  verify            that bound for its oracle's largest count, at
+                    (min(max_m, 4), 4, max_t)
+  vertices, facets, the length of the listing (items); graphs reads it
+  graphs            off the census
+ehrhart --method postnikov and graphsum, and graphs --stats, have no
+budget: the graph counts refuse m > 7, whatever the budget.  Parameters
+outside a command's domain exit 2 before any budget test.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .ehrhart import (
+    FORMULA_WORK,
     METHOD_NAMES,
     compute_ehrhart,
     f_polynomial,
@@ -69,61 +73,11 @@ from .ehrhart import (
     formula_work,
     volume_closed,
 )
-from .errors import BudgetError, DEFAULT_POINT_BUDGET
+from .errors import BudgetError, point_budget, refuse_above_budget
 from .graphs import enumerate_graphs, graph_census, vertex_pairs
 from .polynomials import Poly
 from .polytope import PartialPermutohedron, count_parking_functions
 from .verify import run_all
-
-
-def _point_budget() -> int:
-    raw = os.environ.get("PERMUTOEHR_BUDGET")
-    if raw is None:
-        return DEFAULT_POINT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"PERMUTOEHR_BUDGET must be an integer, got {raw!r}")
-    if budget < 1:
-        raise ValueError("PERMUTOEHR_BUDGET must be positive")
-    return budget
-
-
-def _refuse_listing_above_budget(count, what: str, floor: int = 0) -> None:
-    """Refuse, before enumerating, a listing longer than the budget.
-
-    ``count`` is called for the listing's length, unless ``floor``, a lower
-    bound on it, is past both 2^64 and the budget: the listing is then
-    refused on that bound, without counting."""
-    budget = _point_budget()
-    known = floor if floor > budget and floor.bit_length() > 64 else count()
-    if known > budget:
-        raise BudgetError(f"{_stated(known)} {what} exceeds budget {budget}")
-
-
-def _refuse_formula_above_budget(route: str, m: int, n: int | None) -> None:
-    """Refuse, before computing, a formula route whose work bound, loop
-    count times operand words (see :func:`.ehrhart.formula_work`), exceeds
-    the budget.  Parameters outside the route's domain raise ValueError
-    first."""
-    work = formula_work(route, m, n)
-    if work is None:
-        return
-    loops, words = work
-    budget = _point_budget()
-    if loops * words > budget:
-        raise BudgetError(
-            f"{route} work bound loops*64-bit operand words "
-            f"{_stated(loops)}*{_stated(words)} = {_stated(loops * words)} "
-            f"exceeds budget {budget}"
-        )
-
-
-def _stated(count: int) -> str:
-    """A count as a refusal states it: past 2^64 by its size, because str()
-    of an int over 4300 digits raises."""
-    bits = count.bit_length()
-    return str(count) if bits <= 64 else f"more than 2^{bits - 1}"
 
 
 def _write_lines(lines) -> None:
@@ -197,7 +151,10 @@ def _emit_poly(args, head: dict, poly: Poly, value: Fraction | None) -> None:
 def cmd_ehrhart(args) -> int:
     if args.t is not None and args.t < 1:
         raise ValueError("evaluation point t must be >= 1")
-    _refuse_formula_above_budget(args.method, args.m, args.n)
+    work = formula_work(args.method, args.m, args.n)
+    if work is not None:  # postnikov and graphsum: the vertex bound of their graph counts
+        loops, words = work
+        refuse_above_budget(loops * words, args.method + FORMULA_WORK, point_budget(), *work)
     poly = compute_ehrhart(args.m, args.n, args.method).polynomial
     value = None if args.t is None else poly(args.t)
     head = {"m": args.m, "n": args.n, "t": args.t, "method": args.method}
@@ -206,7 +163,8 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    _refuse_formula_above_budget("volume", args.m, args.n)
+    loops, words = formula_work("volume", args.m, args.n)
+    refuse_above_budget(loops * words, "volume" + FORMULA_WORK, point_budget(), loops, words)
     volume = volume_closed(args.m, args.n)
     _emit_scalar(args, {"m": args.m, "n": args.n}, "volume", str(volume))
     return 0
@@ -215,7 +173,9 @@ def cmd_volume(args) -> int:
 def cmd_fpoly(args) -> int:
     if not args.stable and args.n is None:
         raise ValueError("fpoly needs --n unless --stable is given")
-    _refuse_formula_above_budget("fpoly-stable" if args.stable else "fpoly", args.m, args.n)
+    route = "fpoly-stable" if args.stable else "fpoly"
+    loops, words = formula_work(route, args.m, args.n)
+    refuse_above_budget(loops * words, route + FORMULA_WORK, point_budget(), loops, words)
     poly = (f_polynomial_stable if args.stable else f_polynomial)(args.m, args.n)
     _emit_poly(args, {"m": args.m, "n": args.n, "stable": args.stable}, poly, None)
     return 0
@@ -223,7 +183,7 @@ def cmd_fpoly(args) -> int:
 
 def cmd_vertices(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
-    _refuse_listing_above_budget(poly.vertex_count, "vertices")
+    refuse_above_budget(poly.vertex_count(), "{} vertices", point_budget())
     vertices = sorted(poly.vertices())
     _emit(
         args,
@@ -238,7 +198,10 @@ def cmd_vertices(args) -> int:
 
 def cmd_facets(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
-    _refuse_listing_above_budget(poly.facet_count, "facets", poly.facet_count_floor())
+    budget, floor = point_budget(), poly.facet_count_floor()
+    # the floor refuses without the binomial sum, past 2^64, but never admits
+    count = floor if floor > budget and floor.bit_length() > 64 else poly.facet_count()
+    refuse_above_budget(count, "{} facets", budget)
     facets = poly.facets()
     _emit(
         args,
@@ -257,7 +220,7 @@ def cmd_facets(args) -> int:
 
 def cmd_count_points(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
-    count = poly.count_lattice_points(args.t, budget=_point_budget())
+    count = poly.count_lattice_points(args.t, budget=point_budget())
     _emit_scalar(args, {"m": args.m, "n": args.n, "t": args.t}, "count", count)
     return 0
 
@@ -302,6 +265,7 @@ def cmd_graphs(args) -> int:
             ),
         )
         return 0
+    refuse_above_budget(count, "{} graphs", point_budget())
     # Each graph is written as it is enumerated: at m = 7 there are 1.26 M.
     pairs = vertex_pairs(args.m)
     graphs = enumerate_graphs(args.m)
@@ -341,14 +305,14 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_parking(args) -> int:
-    count = count_parking_functions(args.m, budget=_point_budget())
+    count = count_parking_functions(args.m, budget=point_budget())
     _emit_scalar(args, {"m": args.m}, "count", count)
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_all(
-        max_m=args.max_m, max_t=args.max_t, seed=args.seed, budget=_point_budget()
+        max_m=args.max_m, max_t=args.max_t, seed=args.seed, budget=point_budget()
     )
     for result in sorted(results, key=lambda r: r.name):
         print(result.line())

@@ -31,7 +31,7 @@ lists and divide once at the end, each in O(m^2) integer operations:
 from one factorial and one double-factorial table, and ``f_polynomial`` on
 ordered-set-partition rows summed by Horner's rule in t + 1.
 ``volume_closed`` is one Horner pass, O(m).  ``formula_work`` states these
-loop counts, with a bound on the operand size, for the CLI's budget.
+loop counts, with a bound on the operand size, for the work budget.
 The two combinatorial engines also sum 2^m ehr(t) as one int coefficient
 list and divide once, each over its own census: ``ehrhart_graphsum`` adds
 count * k^a 2^(m-c) C(c, i) to one coefficient per census entry
@@ -71,7 +71,6 @@ from .polynomials import (
     convolve,
     double_factorial,
     eulerian,
-    rising_binomial,
 )
 from .series import TruncatedSeries, _series, one_minus_z
 
@@ -155,18 +154,19 @@ def ehrhart_postnikov(m: int, n: int) -> Poly:
     2^m and the sum is divided once."""
     _require_formula_domain(m, n)
     census = sequence_census(m)
-    # rising binomials by multiplicity: Hall's condition on the copies of
-    # one slot allows at most 1 copy of a loop and 2 of a pair
-    loop_factor = [rising_binomial(Poly([0, n - m + 1]), a) for a in range(2)]
-    pair_factor = [rising_binomial(Poly([0, 1]), a) for a in range(3)]
+    # rising binomials by multiplicity, as int numerators: Hall's condition
+    # on the copies of one slot allows at most 1 copy of a loop and 2 of a
+    # pair; C(kt, 1) = kt with k = n - m + 1, C(t, 1) = t and
+    # C(t + 1, 2) = (t + t^2) / 2, the one factor over 2
+    loop_factor = ([1], [0, n - m + 1])
+    pair_factor = ([1], [0, 1], [0, 1, 1])
     top = 2**m
     nums = [0] * (m + 1)
     for (loop_mults, pair_mults), count in census.items():
-        term, den = [count], 1
+        term = [count]
         for f in [loop_factor[a] for a in loop_mults] + [pair_factor[a] for a in pair_mults]:
-            term = convolve(term, f.nums)
-            den *= f.den
-        scale = top // den
+            term = convolve(term, f)
+        scale = top >> pair_mults.count(2)
         for k, c in enumerate(term):
             nums[k] += c * scale
     return _poly(nums, top)
@@ -384,9 +384,14 @@ _LOOP_POWER = {
 }
 
 
+# a formula route's work as a refusal states it, after the route's name
+FORMULA_WORK = " work bound loops*64-bit operand words {}*{} = {}"
+
+
 def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
     """Work bound of a formula route on P(m, n) as (loop count, operand
-    size in 64-bit words), or None for ``postnikov`` and ``graphsum``.
+    size in 64-bit words), or None for ``postnikov`` and ``graphsum``; the
+    work is their product, stated by ``route + FORMULA_WORK``.
 
     The loop count is m to the depth of the route's loop nest.  The operand
     size is that of 2^m m! (2n+1)^m, of at most m (1 + bits(m) + bits(2n+1))

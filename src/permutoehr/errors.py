@@ -1,12 +1,48 @@
-"""Shared error types, budgets and the integer-argument check."""
+"""Shared error types, the work budget and the integer-argument check."""
+
+import os
 
 
 class BudgetError(RuntimeError):
     """Raised when a computation would exceed its resource budget."""
 
 
-DEFAULT_POINT_BUDGET = 10**8  # lattice DP work bound per count, or items per listing
+DEFAULT_POINT_BUDGET = 10**8  # default bound on every route's work estimate
 DEFAULT_GRAPH_BOUND = 7  # largest vertex count for multigraph enumeration
+
+
+def point_budget() -> int:
+    """The work budget: ``PERMUTOEHR_BUDGET`` when set, a positive integer,
+    else ``DEFAULT_POINT_BUDGET``."""
+    raw = os.environ.get("PERMUTOEHR_BUDGET")
+    if raw is None:
+        return DEFAULT_POINT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"PERMUTOEHR_BUDGET must be an integer, got {raw!r}")
+    if budget < 1:
+        raise ValueError("PERMUTOEHR_BUDGET must be positive")
+    return budget
+
+
+def _stated(count: int) -> str:
+    """A count as a refusal states it: past 2^64 by its size, because str()
+    of an int over 4300 digits raises."""
+    bits = count.bit_length()
+    return str(count) if bits <= 64 else f"more than 2^{bits - 1}"
+
+
+def refuse_above_budget(work: int, stating: str, budget: int, *factors: int) -> None:
+    """Raise BudgetError when a route's work estimate ``work`` exceeds
+    ``budget``, the one refusal of every route.
+
+    The message is ``stating`` with its ``{}`` fields filled by ``factors``
+    and then ``work``, each stated by :func:`_stated`, followed by
+    "exceeds budget <budget>".  Within the budget nothing is formatted."""
+    if work > budget:
+        stated = [_stated(count) for count in (*factors, work)]
+        raise BudgetError(f"{stating.format(*stated)} exceeds budget {budget}")
 
 
 def require_int(**values):

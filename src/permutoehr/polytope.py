@@ -20,7 +20,10 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 
-from .errors import BudgetError, DEFAULT_POINT_BUDGET, require_int
+from .errors import DEFAULT_POINT_BUDGET, refuse_above_budget, require_int
+
+# the lattice DP's work bound as a refusal states it
+LATTICE_WORK = "lattice DP work bound values*states*run lengths tn*(K+1)(S+1)*K = {}"
 
 
 @dataclass(frozen=True)
@@ -177,23 +180,18 @@ class PartialPermutohedron:
                 return False
         return sum(x) <= t * self.full_sum_bound()
 
-    def _count_extent(self, t: int, budget: int) -> tuple[int, int]:
-        """S = t*full_sum_bound(), the bound on the total of a point of t*P,
-        and K = min(m, S), on its nonzero entries: the extent of the count's
-        programme.  Refused with BudgetError when the programme's work bound
-        t*n * (K + 1)(S + 1) * K exceeds ``budget``."""
+    def count_work(self, t: int) -> int:
+        """Work bound of :meth:`count_lattice_points` at ``t``: values *
+        states * run lengths = t*n * (K + 1)(S + 1) * K, where
+        S = t*full_sum_bound() bounds the total of a point of t*P and
+        K = min(m, S) its nonzero entries (each is >= 1).  A refusal states
+        it as :data:`LATTICE_WORK` does."""
         require_int(t=t)
         if t < 1:
             raise ValueError("dilation factor t must be >= 1")
         full = t * self.full_sum_bound()
         most = min(self.m, full)
-        work = t * self.n * (most + 1) * (full + 1) * most
-        if work > budget:
-            raise BudgetError(
-                f"lattice DP work bound values*states*run lengths "
-                f"tn*(K+1)(S+1)*K = {work} exceeds budget {budget}"
-            )
-        return full, most
+        return t * self.n * (most + 1) * (full + 1) * most
 
     def count_lattice_points(self, t: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
         """Exact number of integer points in t*P(m, n), by a dynamic
@@ -215,12 +213,12 @@ class PartialPermutohedron:
         zeros multiplies it by C(m, idx), giving the orbit size
         m!/(prod(r_v!) (m - idx)!).
 
-        The work is at most values * states * run lengths =
-        t*n * (K + 1)(S + 1) * K, where S = t*full_sum_bound() bounds the
-        total and K = min(m, S) the nonzero entries (each is >= 1).  The
-        count is refused up front when that bound exceeds the budget."""
-        full, most = self._count_extent(t, budget)
+        The count is refused up front when its work bound,
+        :meth:`count_work`, exceeds the budget."""
+        refuse_above_budget(self.count_work(t), LATTICE_WORK, budget)
         m, n = self.m, self.n
+        full = t * self.full_sum_bound()
+        most = min(m, full)
         # caps[i] bounds the sum of the i + 1 largest entries; past the
         # subset facets only the full sum binds, entries being >= 0.  The
         # list stops at K positions, so a long vector of few nonzero

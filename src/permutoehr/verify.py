@@ -17,9 +17,9 @@ from itertools import product
 from math import factorial
 
 from . import ehrhart, graphs
-from .errors import DEFAULT_GRAPH_BOUND, DEFAULT_POINT_BUDGET
+from .errors import DEFAULT_GRAPH_BOUND, DEFAULT_POINT_BUDGET, refuse_above_budget
 from .polynomials import Poly
-from .polytope import PartialPermutohedron
+from .polytope import LATTICE_WORK, PartialPermutohedron
 from .series import TruncatedSeries
 
 
@@ -208,7 +208,8 @@ def run_all(
             "sequences"
         )
     # the brute-force oracle's largest count, refused before any check runs
-    PartialPermutohedron(min(max_m, 4), 4)._count_extent(max_t, budget)
+    work = PartialPermutohedron(min(max_m, 4), 4).count_work(max_t)
+    refuse_above_budget(work, LATTICE_WORK, budget)
     results = []
     results.extend(check_engine_agreement(max_m))
     results.append(check_oracle_agreement(max_m, max_t, budget))

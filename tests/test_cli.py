@@ -225,22 +225,28 @@ class TestOtherCommands:
         assert (code, out) == (3, "")
         assert f"more than 2^65 facets exceeds budget {2**64}" in err
 
-    @pytest.mark.parametrize("command", ("vertices", "facets"))
+    @pytest.mark.parametrize("command", ("vertices", "facets", "graphs"))
     def test_listing_at_its_budget_is_unchanged(self, capsys, monkeypatch, command):
         poly = PartialPermutohedron(3, 2)
+        argv = (command, "--m", "3", "--n", "2")
         if command == "vertices":
             count = poly.vertex_count()
             expected = [" ".join(map(str, v)) for v in sorted(poly.vertices())]
-        else:
+        elif command == "facets":
             count = poly.facet_count()
             expected = [str(f) for f in poly.facets()]
+        else:
+            # refused on the census total, 8 at m = 2, before any row
+            argv = (command, "--m", "2")
+            count = sum(graph_census(2).values())
+            expected = materialised_graph_listing(2, "plain")[0].splitlines()
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(count))
-        code, out, err = run(capsys, command, "--m", "3", "--n", "2")
+        code, out, err = run(capsys, *argv)
         assert code == 0
         assert out.splitlines() == expected and len(expected) == count
         assert err == f"# {count} {command}\n"
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(count - 1))
-        code, out, err = run(capsys, command, "--m", "3", "--n", "2")
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert f"{count} {command} exceeds budget {count - 1}" in err
 
@@ -366,7 +372,25 @@ class TestFormulaBudget:
         assert (code, out) == (3, "")
         assert re.search(r"= more than 2\^\d+ exceeds budget 100000000", err)
 
-    # at m = 3 every operand fits in one word, so the bound is the loop count
+    # lattice work bounds of 14,000 to 33,000 bits: str() of each would raise
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("count-points", "--m", "3", "--n", "9" * 2500, "--t", "9" * 2500),
+            ("parking", "--m", "9" * 1500),
+            ("verify", "--max-t", "9" * 2200),
+        ),
+        ids=("count-points", "parking", "verify"),
+    )
+    def test_astronomical_lattice_work_refused_with_its_size(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert re.search(r"= more than 2\^\d+ exceeds budget 100000000", err)
+
+    # at m = 3 every operand fits in one word, so a formula route's bound is
+    # its loop count; the lattice routes' bound is t*n * (K + 1)(S + 1) * K,
+    # verify's that of its oracle's largest count, at (2, 4, max_t)
     @pytest.mark.parametrize(
         "argv, work",
         (
@@ -375,6 +399,9 @@ class TestFormulaBudget:
             (("volume", "--m", "3", "--n", "3"), 3),
             (("fpoly", "--m", "3", "--n", "3"), 9),
             (("fpoly", "--m", "3", "--stable"), 27),
+            (("count-points", "--m", "3", "--n", "3", "--t", "2"), 6 * 4 * 13 * 3),
+            (("parking", "--m", "3"), 1 * 2 * 4 * 4 * 3),
+            (("verify", "--max-m", "2", "--max-t", "1"), 4 * 3 * 8 * 2),
         ),
     )
     def test_inclusive_at_the_bound(self, capsys, monkeypatch, argv, work):
