@@ -46,10 +46,14 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
                     sum) states of the sorted points; parking is t = 1)
   verify            that bound for its oracle's largest count, at
                     (min(max_m, 4), 4, max_t)
+  ehrhart --method  m(m+1)/2 * 4^m (slot steps * states of the Hall DP
+  postnikov         over the sequences)
+  ehrhart --method  m * 3^m (vertex steps * states of the component DP
+  graphsum, graphs  over the multigraphs)
+  --stats
   vertices, facets, the length of the listing (items); graphs reads it
   graphs            off the census
-ehrhart --method postnikov and graphsum, and graphs --stats, have no
-budget: the graph counts refuse m > 7, whatever the budget.  Parameters
+The graphs listing also refuses m > 7, whatever the budget.  Parameters
 outside a command's domain exit 2 before any budget test.
 """
 
@@ -152,10 +156,11 @@ def cmd_ehrhart(args) -> int:
     if args.t is not None and args.t < 1:
         raise ValueError("evaluation point t must be >= 1")
     work = formula_work(args.method, args.m, args.n)
-    if work is not None:  # postnikov and graphsum: the vertex bound of their graph counts
+    budget = point_budget()
+    if work is not None:  # postnikov and graphsum refuse on their census DP's estimate
         loops, words = work
-        refuse_above_budget(loops * words, args.method + FORMULA_WORK, point_budget(), *work)
-    poly = compute_ehrhart(args.m, args.n, args.method).polynomial
+        refuse_above_budget(loops * words, args.method + FORMULA_WORK, budget, *work)
+    poly = compute_ehrhart(args.m, args.n, args.method, budget).polynomial
     value = None if args.t is None else poly(args.t)
     head = {"m": args.m, "n": args.n, "t": args.t, "method": args.method}
     _emit_poly(args, head, poly, value)
@@ -248,12 +253,11 @@ def _graph_json(loops, edges: str) -> str:
 
 
 def cmd_graphs(args) -> int:
-    # the census checks m against the enumeration bound before anything is written
-    census = graph_census(args.m)
-    count = sum(census.values())
     if args.stats:
+        census = graph_census(args.m, point_budget())
+        count = sum(census.values())
         header = ("loops", "single", "pairs", "count")
-        rows = [(*k, c) for k, c in sorted(census.items())]
+        rows = [(*k, c) for k, c in census.items()]
         _emit(
             args,
             lambda: {"m": args.m, "census": [dict(zip(header, row)) for row in rows],
@@ -265,10 +269,16 @@ def cmd_graphs(args) -> int:
             ),
         )
         return 0
+    # The first member is taken before anything is written, so that m is
+    # checked against the listing bound first; the listing is then refused
+    # on its length, read off the census, which at m <= 7 stays far inside
+    # the default budget.
+    members = enumerate_graphs(args.m)
+    graphs = chain([next(members)], members)
+    count = sum(graph_census(args.m).values())
     refuse_above_budget(count, "{} graphs", point_budget())
     # Each graph is written as it is enumerated: at m = 7 there are 1.26 M.
     pairs = vertex_pairs(args.m)
-    graphs = enumerate_graphs(args.m)
     if args.format == "json":
         # the document json.dumps(report, indent=2) gives, written piece by piece
         report = {"command": "graphs", "m": args.m, "count": count}

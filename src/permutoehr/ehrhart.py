@@ -11,8 +11,8 @@ different exact expressions, all implemented here in exact arithmetic:
 ``ehrhart_postnikov``   a sum over Hall-feasible edge-multiplicity
                         sequences of products of rising-factorial
                         binomials (lattice points of a Minkowski sum of
-                        dilated coordinate simplices), over the sequences
-                        the Hall walk of :mod:`.graphs` enumerates;
+                        dilated coordinate simplices), over the census
+                        the Hall DP of :mod:`.graphs` counts;
 ``ehrhart_graphsum``    an edge-weighted sum over labelled multigraphs
                         whose components each have at most one cycle,
                         over the census the component DP of
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .errors import require_int
+from .errors import DEFAULT_POINT_BUDGET, require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
     Poly,
@@ -140,20 +140,20 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     return _poly(_closed_scaled(m, n), 2**m)
 
 
-def ehrhart_postnikov(m: int, n: int) -> Poly:
+def ehrhart_postnikov(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly:
     """Sum over Hall-feasible multiplicity sequences a of
     prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
     prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
 
     The product depends only on the multisets of nonzero loop and pair
     multiplicities, so the sum runs over :func:`.graphs.sequence_census`,
-    the Hall walk's tally; no multigraph or union-find code is reached.
-    Each term is an int convolution of the factors' numerators over the
-    product of their denominators, 2 per pair of multiplicity 2; at most
-    m/2 pairs have it, so every term is scaled onto the common denominator
-    2^m and the sum is divided once."""
+    the Hall DP's tally, refused up front past ``budget``; no multigraph
+    or union-find code is reached.  Each term is an int convolution of the
+    factors' numerators over the product of their denominators, 2 per pair
+    of multiplicity 2; at most m/2 pairs have it, so every term is scaled
+    onto the common denominator 2^m and the sum is divided once."""
     _require_formula_domain(m, n)
-    census = sequence_census(m)
+    census = sequence_census(m, budget)
     # rising binomials by multiplicity, as int numerators: Hall's condition
     # on the copies of one slot allows at most 1 copy of a loop and 2 of a
     # pair; C(kt, 1) = kt with k = n - m + 1, C(t, 1) = t and
@@ -172,7 +172,7 @@ def ehrhart_postnikov(m: int, n: int) -> Poly:
     return _poly(nums, top)
 
 
-def ehrhart_graphsum(m: int, n: int) -> Poly:
+def ehrhart_graphsum(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly:
     """Sum over multigraphs G (components with at most one cycle) of
     ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs.
 
@@ -180,11 +180,12 @@ def ehrhart_graphsum(m: int, n: int) -> Poly:
     and c doubled pairs, counted N times, adds N k^a 2^(m-c) C(c, i) to the
     coefficient of t^(a+b+c+i) in 2^m ehr(t), i = 0..c, with k = n - m + 1
     (c <= m, and a + b + 2c <= m edges).  The sum is taken in integers and
-    divided by 2^m once."""
+    divided by 2^m once, over :func:`.graphs.graph_census`, refused up front
+    past ``budget``."""
     _require_formula_domain(m, n)
     k = n - m + 1
     nums = [0] * (m + 1)
-    for (loops, single, doubled), count in graph_census(m).items():
+    for (loops, single, doubled), count in graph_census(m, budget).items():
         scale = count * k**loops << (m - doubled)
         low = loops + single + doubled
         for i in range(doubled + 1):
@@ -371,8 +372,9 @@ _ENGINES = {
 # width m of ``recurrence`` and the series and 1/t expansion of ``egf`` are
 # m^2; the powers of T(z) in ``egf-tree`` and the Eulerian polynomial and
 # its shift per i in ``f_polynomial_stable`` are m^3; the Horner pass of
-# ``volume`` is m.  ``postnikov`` and ``graphsum`` are bounded by the
-# vertex bound of their graph counts instead.
+# ``volume`` is m.  ``postnikov`` and ``graphsum`` are bounded by the work
+# estimate of their census DP instead (``graphs.hall_work`` and
+# ``graphs.component_work``), which the engine itself refuses on.
 _LOOP_POWER = {
     "closed": 2,
     "recurrence": 2,
@@ -421,12 +423,19 @@ class EhrhartResult:
     polynomial: Poly
 
 
-def compute_ehrhart(m: int, n: int, method: str = "closed") -> EhrhartResult:
-    """Run one named engine; all engines agree for every valid (m, n)."""
+def compute_ehrhart(
+    m: int, n: int, method: str = "closed", budget: int = DEFAULT_POINT_BUDGET
+) -> EhrhartResult:
+    """Run one named engine; all engines agree for every valid (m, n).
+    ``budget`` bounds the census DP of ``postnikov`` and ``graphsum``; the
+    other engines have no budget here, their work being bounded through
+    :func:`formula_work` by the caller."""
     try:
         engine = _ENGINES[method]
     except KeyError:
         raise ValueError(
             f"unknown method {method!r}; choose from {', '.join(METHOD_NAMES)}"
         ) from None
+    if method in ("postnikov", "graphsum"):
+        return EhrhartResult(m, n, method, engine(m, n, budget))
     return EhrhartResult(m, n, method, engine(m, n))

@@ -8,7 +8,7 @@ class BudgetError(RuntimeError):
 
 
 DEFAULT_POINT_BUDGET = 10**8  # default bound on every route's work estimate
-DEFAULT_GRAPH_BOUND = 7  # largest vertex count for multigraph enumeration
+DEFAULT_GRAPH_BOUND = 7  # largest vertex count for the graph and sequence listings
 
 
 def point_budget() -> int:

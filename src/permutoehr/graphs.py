@@ -14,7 +14,8 @@ The objects here come in two equivalent presentations:
 two feasible sets.
 
 The multigraphs are counted by a component DP and listed by a
-union-find walk; the sequences are counted and listed by one Hall walk.
+union-find walk; the sequences are counted by a Hall DP and listed by a
+Hall walk.
 
 * The component DP adds the vertices one at a time and keeps only the
   multiset of (size, has a cycle) of the components so far, with the
@@ -23,21 +24,25 @@ union-find walk; the sequences are counted and listed by one Hall walk.
   ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``.
 * The union-find walk ``enumerate_graphs`` gives a pair multiplicity 0, 1
   or 2, pruning any branch in which a component acquires a second cycle.
+* The Hall DP ``_hall_tally`` takes the slots in lexicographic order and
+  keeps, per state, the family of minimal vertex sets that a system of
+  distinct representatives of the slots so far uses; a vertex leaves
+  every set once its last slot is past.  It counts sequences by the
+  multisets of their nonzero loop and pair multiplicities for
+  ``sequence_census`` (and the ``postnikov`` engine).
 * The Hall walk ``_hall_walk``, for one loop set, keeps a live
   slot-to-vertex matching, the copy of each loop matched to its vertex,
   and steps like an odometer through the pair multiplicities in one
   frame: a pair takes one more copy while an augmenting path extends the
-  matching.  ``enumerate_sequences`` runs it on every loop set.  The
-  count behind ``sequence_census`` (and the ``postnikov`` engine), run
-  once per m and process, runs it on one loop set per loop count
-  (relabelling the vertices, that set stands for every loop set of its
-  size) and counts sequences by the multisets of their nonzero loop and
-  pair multiplicities.
+  matching.  ``enumerate_sequences`` runs it on every loop set.
 
+The two DPs run once per m and process, and each is refused up front when
+its work estimate (``component_work``, ``hall_work``) exceeds the budget.
 Each listing walks every loop set and builds every member, in
-lexicographic order.  The DP, the union-find walk and the Hall walk share
-no code, so the census and the graph listing, like the two presentations,
-can fail independently.
+lexicographic order, and stops at the vertex bound ``DEFAULT_GRAPH_BOUND``,
+as its work is its output.  The two DPs and the two walks share no code,
+so the censuses and the listings, like the two presentations, can fail
+independently.
 """
 
 from __future__ import annotations
@@ -48,7 +53,13 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import BudgetError, DEFAULT_GRAPH_BOUND, require_int
+from .errors import (
+    DEFAULT_GRAPH_BOUND,
+    DEFAULT_POINT_BUDGET,
+    BudgetError,
+    refuse_above_budget,
+    require_int,
+)
 
 
 @lru_cache(maxsize=None)
@@ -190,10 +201,16 @@ def from_multigraph(graph: Multigraph) -> EdgeMultiplicities:
     return EdgeMultiplicities(graph.m, graph.loops, graph.pair_mult)
 
 
-def _check_enum_bound(m: int):
+def _require_vertex_count(m: int):
     require_int(m=m)
     if m < 1:
         raise ValueError("need m >= 1")
+
+
+def _check_enum_bound(m: int):
+    """The listings' bound: their work is their output, so m is capped
+    rather than budgeted."""
+    _require_vertex_count(m)
     if m > DEFAULT_GRAPH_BOUND:
         raise BudgetError(f"enumeration for m={m} exceeds the bound {DEFAULT_GRAPH_BOUND}")
 
@@ -290,6 +307,29 @@ def enumerate_sequences(m: int) -> Iterator[EdgeMultiplicities]:
             yield EdgeMultiplicities(m, loop, tuple(mult))
 
 
+# the census DPs' work estimates as a refusal states them
+COMPONENT_WORK = "component DP work estimate vertices*states m*3^m = {}"
+HALL_WORK = "Hall DP work estimate slots*states m(m+1)/2*4^m = {}"
+
+
+def component_work(m: int) -> int:
+    """Work estimate of the component DP behind :func:`graph_census` and
+    :func:`structure_counts`, for m >= 1: m vertex steps times 3^m.  The
+    DP's branch steps grow about twofold per vertex and number under half
+    of this up to m = 14, the last m the default budget admits.  A refusal
+    states it as :data:`COMPONENT_WORK` does."""
+    return m * 3**m
+
+
+def hall_work(m: int) -> int:
+    """Work estimate of the Hall DP behind :func:`sequence_census`, for
+    m >= 1: m(m+1)/2 slot steps times 4^m.  The tallies the DP carries
+    through its slots number under 4^m in all up to m = 10, the last m the
+    default budget admits, and grow close to fourfold per vertex.  A
+    refusal states it as :data:`HALL_WORK` does."""
+    return m * (m + 1) // 2 * 4**m
+
+
 @lru_cache(maxsize=None)
 def _component_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
     """Counts of the multigraphs on m vertices by (loops, single edges,
@@ -335,15 +375,24 @@ def _component_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ..
     return tuple(tally.items())
 
 
-def graph_census(m: int) -> dict[GraphStats, int]:
-    """Counts of graphs by (n_loops, n_single, n_pairs) signature, in
-    signature order."""
-    _check_enum_bound(m)
+@lru_cache(maxsize=None)
+def _graph_census(m: int) -> tuple[tuple[GraphStats, int], ...]:
+    """The component DP's counts summed over connectedness, in signature
+    order."""
     counts: dict[GraphStats, int] = {}
     for (loops, single, doubled, _), count in _component_tally(m):
         key = GraphStats(loops, single, doubled)
         counts[key] = counts.get(key, 0) + count
-    return dict(sorted(counts.items()))
+    return tuple(sorted(counts.items()))
+
+
+def graph_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphStats, int]:
+    """Counts of graphs by (n_loops, n_single, n_pairs) signature, in
+    signature order, refused up front when :func:`component_work` exceeds
+    the budget.  Each call returns a fresh dict."""
+    _require_vertex_count(m)
+    refuse_above_budget(component_work(m), COMPONENT_WORK, budget)
+    return dict(_graph_census(m))
 
 
 class StructureCounts(NamedTuple):
@@ -353,12 +402,14 @@ class StructureCounts(NamedTuple):
     quasitrees: int
 
 
-def structure_counts(m: int) -> StructureCounts:
+def structure_counts(m: int, budget: int = DEFAULT_POINT_BUDGET) -> StructureCounts:
     """Counts of the connected graphs, split into the four shapes a
     connected at-most-one-cycle multigraph can take: tree (#edges = m-1),
     tree plus one loop, tree with one edge doubled, and simple unicyclic
-    with cycle length >= 3."""
-    _check_enum_bound(m)
+    with cycle length >= 3.  Refused up front when :func:`component_work`
+    exceeds the budget."""
+    _require_vertex_count(m)
+    refuse_above_budget(component_work(m), COMPONENT_WORK, budget)
     trees = looped = enhanced = quasi = 0
     for (loops, single, doubled, connected), count in _component_tally(m):
         if not connected:
@@ -374,33 +425,105 @@ def structure_counts(m: int) -> StructureCounts:
     return StructureCounts(trees, looped, enhanced, quasi)
 
 
+def _minimal(sets) -> frozenset[int]:
+    """The inclusion-minimal members of ``sets``, vertex sets as bitmasks."""
+    ordered = sorted(set(sets), key=int.bit_count)
+    if not ordered or ordered[0].bit_count() == ordered[-1].bit_count():
+        return frozenset(ordered)  # sets of one size are incomparable
+    kept: list[int] = []
+    for w in ordered:
+        for k in kept:
+            if k & w == k:
+                break
+        else:
+            kept.append(w)
+    return frozenset(kept)
+
+
+def _take(family: frozenset[int], slot: int) -> frozenset[int]:
+    """The SDR family after one more copy of ``slot``: the minimal sets
+    W | {v} with W in ``family`` and v in ``slot`` outside W; empty when no
+    SDR takes the copy."""
+    grown = []
+    for w in family:
+        free = slot & ~w
+        while free:
+            v = free & -free
+            grown.append(w | v)
+            free ^= v
+    return _minimal(grown)
+
+
+def _add(states: dict, family: frozenset[int], tally: dict[int, int], shift: int):
+    """Add ``tally``, every key moved up by ``shift``, to the tally of
+    ``family`` in ``states``."""
+    target = states.get(family)
+    if target is None:
+        states[family] = {key + shift: count for key, count in tally.items()}
+        return
+    for key, count in tally.items():
+        target[key + shift] = target.get(key + shift, 0) + count
+
+
 @lru_cache(maxsize=None)
 def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], int], ...]:
     """Counts of the Hall-feasible multiplicity sequences for m by the
     multisets of their nonzero loop and pair multiplicities (each a sorted
-    tuple), from one Hall walk per loop count.
+    tuple), in sorted order, by a transfer DP over the slots.
 
-    Relabelling the vertices keeps Hall's condition and both multisets, so
-    for each l = 0 .. m the walk puts the loops on vertices 0 .. l - 1 and
-    counts every sequence C(m, l) times.  A pair has two endpoints, so its
-    multiplicity is at most 2 and (l, #pairs of 1, #pairs of 2) names the
-    multisets."""
-    counts: dict[tuple[int, int, int], int] = {}
-    for loops in range(m + 1):
-        weight = comb(m, loops)
-        for mult in _hall_walk(m, (1,) * loops + (0,) * (m - loops)):
-            key = (loops, mult.count(1), mult.count(2))
-            counts[key] = counts.get(key, 0) + weight
-    return tuple(
-        (((1,) * loops, (1,) * single + (2,) * double), count)
-        for (loops, single, double), count in counts.items()
-    )
+    The slots come in lexicographic order, each vertex i's row being its
+    loop {i} and then the pairs {i, j} with j > i.  A state is the family of
+    minimal vertex sets (bitmasks) that some system of distinct
+    representatives of the slots so far uses: each SDR of a longer slot
+    list restricts to one of the shorter, and a later copy needs a vertex
+    outside the set, so a copy of slot e maps the family to the minimal
+    sets among W | {v}, v in e outside W (:func:`_take`), and an empty
+    family means Hall's condition fails.  Two copies of {i}, or three of a
+    pair, have no distinct representatives, so a loop takes at most one
+    copy and a pair two.  After row i no later slot holds i, so i is
+    dropped from every set and the family made minimal again.
+
+    Each family carries its sequences tallied by (loops, single pairs,
+    doubled pairs), packed as one int in base m + 1.  No matching,
+    union-find or component code is reached."""
+    width = m + 1
+    states = {frozenset((0,)): {0: 1}}  # family -> {packed tally: sequences}
+    for i in range(m):
+        slots = [(1 << i, (1,))]
+        slots += [((1 << i) | (1 << j), (width, width * width)) for j in range(i + 1, m)]
+        for slot, shifts in slots:  # shifts[c - 1]: the tally step of c copies
+            # no copy of the slot keeps every family and tally
+            grown = {family: dict(tally) for family, tally in states.items()}
+            for family, tally in states.items():
+                taken = family
+                for shift in shifts:
+                    taken = _take(taken, slot)
+                    if not taken:
+                        break
+                    _add(grown, taken, tally, shift)
+            states = grown
+        keep = ~(1 << i)
+        retired: dict = {}
+        for family, tally in states.items():
+            _add(retired, _minimal(w & keep for w in family), tally, 0)
+        states = retired
+    (tally,) = states.values()  # every vertex retired: the family {empty set}
+    census = []
+    for key, count in tally.items():
+        loops, single, doubled = key % width, key // width % width, key // width**2
+        census.append((((1,) * loops, (1,) * single + (2,) * doubled), count))
+    return tuple(sorted(census))
 
 
-def sequence_census(m: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def sequence_census(
+    m: int, budget: int = DEFAULT_POINT_BUDGET
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """Counts of the Hall-feasible multiplicity sequences by
     (loop multiplicities, pair multiplicities): the nonzero entries of
-    ``loop`` and of ``pair``, each as a sorted tuple.  Read off the Hall
-    walk, which shares no code with the multigraph census or listing."""
-    _check_enum_bound(m)
-    return dict(sorted(_hall_tally(m)))
+    ``loop`` and of ``pair``, each as a sorted tuple, in sorted order.
+    Read off the Hall DP, which shares no code with the multigraph census
+    or listing, and refused up front when :func:`hall_work` exceeds the
+    budget.  Each call returns a fresh dict."""
+    _require_vertex_count(m)
+    refuse_above_budget(hall_work(m), HALL_WORK, budget)
+    return dict(_hall_tally(m))

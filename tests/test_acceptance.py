@@ -49,14 +49,17 @@ def test_criterion_1_five_way_engine_agreement():
                     f"{method} disagrees with the closed form at m={m}, n={n}"
                 )
             cases += 1
-    # the two enumerating engines at m = 7, on walks that share no code
-    for n in (6, 7):
-        reference = ehrhart_closed(7, n)
-        for method in ("postnikov", "graphsum"):
-            assert compute_ehrhart(7, n, method).polynomial == reference, (
-                f"{method} disagrees with the closed form at m=7, n={n}"
-            )
-        cases += 1
+    # the two combinatorial engines up to m = 10, on DPs that share no code
+    for m in range(1, 11):
+        for n in (m - 1, m, m + 3):
+            if n < 1:
+                continue
+            reference = ehrhart_closed(m, n)
+            for method in ("postnikov", "graphsum"):
+                assert compute_ehrhart(m, n, method).polynomial == reference, (
+                    f"{method} disagrees with the closed form at m={m}, n={n}"
+                )
+            cases += 1
     # the formula routes further out: integer closed sum, integer recurrence,
     # egf extraction in 1/t over z and over the powers of T(z)
     for m in (12, 16, 36):
@@ -70,7 +73,7 @@ def test_criterion_1_five_way_engine_agreement():
     _passed(
         1,
         f"six routes identical on {cases} (m, n) pairs up to m = 6, "
-        "postnikov and graphsum also at m = 7, the formula routes at m = 12, 16",
+        "postnikov and graphsum also up to m = 10, the formula routes at m = 12, 16",
     )
 
 

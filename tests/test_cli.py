@@ -390,7 +390,9 @@ class TestFormulaBudget:
 
     # at m = 3 every operand fits in one word, so a formula route's bound is
     # its loop count; the lattice routes' bound is t*n * (K + 1)(S + 1) * K,
-    # verify's that of its oracle's largest count, at (2, 4, max_t)
+    # verify's that of its oracle's largest count, at (2, 4, max_t); the
+    # census routes' is m(m+1)/2 * 4^m for the Hall DP, m * 3^m for the
+    # component DP
     @pytest.mark.parametrize(
         "argv, work",
         (
@@ -402,6 +404,9 @@ class TestFormulaBudget:
             (("count-points", "--m", "3", "--n", "3", "--t", "2"), 6 * 4 * 13 * 3),
             (("parking", "--m", "3"), 1 * 2 * 4 * 4 * 3),
             (("verify", "--max-m", "2", "--max-t", "1"), 4 * 3 * 8 * 2),
+            (("ehrhart", "--method", "postnikov", "--m", "3", "--n", "3"), 6 * 4**3),
+            (("ehrhart", "--method", "graphsum", "--m", "3", "--n", "3"), 3 * 3**3),
+            (("graphs", "--m", "3", "--stats"), 3 * 3**3),
         ),
     )
     def test_inclusive_at_the_bound(self, capsys, monkeypatch, argv, work):
@@ -414,6 +419,33 @@ class TestFormulaBudget:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert f"= {work} exceeds budget {work - 1}" in err
+
+    @pytest.mark.parametrize(
+        "argv, stated",
+        (
+            (("ehrhart", "--method", "postnikov", "--m", "7", "--n", "7"),
+             "Hall DP work estimate slots*states m(m+1)/2*4^m = 458752"),
+            (("ehrhart", "--method", "graphsum", "--m", "7", "--n", "7"),
+             "component DP work estimate vertices*states m*3^m = 15309"),
+            (("graphs", "--m", "7", "--stats"),
+             "component DP work estimate vertices*states m*3^m = 15309"),
+        ),
+    )
+    def test_census_routes_obey_the_budget_variable(self, capsys, monkeypatch, argv, stated):
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {stated} exceeds budget 1\n"
+
+    def test_census_routes_at_the_default_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        for m, method in ((10, "postnikov"), (12, "graphsum")):
+            code, out, err = run(capsys, "ehrhart", "--m", str(m), "--n", str(m), "--method", method)
+            assert (code, err) == (0, "")
+            assert out == f"{ehrhart_closed(m, m)}\n"
+        code, out, err = run(capsys, "ehrhart", "--m", "12", "--n", "12", "--method", "postnikov")
+        assert (code, out) == (3, "")
+        assert "m(m+1)/2*4^m = 1308622848 exceeds budget 100000000" in err
 
     @pytest.mark.parametrize(
         "argv",

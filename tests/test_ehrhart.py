@@ -473,10 +473,12 @@ class TestIndependentEnumerators:
     MULTIGRAPH = (
         "_component_tally", "_root", "enumerate_graphs", "component_cycle_check"
     )
-    MATCHING = ("_hall_tally", "_hall_walk", "_augment", "find_sdr", "satisfies_hall")
+    HALL_DP = ("_hall_tally", "_take", "_minimal", "_add")
+    MATCHING = HALL_DP + ("_hall_walk", "_augment", "find_sdr", "satisfies_hall")
 
     def test_postnikov_reaches_no_union_find_code(self, monkeypatch):
-        for name in self.MULTIGRAPH:
+        # nor the Hall walk or its augmenting paths: the census is a DP
+        for name in self.MULTIGRAPH + ("_hall_walk", "_augment"):
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "graph_census", _refuse)
         monkeypatch.setattr(graphs, "_hall_tally", graphs._hall_tally.__wrapped__)
@@ -486,6 +488,7 @@ class TestIndependentEnumerators:
         for name in self.MATCHING:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "sequence_census", _refuse)
+        monkeypatch.setattr(graphs, "_graph_census", graphs._graph_census.__wrapped__)
         monkeypatch.setattr(
             graphs, "_component_tally", graphs._component_tally.__wrapped__
         )
@@ -506,12 +509,18 @@ class TestIndependentEnumerators:
 
 class TestEnumerationBound:
     def test_refused_before_any_walk(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_hall_tally", _refuse)
-        monkeypatch.setattr(graphs, "_component_tally", _refuse)
-        with pytest.raises(BudgetError):
-            ehrhart_postnikov(8, 8)
-        with pytest.raises(BudgetError):
-            structure_counts(8)
+        # below its DP's work estimate a census route is refused before any
+        # DP step; at the default budget it runs past the listings' bound
+        hall, component = graphs.hall_work(8), graphs.component_work(8)
+        with monkeypatch.context() as patched:
+            patched.setattr(graphs, "_hall_tally", _refuse)
+            patched.setattr(graphs, "_component_tally", _refuse)
+            with pytest.raises(BudgetError, match=f"= {hall} exceeds budget {hall - 1}"):
+                ehrhart_postnikov(8, 8, budget=hall - 1)
+            with pytest.raises(BudgetError, match=f"= {component} exceeds budget"):
+                structure_counts(8, budget=component - 1)
+        assert ehrhart_postnikov(8, 8) == ehrhart_closed(8, 8)
+        assert structure_counts(8) == (8**6, 8**7, 7 * 8**6, 1436568)
 
     def test_census_total_m7(self):
         assert sum(graph_census(7).values()) == 1261748

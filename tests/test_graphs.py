@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from permutoehr import graphs
 from permutoehr.errors import BudgetError
 from permutoehr.graphs import (
     EdgeMultiplicities,
@@ -14,6 +15,7 @@ from permutoehr.graphs import (
     find_sdr,
     from_multigraph,
     graph_census,
+    hall_work,
     satisfies_hall,
     sequence_census,
     structure_counts,
@@ -37,6 +39,10 @@ FEASIBLE_M2 = {
 
 def seq2(a1, a2, a12):
     return EdgeMultiplicities(2, (a1, a2), (a12,))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a DP step ran")
 
 
 class TestHall:
@@ -179,6 +185,16 @@ class TestCensusAndStats:
         assert census[GraphStats(0, 0, 1)] == 1  # doubled edge
         assert census[GraphStats(1, 1, 0)] == 2  # loop plus edge
 
+    @pytest.mark.parametrize("census", (graph_census, sequence_census))
+    def test_a_mutated_census_leaves_the_next_call_intact(self, census):
+        first = census(5)
+        key = next(iter(first))
+        first[key] += 1
+        del first[next(reversed(first))]
+        again = census(5)
+        assert again[key] == first[key] - 1
+        assert sum(again.values()) == 5254
+
 
 class TestSequenceCensus:
     @pytest.mark.parametrize("m", (1, 2, 3))
@@ -205,9 +221,26 @@ class TestSequenceCensus:
             projected[key] = projected.get(key, 0) + count
         assert projected == graph_census(m)
 
-    def test_bound(self):
-        with pytest.raises(BudgetError):
-            sequence_census(8)
+    def test_bound(self, monkeypatch):
+        # below the Hall DP's work estimate the census is refused before any
+        # DP step; at the default budget it runs past the listings' bound
+        work = hall_work(8)
+        with monkeypatch.context() as patched:
+            for name in ("_hall_tally", "_component_tally"):
+                patched.setattr(graphs, name, _refuse)
+            with pytest.raises(BudgetError, match=f"= {work} exceeds budget {work - 1}"):
+                sequence_census(8, budget=work - 1)
+        assert sum(sequence_census(8).values()) == 24724187
+
+    def test_both_censuses_past_the_listing_bound(self):
+        # two Hall readings that share no code, SDR families and components,
+        # agree signature by signature at m = 8
+        projected: dict = {}
+        for (loop_mults, pair_mults), count in sequence_census(8).items():
+            key = GraphStats(len(loop_mults), pair_mults.count(1), pair_mults.count(2))
+            projected[key] = projected.get(key, 0) + count
+        assert projected == graph_census(8)
+        assert sum(projected.values()) == 24724187
 
 
 class TestStructureCounts:
@@ -227,7 +260,7 @@ class TestStructureCounts:
 
     @pytest.mark.parametrize("m", (8, 9, 10))
     def test_component_dp_past_the_enumeration_bound(self, m):
-        # the public counts refuse m > 7; the DP behind them does not
+        # the DP behind the public counts, checked against the closed forms
         shapes = [0, 0, 0]  # trees, looped, enhanced
         total = 0
         for (loops, single, doubled, connected), count in _component_tally(m):
@@ -257,10 +290,9 @@ def _connected(graph):
 
 
 class TestSymmetricWalks:
-    """The census comes from the component DP, and the Hall tally from a
-    walk that visits one loop set per loop count and weights it by the
-    number of loop sets of that size; each listing walks every loop set by
-    a route of its own, so it checks its own presentation's counts."""
+    """The census comes from the component DP, and the sequence census from
+    the Hall DP over SDR families; each listing walks every loop set by a
+    route of its own, so it checks its own presentation's counts."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_census_matches_the_listing(self, m):

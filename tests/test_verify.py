@@ -52,8 +52,8 @@ class TestFaultInjection:
 
         good = engine_module.graph_census
 
-        def shaved(m):
-            census = dict(good(m))
+        def shaved(m, budget):
+            census = dict(good(m, budget))
             key = next(iter(census))
             census[key] += 1
             return census
