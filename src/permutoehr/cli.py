@@ -50,7 +50,8 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
   postnikov         over the sequences)
   ehrhart --method  m * 3^m (vertex steps * states of the component DP
   graphsum, graphs  over the multigraphs)
-  --stats
+  --stats           both census estimates are stated as "more than 2^m"
+                    past m = 64, without taking the power
   vertices, facets, the length of the listing (items); graphs reads it
   graphs            off the census
 The graphs listing also refuses m > 7, whatever the budget.  Parameters

@@ -183,9 +183,10 @@ def ehrhart_graphsum(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly
     divided by 2^m once, over :func:`.graphs.graph_census`, refused up front
     past ``budget``."""
     _require_formula_domain(m, n)
+    census = graph_census(m, budget)
     k = n - m + 1
     nums = [0] * (m + 1)
-    for (loops, single, doubled), count in graph_census(m, budget).items():
+    for (loops, single, doubled), count in census.items():
         scale = count * k**loops << (m - doubled)
         low = loops + single + doubled
         for i in range(doubled + 1):

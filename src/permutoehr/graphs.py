@@ -330,6 +330,17 @@ def hall_work(m: int) -> int:
     return m * (m + 1) // 2 * 4**m
 
 
+def _refuse_census(work, stating: str, m: int, budget: int) -> None:
+    """Refuse a census DP on m, through :func:`refuse_above_budget`, when
+    its estimate ``work(m)`` exceeds ``budget``.  Both estimates exceed
+    2^m, so past m = max(64, budget.bit_length()) the DP is refused on
+    that floor, stated as "more than 2^m", without taking the power."""
+    limit = max(64, budget.bit_length())
+    if m > limit:  # work(m) > 2^m > 2^limit > budget
+        refuse_above_budget(1 << limit, stating.format("more than 2^{}"), budget, m)
+    refuse_above_budget(work(m), stating, budget)
+
+
 @lru_cache(maxsize=None)
 def _component_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
     """Counts of the multigraphs on m vertices by (loops, single edges,
@@ -391,7 +402,7 @@ def graph_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphStats,
     signature order, refused up front when :func:`component_work` exceeds
     the budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
-    refuse_above_budget(component_work(m), COMPONENT_WORK, budget)
+    _refuse_census(component_work, COMPONENT_WORK, m, budget)
     return dict(_graph_census(m))
 
 
@@ -409,7 +420,7 @@ def structure_counts(m: int, budget: int = DEFAULT_POINT_BUDGET) -> StructureCou
     with cycle length >= 3.  Refused up front when :func:`component_work`
     exceeds the budget."""
     _require_vertex_count(m)
-    refuse_above_budget(component_work(m), COMPONENT_WORK, budget)
+    _refuse_census(component_work, COMPONENT_WORK, m, budget)
     trees = looped = enhanced = quasi = 0
     for (loops, single, doubled, connected), count in _component_tally(m):
         if not connected:
@@ -525,5 +536,5 @@ def sequence_census(
     or listing, and refused up front when :func:`hall_work` exceeds the
     budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
-    refuse_above_budget(hall_work(m), HALL_WORK, budget)
+    _refuse_census(hall_work, HALL_WORK, m, budget)
     return dict(_hall_tally(m))

@@ -437,6 +437,24 @@ class TestFormulaBudget:
         assert (code, out) == (3, "")
         assert err == f"error: {stated} exceeds budget 1\n"
 
+    @pytest.mark.parametrize(
+        "argv, stated",
+        (
+            (("ehrhart", "--method", "postnikov", "--n", "100000000"),
+             "Hall DP work estimate slots*states m(m+1)/2*4^m"),
+            (("ehrhart", "--method", "graphsum", "--n", "100000000"),
+             "component DP work estimate vertices*states m*3^m"),
+            (("graphs", "--stats"), "component DP work estimate vertices*states m*3^m"),
+        ),
+    )
+    def test_huge_census_refused_quickly(self, capsys, monkeypatch, argv, stated):
+        # 4^m and 3^m would have hundreds of millions of bits; the refusal
+        # states the floor 2^m instead of taking the power
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, *argv, "--m", "100000000")
+        assert (code, out) == (3, "")
+        assert err == f"error: {stated} = more than 2^100000000 exceeds budget 100000000\n"
+
     def test_census_routes_at_the_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         for m, method in ((10, "postnikov"), (12, "graphsum")):

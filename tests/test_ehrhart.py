@@ -522,5 +522,14 @@ class TestEnumerationBound:
         assert ehrhart_postnikov(8, 8) == ehrhart_closed(8, 8)
         assert structure_counts(8) == (8**6, 8**7, 7 * 8**6, 1436568)
 
+    def test_huge_m_refused_before_any_allocation(self, monkeypatch):
+        # each engine reads its census, and is refused on the floor 2^m,
+        # before it builds anything of length m
+        monkeypatch.setattr(graphs, "_hall_tally", _refuse)
+        monkeypatch.setattr(graphs, "_component_tally", _refuse)
+        for engine in (ehrhart_postnikov, ehrhart_graphsum):
+            with pytest.raises(BudgetError, match=r"= more than 2\^100000000 exceeds"):
+                engine(10**8, 10**8)
+
     def test_census_total_m7(self):
         assert sum(graph_census(7).values()) == 1261748

@@ -10,6 +10,7 @@ from permutoehr.graphs import (
     GraphStats,
     Multigraph,
     component_cycle_check,
+    component_work,
     enumerate_graphs,
     enumerate_sequences,
     find_sdr,
@@ -241,6 +242,25 @@ class TestSequenceCensus:
             projected[key] = projected.get(key, 0) + count
         assert projected == graph_census(8)
         assert sum(projected.values()) == 24724187
+
+
+class TestCensusBudget:
+    @pytest.mark.parametrize("census", (sequence_census, graph_census, structure_counts))
+    def test_huge_m_refused_without_the_power(self, monkeypatch, census):
+        # 4^(10^8) alone has 200 million bits; the refusal states 2^m
+        for name in ("_hall_tally", "_component_tally"):
+            monkeypatch.setattr(graphs, name, _refuse)
+        with pytest.raises(BudgetError, match=r"= more than 2\^100000000 exceeds budget 100000000$"):
+            census(10**8)
+
+    def test_floor_takes_over_past_m_64(self):
+        # under a budget below 2^64 the estimate itself is stated up to
+        # m = 64, and the floor 2^m from m = 65 on
+        bits = component_work(64).bit_length()
+        with pytest.raises(BudgetError, match=rf"m\*3\^m = more than 2\^{bits - 1} exceeds"):
+            graph_census(64)
+        with pytest.raises(BudgetError, match=r"m\*3\^m = more than 2\^65 exceeds"):
+            graph_census(65)
 
 
 class TestStructureCounts:

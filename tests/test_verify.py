@@ -52,8 +52,8 @@ class TestFaultInjection:
 
         good = engine_module.graph_census
 
-        def shaved(m, budget):
-            census = dict(good(m, budget))
+        def shaved(m, *rest):
+            census = dict(good(m, *rest))
             key = next(iter(census))
             census[key] += 1
             return census
