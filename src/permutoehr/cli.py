@@ -78,7 +78,7 @@ from .ehrhart import (
     formula_work,
     volume_closed,
 )
-from .errors import BudgetError, point_budget, refuse_above_budget
+from .errors import BudgetError, point_budget, refuse_above_budget, refuse_past_floor
 from .graphs import enumerate_graphs, graph_census, vertex_pairs
 from .polynomials import Poly
 from .polytope import PartialPermutohedron, count_parking_functions
@@ -189,7 +189,8 @@ def cmd_fpoly(args) -> int:
 
 def cmd_vertices(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
-    refuse_above_budget(poly.vertex_count(), "{} vertices", point_budget())
+    # past min(m, n) = 3 the count exceeds min(m, n)! > 2^min(m, n)
+    refuse_past_floor(poly.vertex_count, "{} vertices", min(args.m, args.n), point_budget())
     vertices = sorted(poly.vertices())
     _emit(
         args,

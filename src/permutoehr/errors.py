@@ -45,6 +45,18 @@ def refuse_above_budget(work: int, stating: str, budget: int, *factors: int) -> 
         raise BudgetError(f"{stating.format(*stated)} exceeds budget {budget}")
 
 
+def refuse_past_floor(work, stating: str, exponent: int, budget: int) -> None:
+    """Refuse a route through :func:`refuse_above_budget` when its count
+    ``work()`` exceeds ``budget``, for a count known to exceed
+    2^exponent.  Past exponent = max(64, budget.bit_length()) the route is
+    refused on that floor, stated as "more than 2^exponent" in the ``{}``
+    of ``stating``, without calling ``work``."""
+    limit = max(64, budget.bit_length())
+    if exponent > limit:  # work() > 2^exponent > 2^limit > budget
+        refuse_above_budget(1 << limit, stating.format("more than 2^{}"), budget, exponent)
+    refuse_above_budget(work(), stating, budget)
+
+
 def require_int(**values):
     """Reject, with ValueError, any value that is not an int; a bool is not
     an integer argument."""

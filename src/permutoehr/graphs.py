@@ -22,8 +22,10 @@ Hall walk.
   tallies, since the counts factor over connected components.  It counts
   multigraphs by (loops, single edges, doubled pairs, connected) for
   ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``.
-* The union-find walk ``enumerate_graphs`` gives a pair multiplicity 0, 1
-  or 2, pruning any branch in which a component acquires a second cycle.
+* The union-find walk ``enumerate_graphs``, for one loop set, steps like
+  an odometer through the pair multiplicities (0, 1 or 2) in one frame: a
+  pair takes one more copy unless its component would then hold a second
+  cycle.
 * The Hall DP ``_hall_tally`` takes the slots in lexicographic order and
   keeps, per state, the family of minimal vertex sets that a system of
   distinct representatives of the slots so far uses; a vertex leaves
@@ -43,6 +45,11 @@ lexicographic order, and stops at the vertex bound ``DEFAULT_GRAPH_BOUND``,
 as its work is its output.  The two DPs and the two walks share no code,
 so the censuses and the listings, like the two presentations, can fail
 independently.
+
+The listings, the bijection and the extended box of ``verify`` build
+their members from parts they know valid through ``_member``, which skips
+the checks that the public ``Multigraph`` and ``EdgeMultiplicities``
+constructors make on outside input.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from .errors import (
     DEFAULT_GRAPH_BOUND,
     DEFAULT_POINT_BUDGET,
     BudgetError,
-    refuse_above_budget,
+    refuse_past_floor,
     require_int,
 )
 
@@ -67,6 +74,21 @@ def vertex_pairs(m: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j) with 0 <= i < j < m, in lexicographic order; this
     fixes the indexing of the ``pair`` tuples throughout the module."""
     return tuple(combinations(range(m), 2))
+
+
+def _check_parts(m, **parts) -> None:
+    """The public constructors' checks: ``m`` an int and the two parts, per
+    vertex and then per pair of :func:`vertex_pairs`, tuples of m and
+    C(m, 2) nonnegative ints."""
+    require_int(m=m)
+    for (name, part), length in zip(parts.items(), (m, m * (m - 1) // 2)):
+        if not isinstance(part, tuple):
+            raise ValueError(f"{name} must be a tuple, got {part!r}")
+        require_int(**{f"{name}[{k}]": c for k, c in enumerate(part)})
+        if len(part) != length:
+            raise ValueError("multiplicity tuple lengths do not match m")
+        if any(c < 0 for c in part):
+            raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -80,10 +102,7 @@ class EdgeMultiplicities:
     pair: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.loop) != self.m or len(self.pair) != self.m * (self.m - 1) // 2:
-            raise ValueError("multiplicity tuple lengths do not match m")
-        if any(c < 0 for c in self.loop) or any(c < 0 for c in self.pair):
-            raise ValueError("multiplicities must be nonnegative")
+        _check_parts(self.m, loop=self.loop, pair=self.pair)
 
 
 @dataclass(frozen=True)
@@ -96,10 +115,16 @@ class Multigraph:
     pair_mult: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.loops) != self.m or len(self.pair_mult) != self.m * (self.m - 1) // 2:
-            raise ValueError("multiplicity tuple lengths do not match m")
-        if any(c < 0 for c in self.loops) or any(c < 0 for c in self.pair_mult):
-            raise ValueError("edge counts must be nonnegative")
+        _check_parts(self.m, loops=self.loops, pair_mult=self.pair_mult)
+
+
+def _member(cls, **fields):
+    """The ``cls`` (:class:`EdgeMultiplicities` or :class:`Multigraph`)
+    with ``fields``, built without the public constructor's checks, for
+    parts the package made itself and knows valid."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
 
 
 class GraphStats(NamedTuple):
@@ -141,9 +166,9 @@ def find_sdr(seq: EdgeMultiplicities) -> Optional[list[int]]:
 
     Augmenting-path bipartite matching between slots and vertices; there
     are at most m slots in any feasible case, so this stays tiny."""
+    if sum(seq.loop) + sum(seq.pair) > seq.m:
+        return None  # more slots than vertices
     slots = edge_slots(seq)
-    if len(slots) > seq.m:
-        return None
     owner = [-1] * seq.m
     for s in range(len(slots)):
         if not _augment(s, slots, owner, [False] * seq.m):
@@ -190,7 +215,7 @@ def to_multigraph(seq: EdgeMultiplicities) -> Multigraph:
     k-th pair; requires the Hall condition."""
     if not satisfies_hall(seq):
         raise ValueError("sequence violates the Hall condition")
-    return Multigraph(seq.m, seq.loop, seq.pair)
+    return _member(Multigraph, m=seq.m, loops=seq.loop, pair_mult=seq.pair)
 
 
 def from_multigraph(graph: Multigraph) -> EdgeMultiplicities:
@@ -198,7 +223,7 @@ def from_multigraph(graph: Multigraph) -> EdgeMultiplicities:
     component to have at most one cycle."""
     if not component_cycle_check(graph):
         raise ValueError("a component has more edges than vertices")
-    return EdgeMultiplicities(graph.m, graph.loops, graph.pair_mult)
+    return _member(EdgeMultiplicities, m=graph.m, loop=graph.loops, pair=graph.pair_mult)
 
 
 def _require_vertex_count(m: int):
@@ -218,42 +243,65 @@ def _check_enum_bound(m: int):
 def enumerate_graphs(m: int) -> Iterator[Multigraph]:
     """Yield every labelled multigraph on m vertices in which each
     component has at most one cycle, exactly once, in lexicographic order
-    of (loops, pair_mult).  The union-find forest lives in flat lists
-    (no path compression), each union undone inline on the way back."""
+    of (loops, pair_mult), from one walk per loop set in one frame.
+
+    The walk steps like an odometer.  From the last pair backwards, a pair
+    takes one more copy unless the component its ends then share would
+    hold more edges than vertices, and the walk yields and, unless the m
+    edges now saturate every component, starts again from the last pair;
+    otherwise the pair gives its copies back and the pair before it is
+    tried.  The union-find forest lives in flat lists (no path
+    compression); a pair's first copy makes its union and saves what that
+    overwrote, and giving the copies back restores it, later pairs first."""
     _check_enum_bound(m)
     pairs = vertex_pairs(m)
-    n_pairs = len(pairs)
+    last = len(pairs) - 1
     parent = list(range(m))
     size = [1] * m
     edges = [0] * m
-    mult = [0] * n_pairs
-
-    def walk(k: int, used: int) -> Iterator[Multigraph]:
-        # m edges saturate every component, so the remaining pairs stay 0
-        if k == n_pairs or used == m:
-            yield Multigraph(m, loops, tuple(mult))
-            return
-        yield from walk(k + 1, used)
-        i, j = pairs[k]
-        i, j = _root(parent, i), _root(parent, j)
-        e, s = edges[i], size[i]
-        joined_e, joined_s = (e, s) if i == j else (e + edges[j], s + size[j])
-        parent[j] = i  # a no-op when both ends are already in one component
-        size[i] = joined_s
-        for c in (1, 2):
-            if joined_e + c > joined_s:
-                break
-            mult[k] = c
-            edges[i] = joined_e + c
-            yield from walk(k + 1, used + c)
-        mult[k] = 0
-        parent[j] = j
-        size[i] = s
-        edges[i] = e
-
+    mult = [0] * len(pairs)
+    undo: list = [None] * len(pairs)  # pair k's (root i, root j, edges[i], size[i])
     for loops in product((0, 1), repeat=m):
         edges[:] = loops
-        yield from walk(0, sum(loops))
+        used = sum(loops)
+        k = -1
+        while True:
+            yield _member(Multigraph, m=m, loops=loops, pair_mult=tuple(mult))
+            if used < m:  # else the pairs after k stay at 0
+                k = last
+            while k >= 0:
+                c = mult[k]
+                if c:
+                    i, j, e, s = undo[k]
+                    if c == 1 and edges[i] < size[i]:
+                        edges[i] += 1
+                        mult[k] = 2
+                        used += 1
+                        break
+                    parent[j] = j  # a no-op when i == j
+                    size[i] = s
+                    edges[i] = e
+                    mult[k] = 0
+                    used -= c
+                else:
+                    i, j = pairs[k]
+                    while parent[i] != i:
+                        i = parent[i]
+                    while parent[j] != j:
+                        j = parent[j]
+                    e, s = edges[i], size[i]
+                    joined_e, joined_s = (e, s) if i == j else (e + edges[j], s + size[j])
+                    if joined_e < joined_s:
+                        undo[k] = (i, j, e, s)
+                        parent[j] = i
+                        size[i] = joined_s
+                        edges[i] = joined_e + 1
+                        mult[k] = 1
+                        used += 1
+                        break
+                k -= 1
+            else:  # every pair is back at 0: the loop set is done
+                break
 
 
 def _hall_walk(m: int, loops: tuple[int, ...]) -> Iterator[list[int]]:
@@ -304,7 +352,7 @@ def enumerate_sequences(m: int) -> Iterator[EdgeMultiplicities]:
     _check_enum_bound(m)
     for loop in product((0, 1), repeat=m):
         for mult in _hall_walk(m, loop):
-            yield EdgeMultiplicities(m, loop, tuple(mult))
+            yield _member(EdgeMultiplicities, m=m, loop=loop, pair=tuple(mult))
 
 
 # the census DPs' work estimates as a refusal states them
@@ -328,17 +376,6 @@ def hall_work(m: int) -> int:
     default budget admits, and grow close to fourfold per vertex.  A
     refusal states it as :data:`HALL_WORK` does."""
     return m * (m + 1) // 2 * 4**m
-
-
-def _refuse_census(work, stating: str, m: int, budget: int) -> None:
-    """Refuse a census DP on m, through :func:`refuse_above_budget`, when
-    its estimate ``work(m)`` exceeds ``budget``.  Both estimates exceed
-    2^m, so past m = max(64, budget.bit_length()) the DP is refused on
-    that floor, stated as "more than 2^m", without taking the power."""
-    limit = max(64, budget.bit_length())
-    if m > limit:  # work(m) > 2^m > 2^limit > budget
-        refuse_above_budget(1 << limit, stating.format("more than 2^{}"), budget, m)
-    refuse_above_budget(work(m), stating, budget)
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +439,7 @@ def graph_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphStats,
     signature order, refused up front when :func:`component_work` exceeds
     the budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
-    _refuse_census(component_work, COMPONENT_WORK, m, budget)
+    refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m, budget)
     return dict(_graph_census(m))
 
 
@@ -420,7 +457,7 @@ def structure_counts(m: int, budget: int = DEFAULT_POINT_BUDGET) -> StructureCou
     with cycle length >= 3.  Refused up front when :func:`component_work`
     exceeds the budget."""
     _require_vertex_count(m)
-    _refuse_census(component_work, COMPONENT_WORK, m, budget)
+    refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m, budget)
     trees = looped = enhanced = quasi = 0
     for (loops, single, doubled, connected), count in _component_tally(m):
         if not connected:
@@ -536,5 +573,5 @@ def sequence_census(
     or listing, and refused up front when :func:`hall_work` exceeds the
     budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
-    _refuse_census(hall_work, HALL_WORK, m, budget)
+    refuse_past_floor(lambda: hall_work(m), HALL_WORK, m, budget)
     return dict(_hall_tally(m))

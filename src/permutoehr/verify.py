@@ -149,8 +149,8 @@ def check_bijection(max_m: int = 4) -> list[CheckResult]:
         n_pairs = m * (m - 1) // 2
         for loop in product(range(3), repeat=m):
             for pair in product(range(4), repeat=n_pairs):
-                seq = graphs.EdgeMultiplicities(m, loop, pair)
-                graph = graphs.Multigraph(m, loop, pair)
+                seq = graphs._member(graphs.EdgeMultiplicities, m=m, loop=loop, pair=pair)
+                graph = graphs._member(graphs.Multigraph, m=m, loops=loop, pair_mult=pair)
                 if graphs.satisfies_hall(seq) != graphs.component_cycle_check(graph):
                     bad_equiv.append(f"m={m}, a={loop + pair}")
     return [

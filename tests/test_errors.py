@@ -1,10 +1,17 @@
-"""Every budget refusal goes through one helper.
+"""Every budget refusal goes through one helper, and every listed
+multigraph or sequence through one builder.
 
 A route states its work estimate and ``errors.refuse_above_budget``
 compares it with the budget and words the refusal; the graph counts keep
 their vertex bound in ``graphs._check_enum_bound``.  No other code of the
 package builds a ``BudgetError``, so no refusal can drift in its wording
 or in how it states a count past 2^64.
+
+The members the package makes from parts it knows valid (the listings, the
+bijection and the extended box of ``verify``) are built by
+``graphs._member``, without the public constructors' checks.  No code of
+the package calls ``Multigraph(...)`` or ``EdgeMultiplicities(...)``, so no
+change can quietly bring back the per-member re-validation.
 """
 
 import ast
@@ -13,9 +20,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permutoehr"
 
 
-def budget_error_builders() -> set[tuple[str, str | None]]:
-    """(module file, innermost enclosing function or None) of every
-    ``BudgetError(...)`` call in the package."""
+def callers(*names: str) -> set[tuple[str, str | None]]:
+    """(module file, innermost enclosing function or None) of every call in
+    the package of a callable named, or reached as an attribute named, one
+    of ``names``."""
     found = set()
 
     def walk(node, module, scope):
@@ -23,7 +31,7 @@ def budget_error_builders() -> set[tuple[str, str | None]]:
             scope = node.name
         if isinstance(node, ast.Call):
             callee = node.func
-            if "BudgetError" in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+            if {getattr(callee, "id", None), getattr(callee, "attr", None)} & set(names):
                 found.add((module, scope))
         for child in ast.iter_child_nodes(node):
             walk(child, module, scope)
@@ -34,7 +42,18 @@ def budget_error_builders() -> set[tuple[str, str | None]]:
 
 
 def test_budget_error_built_only_by_the_one_refusal():
-    assert budget_error_builders() == {
+    assert callers("BudgetError") == {
         ("errors.py", "refuse_above_budget"),
         ("graphs.py", "_check_enum_bound"),
+    }
+
+
+def test_members_built_only_by_the_private_builder():
+    assert callers("Multigraph", "EdgeMultiplicities") == set()
+    assert callers("_member") == {
+        ("graphs.py", "to_multigraph"),
+        ("graphs.py", "from_multigraph"),
+        ("graphs.py", "enumerate_graphs"),
+        ("graphs.py", "enumerate_sequences"),
+        ("verify.py", "check_bijection"),
     }

@@ -392,6 +392,32 @@ class TestConventionsM1:
         }
 
 
+def assert_twin(member, twin):
+    assert type(member) is type(twin)
+    assert member == twin
+    assert hash(member) == hash(twin)
+
+
+class TestMembersMatchPublicTwins:
+    """The listings and the bijection build their members without the
+    public constructors' checks; each equals, and hashes as, the member the
+    public constructor builds from the same parts."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_graph_listing_and_from_multigraph(self, m):
+        for graph in enumerate_graphs(m):
+            assert_twin(graph, Multigraph(m, graph.loops, graph.pair_mult))
+            assert_twin(
+                from_multigraph(graph), EdgeMultiplicities(m, graph.loops, graph.pair_mult)
+            )
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_sequence_listing_and_to_multigraph(self, m):
+        for seq in enumerate_sequences(m):
+            assert_twin(seq, EdgeMultiplicities(m, seq.loop, seq.pair))
+            assert_twin(to_multigraph(seq), Multigraph(m, seq.loop, seq.pair))
+
+
 class TestValidation:
     def test_lengths_checked(self):
         with pytest.raises(ValueError):
@@ -402,6 +428,27 @@ class TestValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             EdgeMultiplicities(2, (0, -1), (0,))
+
+    @pytest.mark.parametrize("cls", (EdgeMultiplicities, Multigraph))
+    @pytest.mark.parametrize(
+        "m, per_vertex, per_pair, match",
+        (
+            (True, (1,), (), "m must be an integer"),
+            (2.0, (0, 0), (1,), "m must be an integer"),
+            (2, (0.5, 0), (1,), r"\[0\] must be an integer, got 0.5"),
+            (2, (0, True), (1,), r"\[1\] must be an integer, got True"),
+            (2, (0, 0), (Fraction(1),), r"\[0\] must be an integer"),
+            (2, [0, 0], (1,), "must be a tuple"),
+            (2, (0, 0), [1], "must be a tuple"),
+        ),
+        ids=("bool-m", "float-m", "float-entry", "bool-entry", "fraction-entry",
+             "list-per-vertex", "list-per-pair"),
+    )
+    def test_public_constructors_reject_non_int_parts(self, cls, m, per_vertex, per_pair, match):
+        # a float entry used to reach satisfies_hall and raise TypeError there,
+        # and a list made the frozen member unhashable
+        with pytest.raises(ValueError, match=match):
+            cls(m, per_vertex, per_pair)
 
     @pytest.mark.parametrize("m", (True, 2.0, Fraction(2), "2"))
     @pytest.mark.parametrize(
