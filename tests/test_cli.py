@@ -187,6 +187,7 @@ class TestOtherCommands:
         self, capsys, monkeypatch, command, stated
     ):
         # 2000! alone has 5736 digits, past what str() of an int allows
+        # (the vertex count, past min(m, n) = 64, is stated by its floor 2^min(m, n))
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, command, "--m", "2000", "--n", "2000")
         assert (code, out) == (3, "")
@@ -201,8 +202,8 @@ class TestOtherCommands:
         ),
     )
     def test_huge_listing_refused_quickly(self, capsys, monkeypatch, command, m, stated):
-        # the counts behind these messages have 1.5 million and 100,001 bits
-        # at m = 100000; the vertex count is refused on its floor 2^m
+        # the facet count at m = 100000 has 100,001 bits; the vertex count
+        # is refused on its floor 2^min(m, n) without being counted
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, command, "--m", m, "--n", m)
         assert (code, out) == (3, "")
