@@ -53,7 +53,9 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
   --stats           both census estimates are stated as "more than 2^m"
                     past m = 64, without taking the power
   vertices, facets, the length of the listing (items); graphs reads it
-  graphs            off the census
+  graphs            off the census; both polytope counts exceed
+                    2^min(m, n), so past min(m, n) = 64 they are stated
+                    as "more than 2^min(m, n)" without counting
 The graphs listing also refuses m > 7, whatever the budget.  Parameters
 outside a command's domain exit 2 before any budget test.
 """
@@ -205,10 +207,8 @@ def cmd_vertices(args) -> int:
 
 def cmd_facets(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
-    budget, floor = point_budget(), poly.facet_count_floor()
-    # the floor refuses without the binomial sum, past 2^64, but never admits
-    count = floor if floor > budget and floor.bit_length() > 64 else poly.facet_count()
-    refuse_above_budget(count, "{} facets", budget)
+    # for 2 <= min(m, n) the count exceeds 2^min(m, n)
+    refuse_past_floor(poly.facet_count, "{} facets", min(args.m, args.n), point_budget())
     facets = poly.facets()
     _emit(
         args,

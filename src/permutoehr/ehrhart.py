@@ -21,14 +21,16 @@ different exact expressions, all implemented here in exact arithmetic:
                         with exp(.../t) expanded in powers of 1/t over
                         rational series (``ehrhart_egf_tree`` takes the
                         equivalent route through the tree function T(z));
-``ehrhart_recurrence``  a three-term recurrence in m.
+``ehrhart_recurrence``  a three-term recurrence in m, started from the
+                        single point P(0, n).
 
 Each engine works in the cheapest exact ring for what it returns.  Since
 2^m ehr(t) has integer coefficients, ``ehrhart_closed`` and
 ``ehrhart_recurrence`` (like ``f_polynomial``) run on Python int coefficient
 lists and divide once at the end, each in O(m^2) integer operations:
 ``ehrhart_closed`` by Horner's rule in its base polynomial, with scalars
-from one factorial and one double-factorial table, and ``f_polynomial`` on
+from one factorial and one double-factorial table, ``ehrhart_recurrence``
+in m steps of width at most m + 1, and ``f_polynomial`` on
 ordered-set-partition rows summed by Horner's rule in t + 1.
 ``volume_closed`` is one Horner pass, O(m).  ``formula_work`` states these
 loop counts, with a bound on the operand size, for the work budget.
@@ -52,7 +54,9 @@ G(y) = exp((n-m+1/2) y)/sqrt(1-y) against [z^m] of the powers of T(z)
 
 The two combinatorial engines share no counting code, so their agreement
 witnesses the bijection between Hall-feasible sequences and multigraphs
-with at most one cycle per component.  Agreement of all of them, and of
+with at most one cycle per component.  ``ehrhart_recurrence`` reaches no
+code of ``ehrhart_closed``, so a wrong closed sum at any m shows up on one
+side of their comparison only.  Agreement of all of them, and of
 their values with brute-force lattice point counts, is what the
 verification harness checks.
 """
@@ -103,26 +107,6 @@ def _require_stable_domain(m: int, n: int | None):
         raise ValueError(f"the stable face-count formula requires n >= m, got n={n}")
 
 
-def _closed_scaled(m: int, n: int) -> list[int]:
-    """2^m ehr(t) of P(m, n) as integer coefficients, from the closed form
-    by Horner's rule in the base 2 + (2n+1)t."""
-    fact = [1]
-    for k in range(1, m + 1):
-        fact.append(fact[-1] * k)
-    odd = [double_factorial(-3)]  # (2k - 3)!! for k = 0..m, by k!! = k (k - 2)!!
-    for k in range(1, m + 1):
-        odd.append(odd[-1] * (2 * k - 3))
-    slope = 2 * n + 1
-    acc: list[int] = []
-    for j in range(m + 1):
-        acc = [2 * a + slope * b for a, b in zip(acc + [0], [0] + acc)]
-        falling = fact[m] // fact[m - j]  # m! / (m-j)!
-        for i in range(j // 2 + 1):
-            c = falling // (fact[j - 2 * i] * fact[i]) * odd[j - 2 * i]
-            acc[j - i] += c if i % 2 else -c
-    return acc
-
-
 def ehrhart_closed(m: int, n: int) -> Poly:
     """Closed-form Ehrhart polynomial of P(m, n) for n >= m - 1.
 
@@ -137,7 +121,21 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     table.  The sum is taken in integers and divided by 2^m once.
     """
     _require_formula_domain(m, n)
-    return _poly(_closed_scaled(m, n), 2**m)
+    fact = [1]
+    for k in range(1, m + 1):
+        fact.append(fact[-1] * k)
+    odd = [double_factorial(-3)]  # (2k - 3)!! for k = 0..m, by k!! = k (k - 2)!!
+    for k in range(1, m + 1):
+        odd.append(odd[-1] * (2 * k - 3))
+    slope = 2 * n + 1
+    acc: list[int] = []
+    for j in range(m + 1):
+        acc = [2 * a + slope * b for a, b in zip(acc + [0], [0] + acc)]
+        falling = fact[m] // fact[m - j]  # m! / (m-j)!
+        for i in range(j // 2 + 1):
+            c = falling // (fact[j - 2 * i] * fact[i]) * odd[j - 2 * i]
+            acc[j - i] += c if i % 2 else -c
+    return _poly(acc, 2**m)
 
 
 def ehrhart_postnikov(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly:
@@ -272,12 +270,12 @@ def ehrhart_recurrence(m: int, n: int) -> Poly:
     E(m) = (2 + 2(m+n-1)t) E(m-1) - (m-1)(6t + 2(2n+1)t^2) E(m-2)
            + 4(m-1)(m-2) t^2 E(m-3),
 
-    seeded with the closed form's integer sums at m = 1, 2, 3."""
+    from E(0) = 1, the single point P(0, n); the factors m - 1 and
+    (m-1)(m-2) cancel the terms before it at m = 1 and 2.  No other
+    engine's code is reached."""
     _require_formula_domain(m, n)
-    e3, e2, e1 = (_closed_scaled(k, n) for k in (1, 2, 3))
-    if m <= 3:
-        return _poly((e3, e2, e1)[m - 1], 2**m)
-    for mm in range(4, m + 1):
+    e3, e2, e1 = [], [], [1]
+    for mm in range(1, m + 1):
         nxt = convolve([2, 2 * (mm + n - 1)], e1)
         for k, c in enumerate(convolve([0, 6, 2 * (2 * n + 1)], e2)):
             nxt[k] -= (mm - 1) * c

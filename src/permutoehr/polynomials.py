@@ -11,7 +11,8 @@ gcd(den, *nums) = 1), so equal values have equal fields.  They share
 one ring core on those ints: the sum, negation, difference and product
 below (``convolve`` for two polynomials), each result normalised by one
 gcd.  ``fractions.Fraction`` appears only at their edges: constructor
-input, ``coeffs``, ``coefficient``, and the value of a ``Poly`` at a
+input (ints and ``Fraction``s; a float, bool or string raises
+TypeError), ``coeffs``, ``coefficient``, and the value of a ``Poly`` at a
 point.
 """
 
@@ -38,12 +39,19 @@ def convolve(a, b, size: int | None = None) -> list[int]:
     return out
 
 
+def _split(c) -> tuple[int, int]:
+    """A coefficient as (int numerator, positive int denominator)."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients are ints or Fractions, got {c!r}")
+    return c.numerator, c.denominator
+
+
 def _numerators(coeffs) -> tuple[list[int], int]:
     """Rational coefficients as int numerators over their least common
     denominator."""
-    fs = [Fraction(c) for c in coeffs]
-    den = lcm(*(f.denominator for f in fs))
-    return [f.numerator * (den // f.denominator) for f in fs], den
+    parts = [_split(c) for c in coeffs]
+    den = lcm(*(d for _, d in parts))
+    return [num * (den // d) for num, d in parts], den
 
 
 def _top(nums) -> int:

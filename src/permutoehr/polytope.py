@@ -95,20 +95,12 @@ class PartialPermutohedron:
         return out
 
     def vertex_count(self) -> int:
-        """sum_{i=0..min(m,n)} m!/(m-i)!, without enumerating, by binary
-        splitting of 1 + m(1 + (m-1)(1 + ...)) so that big products pair
-        up evenly."""
-        m = self.m
-
-        def split(a: int, b: int) -> tuple[int, int]:
-            # prod_{a<=j<b} (m-j) and sum_{i=a+1..b} prod_{a<=j<i} (m-j)
-            if b - a == 1:
-                return m - a, m - a
-            left_prod, left_sum = split(a, (a + b) // 2)
-            right_prod, right_sum = split((a + b) // 2, b)
-            return left_prod * right_prod, left_sum + left_prod * right_sum
-
-        return 1 + split(0, min(m, self.n))[1]
+        """sum_{i=0..min(m,n)} m!/(m-i)!, without enumerating, by Horner's
+        rule on 1 + m(1 + (m-1)(1 + ...))."""
+        total = 1
+        for j in range(min(self.m, self.n) - 1, -1, -1):
+            total = 1 + (self.m - j) * total
+        return total
 
     def facets(self) -> list[FacetInequality]:
         """One inequality per facet: x_i >= 0; the |S| <= min(m,n)-1 subset
@@ -127,30 +119,13 @@ class PartialPermutohedron:
         return out
 
     def facet_count(self) -> int:
-        """m + sum_{i=0..min(m,n)-1} C(m, i), without enumerating; past m/2
-        the sum is taken as 2^m less the binomials it leaves out."""
-        m, k = self.m, min(self.m, self.n)
-        top = k if 2 * k <= m else m - k + 1
-        total, binom = 0, 1
-        for i in range(top):
+        """m + sum_{i=0..min(m,n)-1} C(m, i), without enumerating."""
+        m = self.m
+        total, binom = m, 1
+        for i in range(min(m, self.n)):
             total += binom
             binom = binom * (m - i) // (i + 1)
-        return m + (total if top == k else 2**m - total)
-
-    def facet_count_floor(self) -> int:
-        """A lower bound on ``facet_count()`` that takes no binomial sum,
-        with k = min(m, n): the count itself for k = m or k = 1;
-        m + 2^(m-1) for m/2 < k < m, since the binomials the count leaves
-        out of 2^m then sum to at most 2^(m-1); otherwise
-        m + (m // (k-1))^(k-1), at most m + C(m, k-1)."""
-        m, k = self.m, min(self.m, self.n)
-        if k == m:
-            return m + 2**m - 1
-        if 2 * k > m:
-            return m + 2 ** (m - 1)
-        if k == 1:
-            return m + 1
-        return m + (m // (k - 1)) ** (k - 1)
+        return total
 
     # -- membership and counting ------------------------------------------
 

@@ -29,14 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import require_int
-from .polynomials import Poly, convolve
-
-
-def _split(c) -> tuple[int, int]:
-    """A coefficient as (int numerator, positive int denominator)."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"series coefficients are ints or Fractions, got {c!r}")
-    return c.numerator, c.denominator
+from .polynomials import Poly, _split, convolve
 
 
 def _series(nums, den: int) -> "TruncatedSeries":

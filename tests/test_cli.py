@@ -199,11 +199,12 @@ class TestOtherCommands:
             ("vertices", "100000", "more than 2^100000"),
             ("facets", "100000", "more than 2^100000"),
             ("vertices", "100000000", "more than 2^100000000"),
+            ("facets", "100000000", "more than 2^100000000"),
         ),
     )
     def test_huge_listing_refused_quickly(self, capsys, monkeypatch, command, m, stated):
-        # the facet count at m = 100000 has 100,001 bits; the vertex count
-        # is refused on its floor 2^min(m, n) without being counted
+        # both counts are refused on their floor 2^min(m, n) without being
+        # counted
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, command, "--m", m, "--n", m)
         assert (code, out) == (3, "")
@@ -211,17 +212,17 @@ class TestOtherCommands:
 
     def test_facets_refused_on_a_floor_without_the_binomial_sum(self, capsys, monkeypatch):
         # C(100000, i) summed over i < 50000 has 99,999 bits; the refusal
-        # states the floor 100000 + 2^49999 instead of summing
+        # states the floor 2^min(m, n) = 2^50000 instead of summing
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, "facets", "--m", "100000", "--n", "50000")
         assert (code, out) == (3, "")
-        assert "error: more than 2^49999 facets exceeds budget 100000000" in err
+        assert "error: more than 2^50000 facets exceeds budget 100000000" in err
 
     def test_facet_floor_refuses_but_never_admits(self, capsys, monkeypatch):
-        # floor 140 + 2^65; the count, 140 + sum_{i<66} C(140, i), is near 2^136
-        poly = PartialPermutohedron(140, 66)
-        assert poly.facet_count_floor() == 140 + 2**65
-        bits = poly.facet_count().bit_length()
+        # at budget 2^66 the floor 2^min(m, n) = 2^66 cannot refuse, so the
+        # count, 140 + sum_{i<66} C(140, i), near 2^136, is taken; at 2^64
+        # the floor refuses without it
+        bits = PartialPermutohedron(140, 66).facet_count().bit_length()
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(2**66))
         code, out, err = run(capsys, "facets", "--m", "140", "--n", "66")
         assert (code, out) == (3, "")
@@ -229,7 +230,7 @@ class TestOtherCommands:
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(2**64))
         code, out, err = run(capsys, "facets", "--m", "140", "--n", "66")
         assert (code, out) == (3, "")
-        assert f"more than 2^65 facets exceeds budget {2**64}" in err
+        assert f"more than 2^66 facets exceeds budget {2**64}" in err
 
     @pytest.mark.parametrize("command", ("vertices", "facets", "graphs"))
     def test_listing_at_its_budget_is_unchanged(self, capsys, monkeypatch, command):
@@ -751,5 +752,6 @@ class TestModuleEntryPoint:
         finally:
             proc.kill()
             proc.wait()
+            proc.stderr.close()
         assert first == "0 0 0 0 0 0 0\n"
         assert (code, err) == (141, "")

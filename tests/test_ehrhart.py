@@ -202,6 +202,15 @@ class TestRecurrence:
     def test_m5_n5(self):
         assert ehrhart_recurrence(5, 5) == ehrhart_closed(5, 5)
 
+    def test_reaches_no_closed_form_code(self, monkeypatch):
+        # started from E(0) = 1, the recurrence has no closed-form seeds, so
+        # a wrong closed sum cannot reach both sides of their comparison
+        expected = {m: ehrhart_closed(m, m + 1) for m in range(1, 7)}
+        monkeypatch.setattr(ehrhart, "ehrhart_closed", _refuse)
+        monkeypatch.setattr(ehrhart, "double_factorial", _refuse)
+        for m, poly in expected.items():
+            assert ehrhart_recurrence(m, m + 1) == poly
+
 
 class TestVolume:
     @pytest.mark.parametrize("n", range(1, 6))

@@ -76,6 +76,12 @@ class TestPoly:
             p.coeffs = ()
         assert len({Poly([1, 2]), Poly([1, 2]), Poly([2, 1])}) == 2
 
+    @pytest.mark.parametrize("ring", (Poly, LaurentPoly))
+    @pytest.mark.parametrize("bad", (0.1, True, "1/3"))
+    def test_rejects_coefficients_outside_the_rationals(self, ring, bad):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            ring([1, bad])
+
 
 class TestRisingBinomial:
     def test_a_zero_is_one(self):

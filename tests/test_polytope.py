@@ -93,14 +93,6 @@ class TestCountsWithoutEnumerating:
                     facets += comb(m, i)
             assert poly.vertex_count() == vertices
             assert poly.facet_count() == m + facets
-            # the floor the listing refusal reads: exact at k = 1 and k = m,
-            # of the count's bit length for m/2 < k < m (m >= 3)
-            floor, k = poly.facet_count_floor(), min(m, n)
-            assert floor <= m + facets
-            if k in (1, m):
-                assert floor == m + facets
-            elif 2 * k > m:
-                assert floor.bit_length() == (m + facets).bit_length()
 
 
 class TestFacets:

@@ -35,6 +35,23 @@ class TestRunAll:
         with pytest.raises(ValueError):
             verify.run_all(max_m=0)
 
+    def test_structure_counts_checked_past_the_listing_bound(self, monkeypatch):
+        # the component DP has its own budget; the listing bound m <= 7
+        # does not clip the check
+        seen, structure_counts = [], graphs.structure_counts
+
+        def counted(m):
+            seen.append(m)
+            return structure_counts(m)
+
+        monkeypatch.setattr(graphs, "structure_counts", counted)
+        lines = [r.line() for r in verify.check_structure_counts(9)]
+        assert lines == [
+            "PASS structure-counts-closed-forms: m <= 9 match",
+            "PASS quasitree-count-vs-series: m <= 9 match",
+        ]
+        assert seen == list(range(1, 10))
+
 
 class TestFaultInjection:
     def test_corrupted_double_factorial_is_caught(self, monkeypatch):
