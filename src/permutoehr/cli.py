@@ -333,13 +333,107 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("plain", "json", "csv"),
-        default="plain",
-        help="output encoding (default: plain)",
-    )
+# The option table: each subcommand's handler, its help line and its
+# options, as (flag, keyword arguments of argparse's add_argument).
+# build_parser() hands these to argparse as they stand, and
+# _parse_canonical() reads the same entries (type, choices, action
+# "store_true", required, default) to parse the canonical spellings,
+# "--opt value" and bare store_true flags, without building the parser.
+# It declines, and argparse parses the argv (so help, error messages and
+# exit code 2 are argparse's), on -h/--help, on a flag the subcommand does
+# not declare exactly (an abbreviation such as --meth, the --opt=value
+# form, "--"), on a value that is missing, empty, starts with "-" or is
+# not a str, on a failed type conversion, on a value outside the choices,
+# on a missing required option, and on any other token.
+_FORMAT = (
+    "--format",
+    {"choices": ("plain", "json", "csv"), "default": "plain",
+     "help": "output encoding (default: plain)"},
+)
+_M = ("--m", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+
+_COMMANDS = {
+    "ehrhart": (cmd_ehrhart, "Ehrhart polynomial of P(m, n)", (
+        _M,
+        _N,
+        ("--t", {"type": int, "default": None, "help": "evaluate at this dilation"}),
+        ("--method", {"choices": METHOD_NAMES, "default": "closed"}),
+        _FORMAT,
+    )),
+    "volume": (cmd_volume, "volume of P(m, n)", (_M, _N, _FORMAT)),
+    "fpoly": (cmd_fpoly, "face-count polynomial of P(m, n)", (
+        _M,
+        ("--n", {"type": int, "default": None}),
+        ("--stable", {
+            "action": "store_true",
+            "help": "the polynomial shared by all n >= m (then --n is optional)",
+        }),
+        _FORMAT,
+    )),
+    "vertices": (cmd_vertices, "vertex list of P(m, n)", (_M, _N, _FORMAT)),
+    "facets": (cmd_facets, "facet inequalities of P(m, n)", (_M, _N, _FORMAT)),
+    "count-points": (cmd_count_points, "lattice points of t*P(m, n)", (
+        _M, _N, ("--t", {"type": int, "required": True}), _FORMAT,
+    )),
+    "graphs": (cmd_graphs, "the multigraph family for m vertices", (
+        _M,
+        ("--stats", {
+            "action": "store_true",
+            "help": "census by (loops, single edges, doubled pairs) instead of a listing",
+        }),
+        _FORMAT,
+    )),
+    "parking": (
+        cmd_parking,
+        "integer points of the parking-function polytope (m >= 2)",
+        (_M, _FORMAT),
+    ),
+    "verify": (cmd_verify, "run the cross-verification suite", (
+        ("--max-m", {"type": int, "default": 4}),
+        ("--max-t", {"type": int, "default": 2}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+}
+
+
+def _parse_canonical(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse would build from ``argv``, read off the
+    option table, or None where the table's rule declines the argv."""
+    if not argv or not isinstance(argv[0], str) or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    values = {"subcommand": argv[0], "func": func}
+    declared, required = {}, set()
+    for flag, kwargs in options:
+        dest = flag.lstrip("-").replace("-", "_")
+        store_true = kwargs.get("action") == "store_true"
+        values[dest] = kwargs.get("default", False if store_true else None)
+        declared[flag] = dest, kwargs, store_true
+        if kwargs.get("required"):
+            required.add(flag)
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if not isinstance(flag, str) or flag not in declared:
+            return None
+        dest, kwargs, store_true = declared[flag]
+        required.discard(flag)
+        if store_true:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if not isinstance(value, str) or not value or value[0] == "-":
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        choices = kwargs.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return None if required else argparse.Namespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,86 +443,26 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("ehrhart", help="Ehrhart polynomial of P(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=None, help="evaluate at this dilation")
-    p.add_argument("--method", choices=METHOD_NAMES, default="closed")
-    _add_format(p)
-    p.set_defaults(func=cmd_ehrhart)
-
-    p = sub.add_parser("volume", help="volume of P(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("fpoly", help="face-count polynomial of P(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument(
-        "--stable",
-        action="store_true",
-        help="the polynomial shared by all n >= m (then --n is optional)",
-    )
-    _add_format(p)
-    p.set_defaults(func=cmd_fpoly)
-
-    p = sub.add_parser("vertices", help="vertex list of P(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_vertices)
-
-    p = sub.add_parser("facets", help="facet inequalities of P(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_facets)
-
-    p = sub.add_parser("count-points", help="lattice points of t*P(m, n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_count_points)
-
-    p = sub.add_parser("graphs", help="the multigraph family for m vertices")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="census by (loops, single edges, doubled pairs) instead of a listing",
-    )
-    _add_format(p)
-    p.set_defaults(func=cmd_graphs)
-
-    p = sub.add_parser(
-        "parking", help="integer points of the parking-function polytope (m >= 2)"
-    )
-    p.add_argument("--m", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_parking)
-
-    p = sub.add_parser("verify", help="run the cross-verification suite")
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--max-t", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 @lru_cache(maxsize=1)
 def _shared_parser() -> argparse.ArgumentParser:
-    """One parser per process, built on the first call to :func:`main`
-    rather than at import."""
+    """One parser per process, built on the first argv that the option
+    table declines rather than at import."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_canonical(argv)
+    if args is None:
+        args = _shared_parser().parse_args(argv)
     args.started = time.monotonic()
     try:
         code = args.func(args)

@@ -11,9 +11,9 @@ gcd(den, *nums) = 1), so equal values have equal fields.  They share
 one ring core on those ints: the sum, negation, difference and product
 below (``convolve`` for two polynomials), each result normalised by one
 gcd.  ``fractions.Fraction`` appears only at their edges: constructor
-input (ints and ``Fraction``s; a float, bool or string raises
-TypeError), ``coeffs``, ``coefficient``, and the value of a ``Poly`` at a
-point.
+input, scalar operands and evaluation points (ints and ``Fraction``s; a
+float, bool or string raises TypeError, and a bool compares unequal),
+``coeffs``, ``coefficient``, and the value of a ``Poly`` at a point.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def _coerce(self, other):
     if isinstance(other, type(self)):
         return other
     if isinstance(other, (int, Fraction)):
-        return self._new((other.numerator,), other.denominator, 0)
+        num, den = _split(other)
+        return self._new((num,), den, 0)
     return NotImplemented
 
 
@@ -176,8 +177,8 @@ def _mul(self, other):
             self.min_exp + other.min_exp,
         )
     if isinstance(other, (int, Fraction)):
-        p = other.numerator
-        return self._new([c * p for c in self.nums], self.den * other.denominator, self.min_exp)
+        p, q = _split(other)
+        return self._new([c * p for c in self.nums], self.den * q, self.min_exp)
     return NotImplemented
 
 
@@ -236,9 +237,9 @@ class Poly:
 
         At x = p/q the numerator sum_i nums[i] p^i q^(d-i) is formed in
         ints and divided by den q^d once."""
+        p, q = _split(x)
         if not self.nums:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
         acc, q_power = self.nums[-1], 1
         for c in reversed(self.nums[:-1]):
             q_power *= q
@@ -266,6 +267,8 @@ class Poly:
         return acc
 
     def __eq__(self, other):
+        if isinstance(other, bool):  # unequal, as for a series; no TypeError
+            return NotImplemented
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -366,7 +369,7 @@ class LaurentPoly:
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        p, q = scalar.numerator, scalar.denominator
+        p, q = _split(scalar)
         if not p:
             raise ZeroDivisionError("LaurentPoly division by zero")
         if p < 0:
@@ -374,6 +377,8 @@ class LaurentPoly:
         return _laurent([c * q for c in self.nums], self.den * p, self.min_exp)
 
     def __eq__(self, other):
+        if isinstance(other, bool):
+            return NotImplemented
         coerced = self._coerce(other)
         if coerced is NotImplemented:
             # a Poly is the Laurent polynomial with no negative power

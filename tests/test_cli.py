@@ -1,3 +1,5 @@
+import argparse
+import itertools
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import permutoehr
 import permutoehr.cli as cli_module
 import permutoehr.verify as verify_module
 from permutoehr.cli import main
-from permutoehr.ehrhart import ehrhart_closed, f_polynomial, f_polynomial_stable, volume_closed
+from permutoehr.ehrhart import METHOD_NAMES, ehrhart_closed, f_polynomial, f_polynomial_stable, volume_closed
 from permutoehr.graphs import enumerate_graphs, graph_census, vertex_pairs
 from permutoehr.polynomials import Poly
 from permutoehr.polytope import PartialPermutohedron
@@ -717,6 +719,116 @@ class TestParserBehaviour:
         assert excinfo.value.code == 2
 
 
+# Each subcommand's options in a well-formed argv: per option, the token
+# pairs it may contribute, () leaving it out.
+_M, _N = [("--m", "3")], [("--n", "4")]
+_FORMAT = [(), *(("--format", f) for f in ("plain", "json", "csv"))]
+WELL_FORMED_GRID = {
+    "ehrhart": [_M, _N, [(), ("--t", "5")], [(), *(("--method", x) for x in METHOD_NAMES)],
+                _FORMAT],
+    "volume": [_M, _N, _FORMAT],
+    "fpoly": [_M, [(), ("--n", "4")], [(), ("--stable",)], _FORMAT],
+    "vertices": [_M, _N, _FORMAT],
+    "facets": [_M, _N, _FORMAT],
+    "count-points": [_M, _N, [("--t", "5")], _FORMAT],
+    "graphs": [_M, [(), ("--stats",)], _FORMAT],
+    "parking": [_M, _FORMAT],
+    "verify": [[(), ("--max-m", "2")], [(), ("--max-t", "+1")], [(), ("--seed", "0012")]],
+}
+
+
+def well_formed_argvs(subcommand):
+    """Every combination of the grid's options, in the table's order and
+    reversed, with each flag repeated (store_true flags as they are, int
+    options first given 7, so the last value must win)."""
+    for combo in itertools.product(*WELL_FORMED_GRID[subcommand]):
+        pairs = [pair for pair in combo if pair]
+        earlier = [(p[0], "7") if len(p) == 2 and p[1].lstrip("+").isdigit() else p
+                   for p in pairs]
+        for order in (pairs, pairs[::-1], earlier + pairs):
+            yield [subcommand, *itertools.chain.from_iterable(order)]
+
+
+# argv that the option table declines, each left to argparse
+DECLINED_ARGVS = [
+    ["ehrhart", "--meth", "closed", "--m", "2", "--n", "2"],
+    ["ehrhart", "--m=2", "--n", "2"],
+    ["-h"],
+    ["ehrhart", "--help"],
+    ["ehrhart", "--m", "2"],
+    ["ehrhart", "--m", "x", "--n", "2"],
+    ["ehrhart", "--m", "-1", "--n", "2"],
+    ["verify", "--max-m", "2", "--max-t", "1", "--seed", "-5"],
+    ["ehrhart", "--m", "2", "--n", "2", "--method", "sampling"],
+    ["frobnicate", "--m", "2"],
+    ["verify", "--format", "json"],
+    ["ehrhart", "--n", "2", "--m"],
+    ["ehrhart", "--", "--m", "2", "--n", "2"],
+    ["ehrhart", "--m", 2, "--n", "2"],
+    ["ehrhart", "--m", "", "--n", "2"],
+    ["graphs", "--m", "3", "--stats", "extra"],
+    [],
+]
+
+
+def outcome(capsys, argv):
+    """main(argv) as (exit code, or the SystemExit code, or the exception
+    raised), stdout, stderr."""
+    try:
+        result = main(argv)
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    except Exception as exc:  # argparse on a token that is not a str
+        result = (type(exc), str(exc))
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("subcommand", WELL_FORMED_GRID)
+    def test_table_parse_matches_argparse(self, subcommand):
+        def typed(args):  # True and 1 are equal, but json writes them apart
+            return {key: (type(value), value) for key, value in vars(args).items()}
+
+        parser = cli_module.build_parser()
+        argvs = list(well_formed_argvs(subcommand))
+        assert len(argvs) >= 3
+        for argv in argvs:
+            args = cli_module._parse_canonical(argv)
+            assert args is not None, argv
+            assert typed(args) == typed(parser.parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", DECLINED_ARGVS, ids=repr)
+    def test_everything_else_goes_to_argparse(self, capsys, monkeypatch, argv):
+        assert cli_module._parse_canonical(argv) is None
+        got = outcome(capsys, argv)
+        monkeypatch.setattr(cli_module, "_parse_canonical", lambda argv: None)
+        assert got == outcome(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("ehrhart", "--m", "3", "--n", "4"),
+            ("count-points", "--m", "2", "--n", "3", "--t", "2"),
+            ("parking", "--m", "4"),
+            ("graphs", "--m", "3", "--stats"),
+            ("verify", "--max-m", "1", "--max-t", "1"),
+        ),
+    )
+    def test_canonical_argv_builds_no_parser(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patched:
+            patched.setattr(cli_module, "_parse_canonical", lambda argv: None)
+            expected = outcome(capsys, argv)
+        assert expected[0] == 0
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        cli_module._shared_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert outcome(capsys, argv) == expected
+
+
 def package_env():
     """The environment with this package's sources first on PYTHONPATH."""
     src = str(Path(permutoehr.__file__).resolve().parent.parent)
@@ -727,7 +839,13 @@ def package_env():
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
-        "argv", (("ehrhart", "--m", "2", "--n", "2"), ("ehrhart", "--m", "3", "--n", "1"))
+        "argv",
+        (
+            ("ehrhart", "--m", "2", "--n", "2"),
+            ("ehrhart", "--m", "3", "--n", "1"),
+            ("ehrhart", "--m=2", "--n", "2"),
+            ("ehrhart", "--meth", "closed", "--m", "2", "--n", "2"),
+        ),
     )
     def test_python_m_matches_main(self, capsys, argv):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -81,6 +82,35 @@ class TestPoly:
     def test_rejects_coefficients_outside_the_rationals(self, ring, bad):
         with pytest.raises(TypeError, match="ints or Fractions"):
             ring([1, bad])
+
+    @pytest.mark.parametrize("ring", (Poly, LaurentPoly))
+    @pytest.mark.parametrize("bad", (0.5, True, False, "1/3"))
+    @pytest.mark.parametrize(
+        "op",
+        (operator.add, operator.sub, operator.mul,
+         lambda a, b: b + a, lambda a, b: b - a, lambda a, b: b * a),
+        ids=("add", "sub", "mul", "radd", "rsub", "rmul"),
+    )
+    def test_operators_reject_scalars_outside_the_rationals(self, ring, bad, op):
+        for value in (ring([1, 2]), ring()):
+            with pytest.raises(TypeError):
+                op(value, bad)
+
+    @pytest.mark.parametrize("bad", (0.5, True, "1/3"))
+    def test_laurent_division_rejects_scalars_outside_the_rationals(self, bad):
+        with pytest.raises(TypeError):
+            LaurentPoly([1, 2], min_exp=-1) / bad
+
+    @pytest.mark.parametrize("bad", (0.5, True, "1/3"))
+    def test_evaluation_rejects_points_outside_the_rationals(self, bad):
+        for p in (Poly([1, 1]), Poly()):
+            with pytest.raises(TypeError, match="ints or Fractions"):
+                p(bad)
+
+    @pytest.mark.parametrize("ring", (Poly, LaurentPoly))
+    def test_a_bool_is_unequal_without_raising(self, ring):
+        assert ring([1]) == 1 and ring([1]) != True  # noqa: E712
+        assert ring() == 0 and ring() != False  # noqa: E712
 
 
 class TestRisingBinomial:
