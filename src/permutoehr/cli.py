@@ -62,14 +62,14 @@ outside a command's domain exit 2 before any budget test.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .ehrhart import (
     FORMULA_WORK,
@@ -84,7 +84,9 @@ from .errors import BudgetError, point_budget, refuse_above_budget, refuse_past_
 from .graphs import enumerate_graphs, graph_census, vertex_pairs
 from .polynomials import Poly
 from .polytope import PartialPermutohedron, count_parking_functions
-from .verify import run_all
+
+if TYPE_CHECKING:  # argparse is imported only when a parser is built
+    import argparse
 
 
 def _write_lines(lines) -> None:
@@ -113,6 +115,8 @@ def _emit(args, report, rows, lines, note=None) -> None:
     Only the chosen encoding is built: ``report`` and ``note`` are
     callables, and ``rows`` and ``lines`` are read lazily."""
     if args.format == "json":
+        import json
+
         report = {"command": args.subcommand, **report()}
         report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
         print(json.dumps(report, indent=2))
@@ -282,6 +286,8 @@ def cmd_graphs(args) -> int:
     # Each graph is written as it is enumerated: at m = 7 there are 1.26 M.
     pairs = vertex_pairs(args.m)
     if args.format == "json":
+        import json
+
         # the document json.dumps(report, indent=2) gives, written piece by piece
         report = {"command": "graphs", "m": args.m, "count": count}
         out = sys.stdout
@@ -323,6 +329,8 @@ def cmd_parking(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(
         max_m=args.max_m, max_t=args.max_t, seed=args.seed, budget=point_budget()
     )
@@ -397,9 +405,10 @@ _COMMANDS = {
 }
 
 
-def _parse_canonical(argv: list) -> argparse.Namespace | None:
-    """The namespace argparse would build from ``argv``, read off the
-    option table, or None where the table's rule declines the argv."""
+def _parse_canonical(argv: list) -> SimpleNamespace | None:
+    """The attributes of the namespace argparse would build from ``argv``,
+    read off the option table, or None where the table's rule declines the
+    argv."""
     if not argv or not isinstance(argv[0], str) or argv[0] not in _COMMANDS:
         return None
     func, _, options = _COMMANDS[argv[0]]
@@ -433,10 +442,12 @@ def _parse_canonical(argv: list) -> argparse.Namespace | None:
         if choices is not None and value not in choices:
             return None
         values[dest] = value
-    return None if required else argparse.Namespace(**values)
+    return None if required else SimpleNamespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="permutoehr",
         description=__doc__,

@@ -63,10 +63,10 @@ verification harness checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
+from ._record import Record
 from .errors import DEFAULT_POINT_BUDGET, require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
@@ -414,8 +414,7 @@ def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
     return m**power, bits // 64 + 1
 
 
-@dataclass(frozen=True)
-class EhrhartResult:
+class EhrhartResult(Record):
     m: int
     n: int
     method: str

@@ -54,12 +54,12 @@ constructors make on outside input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
+from ._record import Record
 from .errors import (
     DEFAULT_GRAPH_BOUND,
     DEFAULT_POINT_BUDGET,
@@ -91,8 +91,7 @@ def _check_parts(m, **parts) -> None:
             raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
-class EdgeMultiplicities:
+class EdgeMultiplicities(Record):
     """Candidate member of the Hall-feasible sequence set: ``loop[i]`` is
     the multiplicity of singleton {i+1}, ``pair[k]`` the multiplicity of
     the k-th pair from :func:`vertex_pairs`."""
@@ -101,12 +100,11 @@ class EdgeMultiplicities:
     loop: tuple[int, ...]
     pair: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         _check_parts(self.m, loop=self.loop, pair=self.pair)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Record):
     """Labelled multigraph on m vertices with loop counts and pairwise edge
     multiplicities (indexed as in :func:`vertex_pairs`)."""
 
@@ -114,7 +112,7 @@ class Multigraph:
     loops: tuple[int, ...]
     pair_mult: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         _check_parts(self.m, loops=self.loops, pair_mult=self.pair_mult)
 
 

@@ -15,19 +15,18 @@ counts produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 
+from ._record import Record
 from .errors import DEFAULT_POINT_BUDGET, refuse_above_budget, require_int
 
 # the lattice DP's work bound as a refusal states it
 LATTICE_WORK = "lattice DP work bound values*states*run lengths tn*(K+1)(S+1)*K = {}"
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(Record):
     """One affine halfspace: sum(coeffs[i] * x[i]) <sense> bound.
 
     In the dilate t*P the right-hand side scales to t*bound.

@@ -873,3 +873,15 @@ class TestModuleEntryPoint:
             proc.stderr.close()
         assert first == "0 0 0 0 0 0 0\n"
         assert (code, err) == (141, "")
+
+    def test_import_leaves_out_what_only_some_commands_use(self):
+        # each costs every process its import time; argparse serves only
+        # help and malformed argv, json only --format json, verify only
+        # the verify subcommand
+        unused = ("dataclasses", "inspect", "argparse", "json", "permutoehr.verify")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, permutoehr.cli; print(*sorted(set({unused!r}) & set(sys.modules)))"],
+            capture_output=True, text=True, env=package_env(), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

@@ -1,6 +1,7 @@
 import pytest
 
 from permutoehr import ehrhart, graphs, verify
+from permutoehr.cli import main
 from permutoehr.errors import BudgetError
 
 
@@ -89,3 +90,20 @@ class TestFaultInjection:
         results = {r.name: r for r in verify.check_bijection(max_m=3)}
         assert not results["bijection-round-trip"].passed
         assert "the listings differ" in results["bijection-round-trip"].detail
+
+    def test_round_trip_is_checked_on_every_graph_past_m4(self, monkeypatch, capsys):
+        good = graphs.from_multigraph
+
+        def wrong_at_m5(graph):
+            seq = good(graph)
+            if graph.m != 5:
+                return seq
+            return graphs.EdgeMultiplicities(5, (seq.loop[0] + 1, *seq.loop[1:]), seq.pair)
+
+        monkeypatch.setattr(graphs, "from_multigraph", wrong_at_m5)
+        assert main(["verify", "--max-m", "4"]) == 0
+        assert "PASS bijection-round-trip: identity on every graph" in capsys.readouterr().out
+        assert main(["verify", "--max-m", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL bijection-round-trip: failed at m=5\n" in out
+        assert "11/12 checks passed" in out
