@@ -37,9 +37,11 @@ The environment variable PERMUTOEHR_BUDGET overrides the work budget
 (default 10^8).  A budgeted command is refused with exit 3, before any
 work, when its work estimate exceeds the budget; the refusal states the
 estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
-  ehrhart, volume,  loop count * size of 2^m m! (2n+1)^m (loops * 64-bit
-  fpoly             words); m^2 loops for closed, recurrence, egf and
-                    fpoly, m^3 for egf-tree and fpoly --stable, m for volume
+  ehrhart, volume,  loop count * size W of 2^m m! (2n+1)^m (loops * 64-bit
+  fpoly             words); m^2 loops for closed, recurrence, egf,
+                    egf-tree and fpoly, m^3 for fpoly --stable, m for
+                    volume; egf-tree multiplies two such operands per
+                    loop, stated as W*isqrt(W) words
   count-points,     t*n * (K + 1)(S + 1) * K with S = t*full_sum_bound()
   parking           and K = min(m, S) (values * states * run lengths of
                     the dynamic programme over (entries placed, running

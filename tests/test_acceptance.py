@@ -61,8 +61,8 @@ def test_criterion_1_five_way_engine_agreement():
                 )
             cases += 1
     # the formula routes further out: integer closed sum, integer recurrence,
-    # egf extraction in 1/t over z and over the powers of T(z)
-    for m in (12, 16, 36):
+    # egf extraction in 1/t over z and over T(z) by Lagrange inversion
+    for m in (12, 16, 36, 60, 100):
         for n in (m - 1, m, m + 5):
             reference = ehrhart_closed(m, n)
             for method in ("egf", "egf-tree", "recurrence"):
@@ -73,7 +73,8 @@ def test_criterion_1_five_way_engine_agreement():
     _passed(
         1,
         f"six routes identical on {cases} (m, n) pairs up to m = 6, "
-        "postnikov and graphsum also up to m = 10, the formula routes at m = 12, 16",
+        "postnikov and graphsum also up to m = 10, "
+        "the formula routes at m = 12, 16, 36, 60, 100",
     )
 
 

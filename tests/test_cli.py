@@ -14,7 +14,9 @@ import permutoehr
 import permutoehr.cli as cli_module
 import permutoehr.verify as verify_module
 from permutoehr.cli import main
-from permutoehr.ehrhart import METHOD_NAMES, ehrhart_closed, f_polynomial, f_polynomial_stable, volume_closed
+from permutoehr.ehrhart import (
+    METHOD_NAMES, ehrhart_closed, f_polynomial, f_polynomial_stable, formula_work, volume_closed,
+)
 from permutoehr.graphs import enumerate_graphs, graph_census, vertex_pairs
 from permutoehr.polynomials import Poly
 from permutoehr.polytope import PartialPermutohedron
@@ -348,6 +350,8 @@ class TestFormulaBudget:
              "fpoly work bound loops*64-bit operand words 25000000*2188 = 54700000000"),
             (("volume", "--m", "200000", "--n", "200000"),
              "volume work bound loops*64-bit operand words 200000*118751 = 23750200000"),
+            (("ehrhart", "--method", "egf-tree", "--m", "317", "--n", "317"),
+             "egf-tree work bound loops*64-bit operand words 100489*1000 = 100489000"),
         ),
     )
     def test_absurd_request_refused_before_computing(self, capsys, monkeypatch, argv, stated):
@@ -406,7 +410,7 @@ class TestFormulaBudget:
         "argv, work",
         (
             (("ehrhart", "--m", "3", "--n", "3"), 9),
-            (("ehrhart", "--method", "egf-tree", "--m", "3", "--n", "3"), 27),
+            (("ehrhart", "--method", "egf-tree", "--m", "3", "--n", "3"), 9),
             (("volume", "--m", "3", "--n", "3"), 3),
             (("fpoly", "--m", "3", "--n", "3"), 9),
             (("fpoly", "--m", "3", "--stable"), 27),
@@ -463,6 +467,16 @@ class TestFormulaBudget:
         code, out, err = run(capsys, *argv, "--m", "100000000")
         assert (code, out) == (3, "")
         assert err == f"error: {stated} = more than 2^100000000 exceeds budget 100000000\n"
+
+    def test_egf_tree_at_the_default_budget(self, capsys, monkeypatch):
+        # egf-tree is budgeted as m^2 loops of W*isqrt(W) words: m = 136, the
+        # end of its m^3 range, still runs, and the range now ends at 316
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        code, out, err = run(capsys, "ehrhart", "--m", "136", "--n", "136", "--method", "egf-tree")
+        assert (code, err) == (0, "")
+        assert out == f"{ehrhart_closed(136, 136)}\n"
+        loops, words = formula_work("egf-tree", 316, 316)
+        assert (loops, words, loops * words <= 10**8) == (316**2, 99 * 9, True)
 
     def test_census_routes_at_the_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)

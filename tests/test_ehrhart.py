@@ -23,6 +23,7 @@ from permutoehr.errors import BudgetError
 from permutoehr.graphs import graph_census, sequence_census, structure_counts
 from permutoehr.polynomials import Poly, convolve, double_factorial, eulerian, rising_binomial
 from permutoehr.polytope import PartialPermutohedron, count_parking_functions
+from permutoehr.series import TruncatedSeries
 
 T = Poly([0, 1])
 
@@ -160,10 +161,20 @@ class TestTreeFunction:
         order = 10
         tree = tree_function(order)
         z = Poly([0, 1])
-        from permutoehr.series import TruncatedSeries
-
         z_series = TruncatedSeries.from_poly(z, order)
         assert tree == z_series * tree.exp()
+
+    def test_lagrange_numbers_match_the_series_powers(self):
+        # egf-tree reads m! [z^m] T^k from Lagrange inversion; the powers of
+        # the truncated series T, taken by products, must give the same ints
+        for m in range(1, 21):
+            tree = tree_function(m)
+            power = TruncatedSeries([1], order=m)
+            expected = [0]
+            for _ in range(m):
+                power = power * tree
+                expected.append(factorial(m) * power.coefficient(m))
+            assert ehrhart._tree_power_coefficients(m) == expected
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
@@ -514,6 +525,22 @@ class TestIndependentEnumerators:
         for name in self.MATCHING:
             monkeypatch.setattr(graphs, name, _refuse)
         assert sum(1 for _ in graphs.enumerate_graphs(4)) == expected
+
+
+class TestIndependentTreeRoute:
+    """egf-tree reads the powers of T(z) by Lagrange inversion and G(y) as
+    one int convolution, so it reaches no series arithmetic and neither
+    the closed form nor egf.  The one helper the two egf routes share by
+    design is ``_exp_over_t``, the expansion of exp(w(u)/t)."""
+
+    def test_reaches_no_series_closed_form_or_egf_code(self, monkeypatch):
+        expected = {m: ehrhart_closed(m, m + 1) for m in range(1, 7)}
+        for name in ("__mul__", "exp", "log", "sqrt"):
+            monkeypatch.setattr(TruncatedSeries, name, _refuse)
+        for name in ("tree_function", "one_minus_z", "ehrhart_closed", "ehrhart_egf"):
+            monkeypatch.setattr(ehrhart, name, _refuse)
+        for m, poly in expected.items():
+            assert ehrhart_egf_tree(m, m + 1) == poly
 
 
 class TestEnumerationBound:
