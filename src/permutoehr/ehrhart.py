@@ -430,8 +430,8 @@ def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
     counts, which stop growing there.  The other routes multiply such an
     operand by a word-sized one per step, ``egf-tree`` two such operands,
     stated as W isqrt(W) words: at n = m, m = 100..400, its time was
-    0.5 sqrt(W) to 0.7 sqrt(W) times that of ``closed``.  (m, n) is first checked against
-    the route's domain, as the route itself checks it."""
+    0.5 sqrt(W) to 0.7 sqrt(W) times that of ``closed``.  (m, n) is first
+    checked against the route's domain, as the route itself checks it."""
     if route == "fpoly":
         _require_face_domain(m, n)
     elif route == "fpoly-stable":

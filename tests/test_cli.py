@@ -469,8 +469,8 @@ class TestFormulaBudget:
         assert err == f"error: {stated} = more than 2^100000000 exceeds budget 100000000\n"
 
     def test_egf_tree_at_the_default_budget(self, capsys, monkeypatch):
-        # egf-tree is budgeted as m^2 loops of W*isqrt(W) words: m = 136, the
-        # end of its m^3 range, still runs, and the range now ends at 316
+        # egf-tree is budgeted as m^2 loops of W*isqrt(W) words, so at n = m
+        # the default budget admits it up to m = 316, past m = 136
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, "ehrhart", "--m", "136", "--n", "136", "--method", "egf-tree")
         assert (code, err) == (0, "")
