@@ -3,15 +3,16 @@ partial permutohedra.
 
 The partial permutohedron P(m, n) is the convex hull of the vectors in
 {0, ..., n}^m whose nonzero entries are distinct.  This package computes
-its Ehrhart polynomial for n >= m - 1 by five independent exact methods,
-provides the polytope's vertices, facets, lift and Minkowski
-decomposition, counts lattice points from the facets alone, and
-enumerates the labelled multigraphs underlying the combinatorial
-methods.  All arithmetic is exact rational.
+its Ehrhart polynomial for n >= m - 1 by six exact methods (``closed``,
+``postnikov``, ``graphsum``, ``egf``, ``egf-tree`` and ``recurrence``),
+independent but for ``_exp_over_t``, the one helper ``egf`` and
+``egf-tree`` share by design.  It provides the polytope's vertices,
+facets, lift and Minkowski decomposition, counts lattice points from the
+facets alone, and enumerates the labelled multigraphs underlying the
+combinatorial methods.  All arithmetic is exact rational.
 """
 
 from .ehrhart import (
-    EhrhartResult,
     METHOD_NAMES,
     coefficient_transfer_check,
     compute_ehrhart,
@@ -63,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "EdgeMultiplicities",
-    "EhrhartResult",
     "FacetInequality",
     "GraphStats",
     "LaurentPoly",

@@ -47,7 +47,9 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
                     the dynamic programme over (entries placed, running
                     sum) states of the sorted points; parking is t = 1)
   verify            that bound for its oracle's largest count, at
-                    (min(max_m, 4), 4, max_t)
+                    (min(max_m, 4), 4, max_t), the Hall DP's at max_m,
+                    the component DP's at max_m + 1 and the graph
+                    listing's length at max_m, all before any check runs
   ehrhart --method  m(m+1)/2 * 4^m (slot steps * states of the Hall DP
   postnikov         over the sequences)
   ehrhart --method  m * 3^m (vertex steps * states of the component DP
@@ -169,7 +171,7 @@ def cmd_ehrhart(args) -> int:
     if work is not None:  # postnikov and graphsum refuse on their census DP's estimate
         loops, words = work
         refuse_above_budget(loops * words, args.method + FORMULA_WORK, budget, *work)
-    poly = compute_ehrhart(args.m, args.n, args.method, budget).polynomial
+    poly = compute_ehrhart(args.m, args.n, args.method, budget)
     value = None if args.t is None else poly(args.t)
     head = {"m": args.m, "n": args.n, "t": args.t, "method": args.method}
     _emit_poly(args, head, poly, value)

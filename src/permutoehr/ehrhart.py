@@ -1,4 +1,5 @@
-"""Five independent computations of the Ehrhart polynomial of P(m, n).
+"""Six computations of the Ehrhart polynomial of P(m, n), independent but
+for ``_exp_over_t``, the one helper ``egf`` and ``egf-tree`` share by design.
 
 The Ehrhart polynomial ehr(t) of the partial permutohedron P(m, n) is the
 polynomial whose value at a positive integer t is the number of integer
@@ -19,9 +20,10 @@ different exact expressions, all implemented here in exact arithmetic:
                         :mod:`.graphs` counts;
 ``ehrhart_egf``         m! t^m [z^m] sqrt(1-z) exp((n+1/2+1/t) z - z^2/(4t)),
                         with exp(.../t) expanded in powers of 1/t over
-                        rational series (``ehrhart_egf_tree`` takes the
-                        equivalent route through the tree function T(z),
-                        whose powers it reads by Lagrange inversion);
+                        rational series;
+``ehrhart_egf_tree``    the equivalent extraction through the tree
+                        function T(z), whose powers it reads by Lagrange
+                        inversion, without series;
 ``ehrhart_recurrence``  a three-term recurrence in m, started from the
                         single point P(0, n).
 
@@ -73,7 +75,6 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from operator import mul
 
-from ._record import Record
 from .errors import DEFAULT_POINT_BUDGET, require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
@@ -84,8 +85,6 @@ from .polynomials import (
     eulerian,
 )
 from .series import TruncatedSeries, _series, one_minus_z
-
-METHOD_NAMES = ("closed", "postnikov", "graphsum", "egf", "egf-tree", "recurrence")
 
 
 def _require_formula_domain(m: int, n: int):
@@ -150,28 +149,27 @@ def ehrhart_postnikov(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Pol
     prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
     prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
 
-    The product depends only on the multisets of nonzero loop and pair
-    multiplicities, so the sum runs over :func:`.graphs.sequence_census`,
-    the Hall DP's tally, refused up front past ``budget``; no multigraph
-    or union-find code is reached.  Each term is an int convolution of the
-    factors' numerators over the product of their denominators, 2 per pair
-    of multiplicity 2; at most m/2 pairs have it, so every term is scaled
+    Hall's condition on the copies of one slot allows at most 1 copy of a
+    loop and 2 of a pair, so the product depends only on the
+    :class:`.graphs.GraphStats` signature of a: kt per loop
+    (k = n - m + 1), C(t, 1) = t per single pair and
+    C(t + 1, 2) = (t + t^2)/2 per doubled pair.  The sum runs over
+    :func:`.graphs.sequence_census`, the Hall DP's tally by that
+    signature, refused up front past ``budget``; no multigraph or
+    union-find code is reached.  Each term is an int convolution of the
+    factors' numerators over the product of their denominators, 2 per
+    doubled pair; at most m/2 pairs are doubled, so every term is scaled
     onto the common denominator 2^m and the sum is divided once."""
     _require_formula_domain(m, n)
     census = sequence_census(m, budget)
-    # rising binomials by multiplicity, as int numerators: Hall's condition
-    # on the copies of one slot allows at most 1 copy of a loop and 2 of a
-    # pair; C(kt, 1) = kt with k = n - m + 1, C(t, 1) = t and
-    # C(t + 1, 2) = (t + t^2) / 2, the one factor over 2
-    loop_factor = ([1], [0, n - m + 1])
-    pair_factor = ([1], [0, 1], [0, 1, 1])
+    loop_factor, single_factor, doubled_factor = [0, n - m + 1], [0, 1], [0, 1, 1]
     top = 2**m
     nums = [0] * (m + 1)
-    for (loop_mults, pair_mults), count in census.items():
+    for (loops, single, doubled), count in census.items():
         term = [count]
-        for f in [loop_factor[a] for a in loop_mults] + [pair_factor[a] for a in pair_mults]:
+        for f in [loop_factor] * loops + [single_factor] * single + [doubled_factor] * doubled:
             term = convolve(term, f)
-        scale = top >> pair_mults.count(2)
+        scale = top >> doubled
         for k, c in enumerate(term):
             nums[k] += c * scale
     return _poly(nums, top)
@@ -394,6 +392,7 @@ _ENGINES = {
     "egf-tree": ehrhart_egf_tree,
     "recurrence": ehrhart_recurrence,
 }
+METHOD_NAMES = tuple(_ENGINES)
 
 
 # The depth of each formula route's loop nest, as the power of m its integer
@@ -449,20 +448,13 @@ def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
     return m**power, words
 
 
-class EhrhartResult(Record):
-    m: int
-    n: int
-    method: str
-    polynomial: Poly
-
-
 def compute_ehrhart(
     m: int, n: int, method: str = "closed", budget: int = DEFAULT_POINT_BUDGET
-) -> EhrhartResult:
-    """Run one named engine; all engines agree for every valid (m, n).
-    ``budget`` bounds the census DP of ``postnikov`` and ``graphsum``; the
-    other engines have no budget here, their work being bounded through
-    :func:`formula_work` by the caller."""
+) -> Poly:
+    """The Ehrhart polynomial of P(m, n) by one named engine, all engines
+    agreeing for every valid (m, n).  ``budget`` bounds the census DP of
+    ``postnikov`` and ``graphsum``; the other engines have no budget here,
+    their work being bounded through :func:`formula_work` by the caller."""
     try:
         engine = _ENGINES[method]
     except KeyError:
@@ -470,5 +462,5 @@ def compute_ehrhart(
             f"unknown method {method!r}; choose from {', '.join(METHOD_NAMES)}"
         ) from None
     if method in ("postnikov", "graphsum"):
-        return EhrhartResult(m, n, method, engine(m, n, budget))
-    return EhrhartResult(m, n, method, engine(m, n))
+        return engine(m, n, budget)
+    return engine(m, n)

@@ -29,9 +29,10 @@ Hall walk.
 * The Hall DP ``_hall_tally`` takes the slots in lexicographic order and
   keeps, per state, the family of minimal vertex sets that a system of
   distinct representatives of the slots so far uses; a vertex leaves
-  every set once its last slot is past.  It counts sequences by the
-  multisets of their nonzero loop and pair multiplicities for
-  ``sequence_census`` (and the ``postnikov`` engine).
+  every set once its last slot is past.  It counts sequences by
+  ``GraphStats`` (loops, single pairs, doubled pairs), the signature the
+  component DP counts multigraphs by, for ``sequence_census`` (and the
+  ``postnikov`` engine).
 * The Hall walk ``_hall_walk``, for one loop set, keeps a live
   slot-to-vertex matching, the copy of each loop matched to its vertex,
   and steps like an odometer through the pair multiplicities in one
@@ -512,10 +513,10 @@ def _add(states: dict, family: frozenset[int], tally: dict[int, int], shift: int
 
 
 @lru_cache(maxsize=None)
-def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], int], ...]:
-    """Counts of the Hall-feasible multiplicity sequences for m by the
-    multisets of their nonzero loop and pair multiplicities (each a sorted
-    tuple), in sorted order, by a transfer DP over the slots.
+def _hall_tally(m: int) -> tuple[tuple[GraphStats, int], ...]:
+    """Counts of the Hall-feasible multiplicity sequences for m by
+    :class:`GraphStats` signature, in signature order, by a transfer DP
+    over the slots.
 
     The slots come in lexicographic order, each vertex i's row being its
     loop {i} and then the pairs {i, j} with j > i.  A state is the family of
@@ -554,22 +555,20 @@ def _hall_tally(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], 
             _add(retired, _minimal(w & keep for w in family), tally, 0)
         states = retired
     (tally,) = states.values()  # every vertex retired: the family {empty set}
-    census = []
-    for key, count in tally.items():
-        loops, single, doubled = key % width, key // width % width, key // width**2
-        census.append((((1,) * loops, (1,) * single + (2,) * doubled), count))
-    return tuple(sorted(census))
+    return tuple(sorted(
+        (GraphStats(key % width, key // width % width, key // width**2), count)
+        for key, count in tally.items()
+    ))
 
 
-def sequence_census(
-    m: int, budget: int = DEFAULT_POINT_BUDGET
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def sequence_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphStats, int]:
     """Counts of the Hall-feasible multiplicity sequences by
-    (loop multiplicities, pair multiplicities): the nonzero entries of
-    ``loop`` and of ``pair``, each as a sorted tuple, in sorted order.
-    Read off the Hall DP, which shares no code with the multigraph census
-    or listing, and refused up front when :func:`hall_work` exceeds the
-    budget.  Each call returns a fresh dict."""
+    :class:`GraphStats` signature (the number of loops, of pairs of
+    multiplicity 1 and of pairs of multiplicity 2; Hall's condition allows
+    no more), in signature order, the keys :func:`graph_census` counts
+    multigraphs by.  Read off the Hall DP, which shares no code with the
+    multigraph census or listing, and refused up front when
+    :func:`hall_work` exceeds the budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
     refuse_past_floor(lambda: hall_work(m), HALL_WORK, m, budget)
     return dict(_hall_tally(m))

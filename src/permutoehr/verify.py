@@ -62,7 +62,7 @@ def check_engine_agreement(max_m: int = 4) -> list[CheckResult]:
         cases += 1
         reference = ehrhart.ehrhart_closed(m, n)
         for name in others:
-            if ehrhart.compute_ehrhart(m, n, name).polynomial != reference:
+            if ehrhart.compute_ehrhart(m, n, name) != reference:
                 mismatches[name].append(f"(m={m}, n={n})")
     return [
         _verdict(f"closed-vs-{name}", mismatches[name], f"{cases} cases agree")
@@ -197,7 +197,8 @@ def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResul
 def run_all(
     max_m: int = 4, max_t: int = 2, seed: int = 0, budget: int = DEFAULT_POINT_BUDGET
 ) -> list[CheckResult]:
-    """Every check; the brute-force counts are bounded by ``budget``."""
+    """Every check; its brute-force counts, census DPs and listings are
+    bounded by ``budget``."""
     if max_m < 1:
         raise ValueError("need max_m >= 1")
     if max_t < 1:
@@ -210,9 +211,13 @@ def run_all(
             f"the bijection check would list {listed:,} graphs and as many "
             "sequences"
         )
-    # the brute-force oracle's largest count, refused before any check runs
+    # the oracle's largest count, the census DPs at the largest m a check
+    # runs them at and the longest listing, each refused before any check runs
     work = PartialPermutohedron(min(max_m, 4), 4).count_work(max_t)
     refuse_above_budget(work, LATTICE_WORK, budget)
+    refuse_above_budget(graphs.hall_work(max_m), graphs.HALL_WORK, budget)
+    refuse_above_budget(graphs.component_work(max_m + 1), graphs.COMPONENT_WORK, budget)
+    refuse_above_budget(sum(graphs.graph_census(max_m).values()), "{} graphs", budget)
     results = []
     results.extend(check_engine_agreement(max_m))
     results.append(check_oracle_agreement(max_m, max_t, budget))

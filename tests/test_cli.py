@@ -713,6 +713,26 @@ class TestVerifyCommand:
             "tn*(K+1)(S+1)*K = 192 exceeds budget 1\n"
         )
 
+    def test_budget_env_bounds_the_census_dps(self, capsys, monkeypatch):
+        # at max_m = 4 the Hall DP's estimate, 10 * 4^4 = 2560, is the
+        # largest: the oracle's bound, the component DP's estimate at m = 5
+        # (1215) and the listing at m = 4 are smaller
+        def must_not_run(*args):
+            raise AssertionError("a check ran")
+
+        argv = ("verify", "--max-m", "4", "--max-t", "1")
+        _, default_out, _ = run(capsys, *argv)
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "2559")
+        with monkeypatch.context() as patched:
+            patched.setattr(verify_module, "check_engine_agreement", must_not_run)
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: Hall DP work estimate slots*states m(m+1)/2*4^m = 2560 exceeds budget 2559\n"
+        )
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "2560")
+        assert run(capsys, *argv)[:2] == (0, default_out)
+
     def test_max_m_cap_states_the_listing_size(self, capsys):
         code, out, err = run(capsys, "verify", "--max-m", "7")
         assert code == 2

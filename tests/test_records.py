@@ -1,7 +1,7 @@
-"""The contract of the package's five immutable records.
+"""The contract of the package's four immutable records.
 
-``EdgeMultiplicities``, ``Multigraph``, ``FacetInequality``,
-``EhrhartResult`` and ``CheckResult`` are built positionally or by keyword.
+``EdgeMultiplicities``, ``Multigraph``, ``FacetInequality`` and
+``CheckResult`` are built positionally or by keyword.
 A record equals only a record of its own class with equal fields (never a
 tuple, never a record of another class), hashes as the tuple of its
 fields, shows as ``Class(field=value, ...)``, refuses assignment and
@@ -12,14 +12,11 @@ twin, built through the constructor.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from permutoehr import graphs
-from permutoehr.ehrhart import EhrhartResult, compute_ehrhart, ehrhart_closed
 from permutoehr.graphs import EdgeMultiplicities, Multigraph
-from permutoehr.polynomials import Poly
 from permutoehr.polytope import FacetInequality, PartialPermutohedron
 from permutoehr.verify import CheckResult, _verdict
 
@@ -46,14 +43,6 @@ CASES = {
         {"coeffs": (1, 1), "sense": "<=", "bound": 3},
         "FacetInequality(coeffs=(1, 1), sense='<=', bound=3)",
         lambda: FacetInequality((1, 1), ">=", 3),
-    ),
-    "EhrhartResult": (
-        lambda: compute_ehrhart(2, 2),
-        lambda: EhrhartResult(2, 2, "closed", Poly([1, Fraction(7, 2), Fraction(7, 2)])),
-        {"m": 2, "n": 2, "method": "closed", "polynomial": ehrhart_closed(2, 2)},
-        "EhrhartResult(m=2, n=2, method='closed', polynomial="
-        "Poly([Fraction(1, 1), Fraction(7, 2), Fraction(7, 2)]))",
-        lambda: EhrhartResult(2, 2, "recurrence", ehrhart_closed(2, 2)),
     ),
     "CheckResult": (
         lambda: _verdict("round-trip", ["m=1"], "identity"),
