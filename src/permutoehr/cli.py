@@ -84,8 +84,8 @@ from .ehrhart import (
     formula_work,
     volume_closed,
 )
-from .errors import BudgetError, point_budget, refuse_above_budget, refuse_past_floor
-from .graphs import enumerate_graphs, graph_census, vertex_pairs
+from .errors import BudgetError, refuse_above_budget, refuse_past_floor
+from .graphs import _graph_census, enumerate_graphs, graph_census, vertex_pairs
 from .polynomials import Poly
 from .polytope import PartialPermutohedron, count_parking_functions
 
@@ -167,11 +167,10 @@ def cmd_ehrhart(args) -> int:
     if args.t is not None and args.t < 1:
         raise ValueError("evaluation point t must be >= 1")
     work = formula_work(args.method, args.m, args.n)
-    budget = point_budget()
     if work is not None:  # postnikov and graphsum refuse on their census DP's estimate
         loops, words = work
-        refuse_above_budget(loops * words, args.method + FORMULA_WORK, budget, *work)
-    poly = compute_ehrhart(args.m, args.n, args.method, budget)
+        refuse_above_budget(loops * words, args.method + FORMULA_WORK, *work)
+    poly = compute_ehrhart(args.m, args.n, args.method)
     value = None if args.t is None else poly(args.t)
     head = {"m": args.m, "n": args.n, "t": args.t, "method": args.method}
     _emit_poly(args, head, poly, value)
@@ -180,7 +179,7 @@ def cmd_ehrhart(args) -> int:
 
 def cmd_volume(args) -> int:
     loops, words = formula_work("volume", args.m, args.n)
-    refuse_above_budget(loops * words, "volume" + FORMULA_WORK, point_budget(), loops, words)
+    refuse_above_budget(loops * words, "volume" + FORMULA_WORK, loops, words)
     volume = volume_closed(args.m, args.n)
     _emit_scalar(args, {"m": args.m, "n": args.n}, "volume", str(volume))
     return 0
@@ -191,7 +190,7 @@ def cmd_fpoly(args) -> int:
         raise ValueError("fpoly needs --n unless --stable is given")
     route = "fpoly-stable" if args.stable else "fpoly"
     loops, words = formula_work(route, args.m, args.n)
-    refuse_above_budget(loops * words, route + FORMULA_WORK, point_budget(), loops, words)
+    refuse_above_budget(loops * words, route + FORMULA_WORK, loops, words)
     poly = (f_polynomial_stable if args.stable else f_polynomial)(args.m, args.n)
     _emit_poly(args, {"m": args.m, "n": args.n, "stable": args.stable}, poly, None)
     return 0
@@ -200,7 +199,7 @@ def cmd_fpoly(args) -> int:
 def cmd_vertices(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
     # past min(m, n) = 3 the count exceeds min(m, n)! > 2^min(m, n)
-    refuse_past_floor(poly.vertex_count, "{} vertices", min(args.m, args.n), point_budget())
+    refuse_past_floor(poly.vertex_count, "{} vertices", min(args.m, args.n))
     vertices = sorted(poly.vertices())
     _emit(
         args,
@@ -216,7 +215,7 @@ def cmd_vertices(args) -> int:
 def cmd_facets(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
     # for 2 <= min(m, n) the count exceeds 2^min(m, n)
-    refuse_past_floor(poly.facet_count, "{} facets", min(args.m, args.n), point_budget())
+    refuse_past_floor(poly.facet_count, "{} facets", min(args.m, args.n))
     facets = poly.facets()
     _emit(
         args,
@@ -235,7 +234,7 @@ def cmd_facets(args) -> int:
 
 def cmd_count_points(args) -> int:
     poly = PartialPermutohedron(args.m, args.n)
-    count = poly.count_lattice_points(args.t, budget=point_budget())
+    count = poly.count_lattice_points(args.t)
     _emit_scalar(args, {"m": args.m, "n": args.n, "t": args.t}, "count", count)
     return 0
 
@@ -264,7 +263,7 @@ def _graph_json(loops, edges: str) -> str:
 
 def cmd_graphs(args) -> int:
     if args.stats:
-        census = graph_census(args.m, point_budget())
+        census = graph_census(args.m)
         count = sum(census.values())
         header = ("loops", "single", "pairs", "count")
         rows = [(*k, c) for k, c in census.items()]
@@ -281,12 +280,12 @@ def cmd_graphs(args) -> int:
         return 0
     # The first member is taken before anything is written, so that m is
     # checked against the listing bound first; the listing is then refused
-    # on its length, read off the census, which at m <= 7 stays far inside
-    # the default budget.
+    # on its length, read off the cached census DP without the census's own
+    # refusal (m*3^m = 18 at m = 2, above the 8 graphs listed).
     members = enumerate_graphs(args.m)
     graphs = chain([next(members)], members)
-    count = sum(graph_census(args.m).values())
-    refuse_above_budget(count, "{} graphs", point_budget())
+    count = sum(n for _, n in _graph_census(args.m))
+    refuse_above_budget(count, "{} graphs")
     # Each graph is written as it is enumerated: at m = 7 there are 1.26 M.
     pairs = vertex_pairs(args.m)
     if args.format == "json":
@@ -327,7 +326,7 @@ def cmd_graphs(args) -> int:
 
 
 def cmd_parking(args) -> int:
-    count = count_parking_functions(args.m, budget=point_budget())
+    count = count_parking_functions(args.m)
     _emit_scalar(args, {"m": args.m}, "count", count)
     return 0
 
@@ -335,9 +334,7 @@ def cmd_parking(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    results = run_all(
-        max_m=args.max_m, max_t=args.max_t, seed=args.seed, budget=point_budget()
-    )
+    results = run_all(max_m=args.max_m, max_t=args.max_t, seed=args.seed)
     for result in sorted(results, key=lambda r: r.name):
         print(result.line())
     failures = [r for r in results if not r.passed]

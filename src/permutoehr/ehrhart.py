@@ -75,7 +75,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from operator import mul
 
-from .errors import DEFAULT_POINT_BUDGET, require_int
+from .errors import require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
     Poly,
@@ -144,7 +144,7 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     return _poly(acc, 2**m)
 
 
-def ehrhart_postnikov(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly:
+def ehrhart_postnikov(m: int, n: int) -> Poly:
     """Sum over Hall-feasible multiplicity sequences a of
     prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
     prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
@@ -155,13 +155,13 @@ def ehrhart_postnikov(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Pol
     (k = n - m + 1), C(t, 1) = t per single pair and
     C(t + 1, 2) = (t + t^2)/2 per doubled pair.  The sum runs over
     :func:`.graphs.sequence_census`, the Hall DP's tally by that
-    signature, refused up front past ``budget``; no multigraph or
+    signature, refused up front past the work budget; no multigraph or
     union-find code is reached.  Each term is an int convolution of the
     factors' numerators over the product of their denominators, 2 per
     doubled pair; at most m/2 pairs are doubled, so every term is scaled
     onto the common denominator 2^m and the sum is divided once."""
     _require_formula_domain(m, n)
-    census = sequence_census(m, budget)
+    census = sequence_census(m)
     loop_factor, single_factor, doubled_factor = [0, n - m + 1], [0, 1], [0, 1, 1]
     top = 2**m
     nums = [0] * (m + 1)
@@ -175,7 +175,7 @@ def ehrhart_postnikov(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Pol
     return _poly(nums, top)
 
 
-def ehrhart_graphsum(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly:
+def ehrhart_graphsum(m: int, n: int) -> Poly:
     """Sum over multigraphs G (components with at most one cycle) of
     ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs.
 
@@ -184,9 +184,9 @@ def ehrhart_graphsum(m: int, n: int, budget: int = DEFAULT_POINT_BUDGET) -> Poly
     coefficient of t^(a+b+c+i) in 2^m ehr(t), i = 0..c, with k = n - m + 1
     (c <= m, and a + b + 2c <= m edges).  The sum is taken in integers and
     divided by 2^m once, over :func:`.graphs.graph_census`, refused up front
-    past ``budget``."""
+    past the work budget."""
     _require_formula_domain(m, n)
-    census = graph_census(m, budget)
+    census = graph_census(m)
     k = n - m + 1
     nums = [0] * (m + 1)
     for (loops, single, doubled), count in census.items():
@@ -448,19 +448,16 @@ def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
     return m**power, words
 
 
-def compute_ehrhart(
-    m: int, n: int, method: str = "closed", budget: int = DEFAULT_POINT_BUDGET
-) -> Poly:
+def compute_ehrhart(m: int, n: int, method: str = "closed") -> Poly:
     """The Ehrhart polynomial of P(m, n) by one named engine, all engines
-    agreeing for every valid (m, n).  ``budget`` bounds the census DP of
-    ``postnikov`` and ``graphsum``; the other engines have no budget here,
-    their work being bounded through :func:`formula_work` by the caller."""
+    agreeing for every valid (m, n).  The census DPs of ``postnikov`` and
+    ``graphsum`` refuse past the work budget; the other engines refuse
+    nothing here, their work being bounded through :func:`formula_work` by
+    the caller."""
     try:
         engine = _ENGINES[method]
     except KeyError:
         raise ValueError(
             f"unknown method {method!r}; choose from {', '.join(METHOD_NAMES)}"
         ) from None
-    if method in ("postnikov", "graphsum"):
-        return engine(m, n, budget)
     return engine(m, n)

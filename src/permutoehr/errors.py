@@ -33,28 +33,29 @@ def _stated(count: int) -> str:
     return str(count) if bits <= 64 else f"more than 2^{bits - 1}"
 
 
-def refuse_above_budget(work: int, stating: str, budget: int, *factors: int) -> None:
-    """Raise BudgetError when a route's work estimate ``work`` exceeds
-    ``budget``, the one refusal of every route.
+def refuse_above_budget(work: int, stating: str, *factors: int) -> None:
+    """Raise BudgetError when a route's work estimate ``work`` exceeds the
+    budget, :func:`point_budget`, read here: the one refusal of every route.
 
     The message is ``stating`` with its ``{}`` fields filled by ``factors``
     and then ``work``, each stated by :func:`_stated`, followed by
     "exceeds budget <budget>".  Within the budget nothing is formatted."""
+    budget = point_budget()
     if work > budget:
         stated = [_stated(count) for count in (*factors, work)]
         raise BudgetError(f"{stating.format(*stated)} exceeds budget {budget}")
 
 
-def refuse_past_floor(work, stating: str, exponent: int, budget: int) -> None:
+def refuse_past_floor(work, stating: str, exponent: int) -> None:
     """Refuse a route through :func:`refuse_above_budget` when its count
-    ``work()`` exceeds ``budget``, for a count known to exceed
+    ``work()`` exceeds the budget, for a count known to exceed
     2^exponent.  Past exponent = max(64, budget.bit_length()) the route is
     refused on that floor, stated as "more than 2^exponent" in the ``{}``
     of ``stating``, without calling ``work``."""
-    limit = max(64, budget.bit_length())
+    limit = max(64, point_budget().bit_length())
     if exponent > limit:  # work() > 2^exponent > 2^limit > budget
-        refuse_above_budget(1 << limit, stating.format("more than 2^{}"), budget, exponent)
-    refuse_above_budget(work(), stating, budget)
+        refuse_above_budget(1 << limit, stating.format("more than 2^{}"), exponent)
+    refuse_above_budget(work(), stating)
 
 
 def require_int(**values):

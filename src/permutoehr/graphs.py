@@ -63,7 +63,6 @@ from typing import Iterator, NamedTuple, Optional
 from ._record import Record
 from .errors import (
     DEFAULT_GRAPH_BOUND,
-    DEFAULT_POINT_BUDGET,
     BudgetError,
     refuse_past_floor,
     require_int,
@@ -433,12 +432,12 @@ def _graph_census(m: int) -> tuple[tuple[GraphStats, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def graph_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphStats, int]:
+def graph_census(m: int) -> dict[GraphStats, int]:
     """Counts of graphs by (n_loops, n_single, n_pairs) signature, in
     signature order, refused up front when :func:`component_work` exceeds
     the budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
-    refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m, budget)
+    refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m)
     return dict(_graph_census(m))
 
 
@@ -449,14 +448,14 @@ class StructureCounts(NamedTuple):
     quasitrees: int
 
 
-def structure_counts(m: int, budget: int = DEFAULT_POINT_BUDGET) -> StructureCounts:
+def structure_counts(m: int) -> StructureCounts:
     """Counts of the connected graphs, split into the four shapes a
     connected at-most-one-cycle multigraph can take: tree (#edges = m-1),
     tree plus one loop, tree with one edge doubled, and simple unicyclic
     with cycle length >= 3.  Refused up front when :func:`component_work`
     exceeds the budget."""
     _require_vertex_count(m)
-    refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m, budget)
+    refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m)
     trees = looped = enhanced = quasi = 0
     for (loops, single, doubled, connected), count in _component_tally(m):
         if not connected:
@@ -561,7 +560,7 @@ def _hall_tally(m: int) -> tuple[tuple[GraphStats, int], ...]:
     ))
 
 
-def sequence_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphStats, int]:
+def sequence_census(m: int) -> dict[GraphStats, int]:
     """Counts of the Hall-feasible multiplicity sequences by
     :class:`GraphStats` signature (the number of loops, of pairs of
     multiplicity 1 and of pairs of multiplicity 2; Hall's condition allows
@@ -570,5 +569,5 @@ def sequence_census(m: int, budget: int = DEFAULT_POINT_BUDGET) -> dict[GraphSta
     multigraph census or listing, and refused up front when
     :func:`hall_work` exceeds the budget.  Each call returns a fresh dict."""
     _require_vertex_count(m)
-    refuse_past_floor(lambda: hall_work(m), HALL_WORK, m, budget)
+    refuse_past_floor(lambda: hall_work(m), HALL_WORK, m)
     return dict(_hall_tally(m))

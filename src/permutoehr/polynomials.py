@@ -215,11 +215,11 @@ class Poly:
         return (_poly, (self.nums, self.den))
 
     @classmethod
-    def monomial(cls, power: int, coeff=1) -> "Poly":
+    def monomial(cls, power: int) -> "Poly":
         require_int(power=power)
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return cls([0] * power + [coeff])
+        return cls([0] * power + [1])
 
     @property
     def degree(self) -> int:

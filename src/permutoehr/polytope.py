@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from ._record import Record
-from .errors import DEFAULT_POINT_BUDGET, refuse_above_budget, require_int
+from .errors import refuse_above_budget, require_int
 
 # the lattice DP's work bound as a refusal states it
 LATTICE_WORK = "lattice DP work bound values*states*run lengths tn*(K+1)(S+1)*K = {}"
@@ -167,7 +167,7 @@ class PartialPermutohedron:
         most = min(self.m, full)
         return t * self.n * (most + 1) * (full + 1) * most
 
-    def count_lattice_points(self, t: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
+    def count_lattice_points(self, t: int) -> int:
         """Exact number of integer points in t*P(m, n), by a dynamic
         programme over the sorted forms of the points.
 
@@ -189,7 +189,7 @@ class PartialPermutohedron:
 
         The count is refused up front when its work bound,
         :meth:`count_work`, exceeds the budget."""
-        refuse_above_budget(self.count_work(t), LATTICE_WORK, budget)
+        refuse_above_budget(self.count_work(t), LATTICE_WORK)
         m, n = self.m, self.n
         full = t * self.full_sum_bound()
         most = min(m, full)
@@ -284,7 +284,7 @@ def summands_support_value(summands, direction) -> int:
     return total
 
 
-def count_parking_functions(m: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
+def count_parking_functions(m: int) -> int:
     """Number of integer points of the parking-function polytope of length
     m >= 2, i.e. the convex hull of all parking functions of length m.
 
@@ -294,4 +294,4 @@ def count_parking_functions(m: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
     require_int(m=m)
     if m < 2:
         raise ValueError("parking-function polytope count needs m >= 2")
-    return PartialPermutohedron(m, m - 1).count_lattice_points(1, budget=budget)
+    return PartialPermutohedron(m, m - 1).count_lattice_points(1)

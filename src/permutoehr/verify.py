@@ -17,10 +17,11 @@ from math import factorial
 
 from . import ehrhart, graphs
 from ._record import Record
-from .errors import DEFAULT_GRAPH_BOUND, DEFAULT_POINT_BUDGET, refuse_above_budget
+from .errors import DEFAULT_GRAPH_BOUND, refuse_above_budget
 from .polynomials import Poly
 from .polytope import LATTICE_WORK, PartialPermutohedron
-from .series import TruncatedSeries
+
+RANDOM_CASES = 50  # seeded random polynomials in the transfer check
 
 
 class CheckResult(Record):
@@ -39,9 +40,9 @@ def _verdict(name: str, bad: list, ok: str, failed: str = "mismatch at") -> Chec
     return CheckResult(name, not bad, ok if not bad else f"{failed} " + ", ".join(bad))
 
 
-def _grid(max_m: int, n_offsets=(-1, 0, 1, 2)):
+def _grid(max_m: int):
     for m in range(1, max_m + 1):
-        for off in n_offsets:
+        for off in (-1, 0, 1, 2):
             n = m + off
             if n >= 1:
                 yield m, n
@@ -70,11 +71,9 @@ def check_engine_agreement(max_m: int = 4) -> list[CheckResult]:
     ]
 
 
-def check_oracle_agreement(
-    max_m: int = 4, max_t: int = 2, budget: int = DEFAULT_POINT_BUDGET
-) -> CheckResult:
+def check_oracle_agreement(max_m: int = 4, max_t: int = 2) -> CheckResult:
     """Closed form evaluated at t against brute-force counts, each within
-    ``budget``, for m <= min(max_m, 4), n up to 4, t up to max_t."""
+    the work budget, for m <= min(max_m, 4), n up to 4, t up to max_t."""
     bad = []
     cases = 0
     for m in range(1, min(max_m, 4) + 1):
@@ -83,7 +82,7 @@ def check_oracle_agreement(
             poly_points = PartialPermutohedron(m, n)
             for t in range(1, max_t + 1):
                 cases += 1
-                if poly(t) != poly_points.count_lattice_points(t, budget):
+                if poly(t) != poly_points.count_lattice_points(t):
                     bad.append(f"(m={m}, n={n}, t={t})")
     return _verdict("closed-vs-brute-force", bad, f"{cases} counts match")
 
@@ -167,7 +166,7 @@ def check_bijection(max_m: int = 4) -> list[CheckResult]:
     ]
 
 
-def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResult:
+def check_transfer_identity(seed: int = 0) -> CheckResult:
     """The tree-function coefficient identity for every monomial z^d with
     d, k <= 8 and for seeded random rational polynomials."""
     bad = []
@@ -178,7 +177,7 @@ def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResul
             if lhs != rhs:
                 bad.append(f"z^{d}, k={k}")
     rng = random.Random(seed)
-    for case in range(random_cases):
+    for case in range(RANDOM_CASES):
         degree = rng.randint(0, 6)
         f = Poly(
             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
@@ -190,22 +189,21 @@ def check_transfer_identity(seed: int = 0, random_cases: int = 50) -> CheckResul
     return _verdict(
         "tree-coefficient-transfer",
         bad[:5],
-        f"monomials and {random_cases} random polynomials agree",
+        f"monomials and {RANDOM_CASES} random polynomials agree",
     )
 
 
-def run_all(
-    max_m: int = 4, max_t: int = 2, seed: int = 0, budget: int = DEFAULT_POINT_BUDGET
-) -> list[CheckResult]:
+def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
     """Every check; its brute-force counts, census DPs and listings are
-    bounded by ``budget``."""
+    bounded by the work budget."""
     if max_m < 1:
         raise ValueError("need max_m >= 1")
     if max_t < 1:
         raise ValueError("need max_t >= 1")
     cap = DEFAULT_GRAPH_BOUND - 1
     if max_m > cap:
-        listed = sum(graphs.graph_census(cap + 1).values())
+        # the listing length read off the census DP without its refusal
+        listed = sum(n for _, n in graphs._graph_census(cap + 1))
         raise ValueError(
             f"max_m is capped at {cap} to keep the run short; at m={cap + 1} "
             f"the bijection check would list {listed:,} graphs and as many "
@@ -214,13 +212,13 @@ def run_all(
     # the oracle's largest count, the census DPs at the largest m a check
     # runs them at and the longest listing, each refused before any check runs
     work = PartialPermutohedron(min(max_m, 4), 4).count_work(max_t)
-    refuse_above_budget(work, LATTICE_WORK, budget)
-    refuse_above_budget(graphs.hall_work(max_m), graphs.HALL_WORK, budget)
-    refuse_above_budget(graphs.component_work(max_m + 1), graphs.COMPONENT_WORK, budget)
-    refuse_above_budget(sum(graphs.graph_census(max_m).values()), "{} graphs", budget)
+    refuse_above_budget(work, LATTICE_WORK)
+    refuse_above_budget(graphs.hall_work(max_m), graphs.HALL_WORK)
+    refuse_above_budget(graphs.component_work(max_m + 1), graphs.COMPONENT_WORK)
+    refuse_above_budget(sum(graphs.graph_census(max_m).values()), "{} graphs")
     results = []
     results.extend(check_engine_agreement(max_m))
-    results.append(check_oracle_agreement(max_m, max_t, budget))
+    results.append(check_oracle_agreement(max_m, max_t))
     results.append(check_volume(max_m))
     results.extend(check_structure_counts(max_m + 1))
     results.extend(check_bijection(max_m))

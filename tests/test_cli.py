@@ -285,6 +285,21 @@ class TestOtherCommands:
         assert code == 2
         assert "PERMUTOEHR_BUDGET" in err
 
+    @pytest.mark.parametrize("budget", ("x", "1"))
+    @pytest.mark.parametrize("argv, precondition", (
+        (("parking", "--m", "1"), "needs m >= 2"),
+        (("graphs", "--m", "0", "--stats"), "need m >= 1"),
+        (("verify", "--max-m", "7"), "max_m is capped at 6"),
+    ))
+    def test_domain_error_before_the_budget(self, capsys, monkeypatch, budget, argv, precondition):
+        # the budget is read where a work estimate is compared with it, so
+        # an argument outside the domain is named first, whatever the budget
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", budget)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert precondition in err
+        assert "PERMUTOEHR_BUDGET" not in err
+
     def test_graphs_stats_csv(self, capsys):
         code, out, _ = run(capsys, "graphs", "--m", "2", "--stats", "--format", "csv")
         assert code == 0

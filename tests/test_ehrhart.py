@@ -549,10 +549,12 @@ class TestEnumerationBound:
         with monkeypatch.context() as patched:
             patched.setattr(graphs, "_hall_tally", _refuse)
             patched.setattr(graphs, "_component_tally", _refuse)
+            patched.setenv("PERMUTOEHR_BUDGET", str(hall - 1))
             with pytest.raises(BudgetError, match=f"= {hall} exceeds budget {hall - 1}"):
-                ehrhart_postnikov(8, 8, budget=hall - 1)
+                ehrhart_postnikov(8, 8)
+            patched.setenv("PERMUTOEHR_BUDGET", str(component - 1))
             with pytest.raises(BudgetError, match=f"= {component} exceeds budget"):
-                structure_counts(8, budget=component - 1)
+                structure_counts(8)
         assert ehrhart_postnikov(8, 8) == ehrhart_closed(8, 8)
         assert structure_counts(8) == (8**6, 8**7, 7 * 8**6, 1436568)
 

@@ -2,10 +2,12 @@
 multigraph or sequence through one builder.
 
 A route states its work estimate and ``errors.refuse_above_budget``
-compares it with the budget and words the refusal; the graph counts keep
-their vertex bound in ``graphs._check_enum_bound``.  No other code of the
-package builds a ``BudgetError``, so no refusal can drift in its wording
-or in how it states a count past 2^64.
+reads the budget, compares the estimate with it and words the refusal; the
+graph counts keep their vertex bound in ``graphs._check_enum_bound``.  No
+other code of the package builds a ``BudgetError`` or reads the budget, and
+no function takes one as an argument, so no refusal can drift in its
+wording or in how it states a count past 2^64, and a library call keeps to
+``PERMUTOEHR_BUDGET`` as the command line does.
 
 The members the package makes from parts it knows valid (the listings, the
 bijection and the extended box of ``verify``) are built by
@@ -16,6 +18,12 @@ change can quietly bring back the per-member re-validation.
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from permutoehr import ehrhart, graphs, verify
+from permutoehr.errors import BudgetError
+from permutoehr.polytope import PartialPermutohedron, count_parking_functions
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permutoehr"
 
@@ -57,3 +65,46 @@ def test_members_built_only_by_the_private_builder():
         ("graphs.py", "enumerate_sequences"),
         ("verify.py", "check_bijection"),
     }
+
+
+def test_budget_read_only_where_it_is_compared():
+    assert callers("point_budget") == {
+        ("errors.py", "refuse_above_budget"),
+        ("errors.py", "refuse_past_floor"),
+    }
+    takes_budget = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+                if "budget" in names:
+                    takes_budget.add((path.name, getattr(node, "name", "<lambda>")))
+    assert takes_budget == set()
+
+
+# each public route at a small input, with the work estimate it is refused on
+ROUTES = {
+    "graph_census": (lambda: graphs.graph_census(2), 18),
+    "structure_counts": (lambda: graphs.structure_counts(2), 18),
+    "sequence_census": (lambda: graphs.sequence_census(3), 384),
+    "ehrhart_graphsum": (lambda: ehrhart.ehrhart_graphsum(2, 2), 18),
+    "ehrhart_postnikov": (lambda: ehrhart.ehrhart_postnikov(3, 3), 384),
+    "compute_ehrhart": (lambda: ehrhart.compute_ehrhart(3, 3, "postnikov"), 384),
+    "count_lattice_points": (lambda: PartialPermutohedron(4, 4).count_lattice_points(2), 3360),
+    "count_parking_functions": (lambda: count_parking_functions(3), 96),
+    "check_oracle_agreement": (lambda: verify.check_oracle_agreement(2, 1), 192),
+    "run_all": (lambda: verify.run_all(1, 1), 40),
+}
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_library_keeps_to_the_budget_variable(monkeypatch, name):
+    route, work = ROUTES[name]
+    expected = route()
+    monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work))
+    assert route() == expected
+    monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work - 1))
+    with pytest.raises(BudgetError, match=f"= {work} exceeds budget {work - 1}$"):
+        route()

@@ -224,8 +224,9 @@ class TestSequenceCensus:
         with monkeypatch.context() as patched:
             for name in ("_hall_tally", "_component_tally"):
                 patched.setattr(graphs, name, _refuse)
+            patched.setenv("PERMUTOEHR_BUDGET", str(work - 1))
             with pytest.raises(BudgetError, match=f"= {work} exceeds budget {work - 1}"):
-                sequence_census(8, budget=work - 1)
+                sequence_census(8)
         assert sum(sequence_census(8).values()) == 24724187
 
     def test_both_censuses_past_the_listing_bound(self):

@@ -206,26 +206,30 @@ class TestCounting:
         for t in range(1, 6):
             assert poly.count_lattice_points(t) == comb(t + m, m)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         # the DP's work bound at (4, 4, 2) is 3360, one above this budget
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "3359")
         with pytest.raises(BudgetError):
-            PartialPermutohedron(4, 4).count_lattice_points(2, budget=3359)
+            PartialPermutohedron(4, 4).count_lattice_points(2)
 
-    def test_budget_message_states_the_work(self):
+    def test_budget_message_states_the_work(self, monkeypatch):
         # values t*n = 8, states (K + 1)(S + 1) = 5 * 21 with S = 2 * 10 the
         # dilated full sum and K = min(m, S) = 4, run lengths K = 4
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "100")
         with pytest.raises(
             BudgetError,
             match=r"values\*states\*run lengths tn\*\(K\+1\)\(S\+1\)\*K = 3360 "
             r"exceeds budget 100",
         ):
-            PartialPermutohedron(4, 4).count_lattice_points(2, budget=100)
-        assert PartialPermutohedron(4, 4).count_lattice_points(2, budget=3360) > 0
+            PartialPermutohedron(4, 4).count_lattice_points(2)
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "3360")
+        assert PartialPermutohedron(4, 4).count_lattice_points(2) > 0
 
-    def test_long_vector_few_nonzero_entries(self):
+    def test_long_vector_few_nonzero_entries(self, monkeypatch):
         # the DP's states follow the nonzero entries (at most one here),
         # not m, so its work bound is 1 * 2 * 2 * 1 = 4
-        assert PartialPermutohedron(100000, 1).count_lattice_points(1, budget=4) == 100001
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "4")
+        assert PartialPermutohedron(100000, 1).count_lattice_points(1) == 100001
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):

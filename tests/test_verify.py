@@ -26,11 +26,13 @@ class TestRunAll:
         b = verify.check_transfer_identity(seed=42)
         assert a == b
 
-    def test_oracle_counts_within_the_budget(self):
+    def test_oracle_counts_within_the_budget(self, monkeypatch):
         # the largest count, at (2, 4, 1), has work bound 192
-        assert verify.check_oracle_agreement(2, 1, budget=192).passed
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "192")
+        assert verify.check_oracle_agreement(2, 1).passed
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "191")
         with pytest.raises(BudgetError, match="= 192 exceeds budget 191"):
-            verify.check_oracle_agreement(2, 1, budget=191)
+            verify.check_oracle_agreement(2, 1)
 
     def test_rejects_bad_max_m(self):
         with pytest.raises(ValueError):
