@@ -35,8 +35,10 @@ lists and divide once at the end, each in O(m^2) integer operations:
 from one factorial and one double-factorial table, ``ehrhart_recurrence``
 in m one-pass steps of width at most m + 1, and ``f_polynomial`` on
 ordered-set-partition rows summed by Horner's rule in t + 1.
-``volume_closed`` is one Horner pass, O(m).  ``formula_work`` states these
-loop counts, with a bound on the operand size, for the work budget.
+``volume_closed`` is one Horner pass, O(m).  These routes and the two
+generating-function engines below each pass their loop count to
+``_refuse_formula_work`` before their first loop, which refuses the route
+when that count times a bound on its operand size exceeds the work budget.
 The two combinatorial engines also sum 2^m ehr(t) as one int coefficient
 list and divide once, each over its own census: ``ehrhart_graphsum`` adds
 count * k^a 2^(m-c) C(c, i) to one coefficient per census entry
@@ -75,7 +77,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from operator import mul
 
-from .errors import require_int
+from .errors import refuse_above_budget, require_int
 from .graphs import graph_census, sequence_census
 from .polynomials import (
     Poly,
@@ -113,6 +115,28 @@ def _require_stable_domain(m: int, n: int | None):
         raise ValueError(f"the stable face-count formula requires n >= m, got n={n}")
 
 
+# a formula route's work as a refusal states it, after the route's name
+FORMULA_WORK = " work bound loops*64-bit operand words {}*{} = {}"
+
+
+def _refuse_formula_work(route: str, loops: int, m: int, n: int):
+    """Refuse the formula route ``route`` on P(m, n), through
+    :func:`.errors.refuse_above_budget` and stated by
+    ``route + FORMULA_WORK``, when its work bound exceeds the budget: its
+    loop count ``loops`` times its operand size in 64-bit words.
+
+    The operand size is that of 2^m m! (2n+1)^m, of W words for at most
+    m (1 + bits(m) + bits(2n+1)) bits; the face counts pass n capped at m,
+    where they stop growing.  The other routes multiply such an operand by
+    a word-sized one per step, ``egf-tree`` two such operands, stated as
+    W isqrt(W) words: at n = m, m = 100..400, its time was 0.5 sqrt(W) to
+    0.7 sqrt(W) times that of ``closed``."""
+    words = m * (1 + m.bit_length() + (2 * n + 1).bit_length()) // 64 + 1
+    if route == "egf-tree":
+        words *= isqrt(words)
+    refuse_above_budget(loops * words, route + FORMULA_WORK, loops, words)
+
+
 def ehrhart_closed(m: int, n: int) -> Poly:
     """Closed-form Ehrhart polynomial of P(m, n) for n >= m - 1.
 
@@ -127,6 +151,7 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     table.  The sum is taken in integers and divided by 2^m once.
     """
     _require_formula_domain(m, n)
+    _refuse_formula_work("closed", m * m, m, n)
     fact = [1]
     for k in range(1, m + 1):
         fact.append(fact[-1] * k)
@@ -238,6 +263,7 @@ def ehrhart_egf(m: int, n: int) -> Poly:
     the coefficient of z^(m-i) in F, and the 1/t part expands in
     :func:`_exp_over_t`."""
     _require_formula_domain(m, n)
+    _refuse_formula_work("egf", m * m, m, n)
     linear = TruncatedSeries([0, Fraction(2 * n + 1, 2)], order=m)
     f = one_minus_z(m).sqrt() * linear.exp()
     return _exp_over_t(f.nums[::-1], f.den, m)
@@ -270,6 +296,7 @@ def ehrhart_egf_tree(m: int, n: int) -> Poly:
     denominator 8^m m!.  m^2 int products, each of two operands of about
     the size of 2^m m! (2n+1)^m."""
     _require_formula_domain(m, n)
+    _refuse_formula_work("egf-tree", m * m, m, n)
     b, fact = 2 * (n - m) + 1, factorial(m)
     exp_part = [fact << m]  # b^j 2^(m-j) m!/j!
     root_part = [4**m]  # C(2i, i) 4^(m-i)
@@ -299,6 +326,7 @@ def ehrhart_recurrence(m: int, n: int) -> Poly:
     one pass over the three lists, zero-padded and shifted to the powers
     of t they meet.  No other engine's code is reached."""
     _require_formula_domain(m, n)
+    _refuse_formula_work("recurrence", m * m, m, n)
     e3, e2, e1 = [], [], [1]
     for mm in range(1, m + 1):
         p, q = 2 * (mm + n - 1), 6 * (mm - 1)
@@ -318,6 +346,7 @@ def volume_closed(m: int, n: int) -> Fraction:
     -(1/2^m) sum_{i=0..m} C(m, i) (2i-3)!! (2n+1)^(m-i),
     taken by Horner's rule in 2n + 1: O(m) integer operations."""
     _require_formula_domain(m, n)
+    _refuse_formula_work("volume", m, m, n)
     total, term = 0, double_factorial(-3)  # term = C(m, i) (2i - 3)!!
     for i in range(m + 1):
         total = total * (2 * n + 1) + term
@@ -338,6 +367,7 @@ def f_polynomial(m: int, n: int) -> Poly:
     P_k = sum_{i <= min(k, n-1)} C(m, i) A_i(t+1), taken by Horner's rule
     in t + 1: O(m^2) integer operations on int coefficient lists."""
     _require_face_domain(m, n)
+    _refuse_formula_work("fpoly", m * m, m, min(n, m))
     row = [1]  # T(i, k) for k = 0..i
     prefix = [1]  # P_i, from P_0 = A_0 = 1
     binom = 1  # C(m, i)
@@ -362,6 +392,8 @@ def f_polynomial_stable(m: int, n: int | None = None) -> Poly:
 
     Does not hold below n = m: P(2, 1) is a triangle, not a pentagon."""
     _require_stable_domain(m, n)
+    # an Eulerian polynomial and its shift per i
+    _refuse_formula_work("fpoly-stable", m**3, m, m)
     shift = Poly([1, 1])
     acc = Poly()
     for i in range(1, m + 1):
@@ -395,65 +427,10 @@ _ENGINES = {
 METHOD_NAMES = tuple(_ENGINES)
 
 
-# The depth of each formula route's loop nest, as the power of m its integer
-# steps reach: the Horner passes of ``closed`` and ``fpoly``, the m steps of
-# width m of ``recurrence``, the series and 1/t expansion of ``egf`` and the
-# convolution and tree-power sums of ``egf-tree`` are m^2; the Eulerian
-# polynomial and its shift per i in ``f_polynomial_stable`` are m^3; the
-# Horner pass of ``volume`` is m.  ``postnikov`` and ``graphsum`` are bounded
-# by the work estimate of their census DP instead (``graphs.hall_work`` and
-# ``graphs.component_work``), which the engine itself refuses on.
-_LOOP_POWER = {
-    "closed": 2,
-    "recurrence": 2,
-    "egf": 2,
-    "egf-tree": 2,
-    "volume": 1,
-    "fpoly": 2,
-    "fpoly-stable": 3,
-}
-
-
-# a formula route's work as a refusal states it, after the route's name
-FORMULA_WORK = " work bound loops*64-bit operand words {}*{} = {}"
-
-
-def formula_work(route: str, m: int, n: int | None) -> tuple[int, int] | None:
-    """Work bound of a formula route on P(m, n) as (loop count, operand
-    size in 64-bit words), or None for ``postnikov`` and ``graphsum``; the
-    work is their product, stated by ``route + FORMULA_WORK``.
-
-    The loop count is m to the depth of the route's loop nest.  The operand
-    size is that of 2^m m! (2n+1)^m, of W words for at most
-    m (1 + bits(m) + bits(2n+1)) bits, with n capped at m for the face
-    counts, which stop growing there.  The other routes multiply such an
-    operand by a word-sized one per step, ``egf-tree`` two such operands,
-    stated as W isqrt(W) words: at n = m, m = 100..400, its time was
-    0.5 sqrt(W) to 0.7 sqrt(W) times that of ``closed``.  (m, n) is first
-    checked against the route's domain, as the route itself checks it."""
-    if route == "fpoly":
-        _require_face_domain(m, n)
-    elif route == "fpoly-stable":
-        _require_stable_domain(m, n)
-    else:
-        _require_formula_domain(m, n)
-    power = _LOOP_POWER.get(route)
-    if power is None:
-        return None
-    if route.startswith("fpoly"):
-        n = m if n is None else min(n, m)
-    words = m * (1 + m.bit_length() + (2 * n + 1).bit_length()) // 64 + 1
-    if route == "egf-tree":
-        words *= isqrt(words)
-    return m**power, words
-
-
 def compute_ehrhart(m: int, n: int, method: str = "closed") -> Poly:
     """The Ehrhart polynomial of P(m, n) by one named engine, all engines
-    agreeing for every valid (m, n).  The census DPs of ``postnikov`` and
-    ``graphsum`` refuse past the work budget; the other engines refuse
-    nothing here, their work being bounded through :func:`formula_work` by
-    the caller."""
+    agreeing for every valid (m, n).  The engine refuses itself past the
+    work budget."""
     try:
         engine = _ENGINES[method]
     except KeyError:

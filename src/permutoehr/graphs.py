@@ -43,9 +43,11 @@ The two DPs run once per m and process, and each is refused up front when
 its work estimate (``component_work``, ``hall_work``) exceeds the budget.
 Each listing walks every loop set and builds every member, in
 lexicographic order, and stops at the vertex bound ``DEFAULT_GRAPH_BOUND``,
-as its work is its output.  The two DPs and the two walks share no code,
-so the censuses and the listings, like the two presentations, can fail
-independently.
+as its work is its output.  The graph listing is also refused up front when
+its length, ``graph_count``, exceeds the budget; the sequence listing is
+capped only, so that the Hall walk reads no component DP.  The two DPs and
+the two walks share no code, so the censuses and the listings, like the two
+presentations, can fail independently.
 
 The listings, the bijection and the extended box of ``verify`` build
 their members from parts they know valid through ``_member``, which skips
@@ -64,6 +66,7 @@ from ._record import Record
 from .errors import (
     DEFAULT_GRAPH_BOUND,
     BudgetError,
+    refuse_above_budget,
     refuse_past_floor,
     require_int,
 )
@@ -231,8 +234,8 @@ def _require_vertex_count(m: int):
 
 
 def _check_enum_bound(m: int):
-    """The listings' bound: their work is their output, so m is capped
-    rather than budgeted."""
+    """The listings' vertex bound, whatever the budget: their work is
+    their output."""
     _require_vertex_count(m)
     if m > DEFAULT_GRAPH_BOUND:
         raise BudgetError(f"enumeration for m={m} exceeds the bound {DEFAULT_GRAPH_BOUND}")
@@ -250,8 +253,11 @@ def enumerate_graphs(m: int) -> Iterator[Multigraph]:
     otherwise the pair gives its copies back and the pair before it is
     tried.  The union-find forest lives in flat lists (no path
     compression); a pair's first copy makes its union and saves what that
-    overwrote, and giving the copies back restores it, later pairs first."""
-    _check_enum_bound(m)
+    overwrote, and giving the copies back restores it, later pairs first.
+
+    Past the vertex bound, or when :func:`graph_count` exceeds the budget,
+    the first ``next`` raises before anything is yielded."""
+    refuse_above_budget(graph_count(m), "{} graphs")
     pairs = vertex_pairs(m)
     last = len(pairs) - 1
     parent = list(range(m))
@@ -313,9 +319,10 @@ def _hall_walk(m: int, loops: tuple[int, ...]) -> Iterator[list[int]]:
     backwards, a pair takes one more copy if an augmenting path extends
     the matching, and the walk yields and, unless the matching is now
     perfect, starts again from the last pair; otherwise the pair frees its
-    copies' vertices and the pair before it is tried.  Hall's condition is closed downwards, so each step reaches
-    the lexicographically next sequence.  Copies sit in pair order, so the
-    copies a pair frees are the last ones matched."""
+    copies' vertices and the pair before it is tried.  Hall's condition is
+    closed downwards, so each step reaches the lexicographically next
+    sequence.  Copies sit in pair order, so the copies a pair frees are the
+    last ones matched."""
     pairs = vertex_pairs(m)
     copies: list[tuple[int, ...]] = [(v,) for v in range(m) if loops[v]]
     owner = [-1] * m  # vertex -> index into copies
@@ -430,6 +437,14 @@ def _graph_census(m: int) -> tuple[tuple[GraphStats, int], ...]:
         key = GraphStats(loops, single, doubled)
         counts[key] = counts.get(key, 0) + count
     return tuple(sorted(counts.items()))
+
+
+def graph_count(m: int) -> int:
+    """The number of graphs :func:`enumerate_graphs` lists for m, read off
+    the component DP without the census's own refusal (m*3^m = 18 at m = 2,
+    above the 8 graphs listed); m is held to the listings' vertex bound."""
+    _check_enum_bound(m)
+    return sum(count for _, count in _graph_census(m))
 
 
 def graph_census(m: int) -> dict[GraphStats, int]:

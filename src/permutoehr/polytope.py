@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from ._record import Record
-from .errors import refuse_above_budget, require_int
+from .errors import refuse_above_budget, refuse_past_floor, require_int
 
 # the lattice DP's work bound as a refusal states it
 LATTICE_WORK = "lattice DP work bound values*states*run lengths tn*(K+1)(S+1)*K = {}"
@@ -81,8 +81,11 @@ class PartialPermutohedron:
 
     def vertices(self) -> set[tuple[int, ...]]:
         """All vertices: zeros in m-i positions, the other i entries being
-        n, n-1, ..., n-i+1 in any order, for i = 0 .. min(m, n)."""
+        n, n-1, ..., n-i+1 in any order, for i = 0 .. min(m, n).  Refused
+        up front when :meth:`vertex_count` exceeds the budget."""
         m, n = self.m, self.n
+        # past min(m, n) = 3 the count exceeds min(m, n)! > 2^min(m, n)
+        refuse_past_floor(self.vertex_count, "{} vertices", min(m, n))
         out = set()
         for i in range(min(m, n) + 1):
             values = [n - r for r in range(i)]
@@ -103,8 +106,11 @@ class PartialPermutohedron:
 
     def facets(self) -> list[FacetInequality]:
         """One inequality per facet: x_i >= 0; the |S| <= min(m,n)-1 subset
-        sums; and the full-sum inequality."""
+        sums; and the full-sum inequality.  Refused up front when
+        :meth:`facet_count` exceeds the budget."""
         m = self.m
+        # for 2 <= min(m, n) the count exceeds 2^min(m, n)
+        refuse_past_floor(self.facet_count, "{} facets", min(m, self.n))
         out = [
             FacetInequality(tuple(1 if j == i else 0 for j in range(m)), ">=", 0)
             for i in range(m)
@@ -233,10 +239,12 @@ class PartialPermutohedron:
 
     def lift(self, x, t: int = 1) -> tuple[int, ...]:
         """Append t*full_sum_bound - sum(x), placing t*P on the hyperplane
-        where all m+1 coordinates sum to that constant."""
+        where all m+1 coordinates sum to that constant.  The entries of x
+        and t must be ints."""
         x = tuple(x)
         if len(x) != self.m:
             raise ValueError(f"point has length {len(x)}, expected {self.m}")
+        require_int(t=t, **{f"x[{i}]": xi for i, xi in enumerate(x)})
         return x + (t * self.full_sum_bound() - sum(x),)
 
     # -- Minkowski decomposition -------------------------------------------
@@ -263,10 +271,11 @@ class PartialPermutohedron:
         return out
 
     def support_value(self, direction) -> int:
-        """max over vertices of <direction, v>."""
+        """max over vertices of <direction, v>, for a direction of ints."""
         direction = tuple(direction)
         if len(direction) != self.m:
             raise ValueError(f"direction has length {len(direction)}, expected {self.m}")
+        require_int(**{f"direction[{i}]": d for i, d in enumerate(direction)})
         return max(
             sum(d * vi for d, vi in zip(direction, v)) for v in self.vertices()
         )
@@ -274,8 +283,9 @@ class PartialPermutohedron:
 
 def summands_support_value(summands, direction) -> int:
     """Support value of a weighted Minkowski sum: the coefficient-weighted
-    sum of the per-summand support values."""
+    sum of the per-summand support values, for a direction of ints."""
     direction = tuple(direction)
+    require_int(**{f"direction[{i}]": d for i, d in enumerate(direction)})
     total = 0
     for coeff, simplex in summands:
         total += coeff * max(

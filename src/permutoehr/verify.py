@@ -202,8 +202,7 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
         raise ValueError("need max_t >= 1")
     cap = DEFAULT_GRAPH_BOUND - 1
     if max_m > cap:
-        # the listing length read off the census DP without its refusal
-        listed = sum(n for _, n in graphs._graph_census(cap + 1))
+        listed = graphs.graph_count(cap + 1)
         raise ValueError(
             f"max_m is capped at {cap} to keep the run short; at m={cap + 1} "
             f"the bijection check would list {listed:,} graphs and as many "
@@ -215,7 +214,7 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
     refuse_above_budget(work, LATTICE_WORK)
     refuse_above_budget(graphs.hall_work(max_m), graphs.HALL_WORK)
     refuse_above_budget(graphs.component_work(max_m + 1), graphs.COMPONENT_WORK)
-    refuse_above_budget(sum(graphs.graph_census(max_m).values()), "{} graphs")
+    refuse_above_budget(graphs.graph_count(max_m), "{} graphs")
     results = []
     results.extend(check_engine_agreement(max_m))
     results.append(check_oracle_agreement(max_m, max_t))

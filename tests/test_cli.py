@@ -12,10 +12,12 @@ import pytest
 
 import permutoehr
 import permutoehr.cli as cli_module
+import permutoehr.ehrhart as ehrhart_module
+import permutoehr.polytope as polytope_module
 import permutoehr.verify as verify_module
 from permutoehr.cli import main
 from permutoehr.ehrhart import (
-    METHOD_NAMES, ehrhart_closed, f_polynomial, f_polynomial_stable, formula_work, volume_closed,
+    METHOD_NAMES, ehrhart_closed, f_polynomial, f_polynomial_stable, volume_closed,
 )
 from permutoehr.graphs import enumerate_graphs, graph_census, vertex_pairs
 from permutoehr.polynomials import Poly
@@ -176,10 +178,14 @@ class TestOtherCommands:
     ):
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
 
-        def must_not_run(self):
+        def must_not_run(*args):
             raise AssertionError("enumerated past the budget")
 
-        monkeypatch.setattr(PartialPermutohedron, command, must_not_run)
+        # each listing's first step: vertices() places values by permutations,
+        # facets() builds FacetInequality rows (vertex_count and facet_count,
+        # which the refusal calls, use neither)
+        first_step = {"vertices": "permutations", "facets": "FacetInequality"}[command]
+        monkeypatch.setattr(polytope_module, first_step, must_not_run)
         code, out, err = run(capsys, command, "--m", str(m), "--n", str(m))
         assert (code, out) == (3, "")
         assert f"{count} {command} exceeds budget 100000000" in err
@@ -344,11 +350,15 @@ class TestOtherCommands:
 
 
 def _engines_must_not_run(monkeypatch):
-    def must_not_run(*args):
+    """Fail on the first step each formula route takes after its refusal:
+    a loop over ``range``, or the series of ``egf``."""
+
+    def must_not_run(*args, **kwargs):
         raise AssertionError("the engine ran")
 
-    for name in ("compute_ehrhart", "volume_closed", "f_polynomial", "f_polynomial_stable"):
-        monkeypatch.setattr(cli_module, name, must_not_run)
+    monkeypatch.setattr(ehrhart_module, "range", must_not_run, raising=False)
+    for name in ("TruncatedSeries", "one_minus_z"):
+        monkeypatch.setattr(ehrhart_module, name, must_not_run)
 
 
 class TestFormulaBudget:
@@ -485,13 +495,22 @@ class TestFormulaBudget:
 
     def test_egf_tree_at_the_default_budget(self, capsys, monkeypatch):
         # egf-tree is budgeted as m^2 loops of W*isqrt(W) words, so at n = m
-        # the default budget admits it up to m = 316, past m = 136
+        # the default budget admits it up to m = 316 (m = 317 is refused
+        # above), past m = 136
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, "ehrhart", "--m", "136", "--n", "136", "--method", "egf-tree")
         assert (code, err) == (0, "")
         assert out == f"{ehrhart_closed(136, 136)}\n"
-        loops, words = formula_work("egf-tree", 316, 316)
-        assert (loops, words, loops * words <= 10**8) == (316**2, 99 * 9, True)
+        work = 316**2 * (99 * 9)
+        assert work <= 10**8
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work - 1))
+        _engines_must_not_run(monkeypatch)
+        code, out, err = run(capsys, "ehrhart", "--m", "316", "--n", "316", "--method", "egf-tree")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: egf-tree work bound loops*64-bit operand words "
+            f"{316**2}*{99 * 9} = {work} exceeds budget {work - 1}\n"
+        )
 
     def test_census_routes_at_the_default_budget(self, capsys, monkeypatch):
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)

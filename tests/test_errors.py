@@ -6,7 +6,8 @@ reads the budget, compares the estimate with it and words the refusal; the
 graph counts keep their vertex bound in ``graphs._check_enum_bound``.  No
 other code of the package builds a ``BudgetError`` or reads the budget, and
 no function takes one as an argument, so no refusal can drift in its
-wording or in how it states a count past 2^64, and a library call keeps to
+wording or in how it states a count past 2^64.  Each route refuses itself
+and the command line refuses nothing, so a library call keeps to
 ``PERMUTOEHR_BUDGET`` as the command line does.
 
 The members the package makes from parts it knows valid (the listings, the
@@ -82,10 +83,34 @@ def test_budget_read_only_where_it_is_compared():
                 if "budget" in names:
                     takes_budget.add((path.name, getattr(node, "name", "<lambda>")))
     assert takes_budget == set()
+    # every route refuses itself: the command line refuses nothing
+    refusing = callers("refuse_above_budget", "refuse_past_floor")
+    assert "cli.py" not in {module for module, _ in refusing}
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(cli)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # each public route at a small input, with the work estimate it is refused on
+# (at m = 3 a formula route's operands fit in one word: its estimate is its
+# loop count)
 ROUTES = {
+    "ehrhart_closed": (lambda: ehrhart.ehrhart_closed(3, 3), 9),
+    "ehrhart_recurrence": (lambda: ehrhart.ehrhart_recurrence(3, 3), 9),
+    "ehrhart_egf": (lambda: ehrhart.ehrhart_egf(3, 3), 9),
+    "ehrhart_egf_tree": (lambda: ehrhart.ehrhart_egf_tree(3, 3), 9),
+    "volume_closed": (lambda: ehrhart.volume_closed(3, 3), 3),
+    "f_polynomial": (lambda: ehrhart.f_polynomial(3, 3), 9),
+    "f_polynomial_stable": (lambda: ehrhart.f_polynomial_stable(3), 27),
+    "vertices": (lambda: PartialPermutohedron(3, 3).vertices(), 16),
+    "facets": (lambda: PartialPermutohedron(3, 3).facets(), 10),
+    "enumerate_graphs": (lambda: list(graphs.enumerate_graphs(2)), 8),
     "graph_census": (lambda: graphs.graph_census(2), 18),
     "structure_counts": (lambda: graphs.structure_counts(2), 18),
     "sequence_census": (lambda: graphs.sequence_census(3), 384),
@@ -97,6 +122,8 @@ ROUTES = {
     "check_oracle_agreement": (lambda: verify.check_oracle_agreement(2, 1), 192),
     "run_all": (lambda: verify.run_all(1, 1), 40),
 }
+# the listings state their length as "<count> <items>"
+LISTED = {"vertices": "vertices", "facets": "facets", "enumerate_graphs": "graphs"}
 
 
 @pytest.mark.parametrize("name", ROUTES)
@@ -106,5 +133,6 @@ def test_library_keeps_to_the_budget_variable(monkeypatch, name):
     monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work))
     assert route() == expected
     monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work - 1))
-    with pytest.raises(BudgetError, match=f"= {work} exceeds budget {work - 1}$"):
+    stated = f"^{work} {LISTED[name]}" if name in LISTED else f"= {work}"
+    with pytest.raises(BudgetError, match=f"{stated} exceeds budget {work - 1}$"):
         route()

@@ -268,6 +268,13 @@ class TestLift:
                     sliced += 1
             assert sliced == len(lifted) == poly.count_lattice_points(t)
 
+    @pytest.mark.parametrize(
+        "x, t", (((0.5, 0.5), 1), ((1, True), 1), ((1, 1), 2.5), ((1, 1), True), (("1", 1), 1))
+    )
+    def test_rejects_non_integer_entries_and_t(self, x, t):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PartialPermutohedron(2, 2).lift(x, t)
+
 
 class TestMinkowski:
     def test_triangle_decomposition(self):
@@ -311,6 +318,14 @@ class TestMinkowski:
                 assert poly.support_value(direction) == summands_support_value(
                     summands, direction
                 )
+
+    @pytest.mark.parametrize("direction", ((0.5, 1), (1, True), (1.0, 1), ("1", 1)))
+    def test_support_rejects_non_integer_directions(self, direction):
+        poly = PartialPermutohedron(2, 2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            poly.support_value(direction)
+        with pytest.raises(ValueError, match="must be an integer"):
+            summands_support_value(poly.minkowski_summands(), direction)
 
 
 class TestValidation:
