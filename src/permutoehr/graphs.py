@@ -18,8 +18,9 @@ union-find walk; the sequences are counted by a Hall DP and listed by a
 Hall walk.
 
 * The component DP adds the vertices one at a time and keeps only the
-  multiset of (size, has a cycle) of the components so far, with the
-  tallies, since the counts factor over connected components.  It counts
+  multiset of (size, has a cycle) of the components so far, since the
+  counts factor over connected components; each multiset carries its
+  multigraphs tallied by (loops, single edges, doubled pairs).  It counts
   multigraphs by (loops, single edges, doubled pairs, connected) for
   ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``.
 * The union-find walk ``enumerate_graphs``, for one loop set, steps like
@@ -39,8 +40,11 @@ Hall walk.
   frame: a pair takes one more copy while an augmenting path extends the
   matching.  ``enumerate_sequences`` runs it on every loop set.
 
-The two DPs run once per m and process, and each is refused up front when
-its work estimate (``component_work``, ``hall_work``) exceeds the budget.
+The Hall DP runs once per m and process.  The component DP builds its
+states after k vertices once per k and process, from those after k - 1,
+and every m >= k reads them, so no m starts again from vertex 0.  Each DP
+is refused up front when its work estimate (``component_work``,
+``hall_work``) exceeds the budget.
 Each listing walks every loop set and builds every member, in
 lexicographic order, and stops at the vertex bound ``DEFAULT_GRAPH_BOUND``,
 as its work is its output.  The graph listing is also refused up front when
@@ -367,10 +371,14 @@ HALL_WORK = "Hall DP work estimate slots*states m(m+1)/2*4^m = {}"
 
 def component_work(m: int) -> int:
     """Work estimate of the component DP behind :func:`graph_census` and
-    :func:`structure_counts`, for m >= 1: m vertex steps times 3^m.  The
-    DP's branch steps grow about twofold per vertex and number under half
-    of this up to m = 14, the last m the default budget admits.  A refusal
-    states it as :data:`COMPONENT_WORK` does."""
+    :func:`structure_counts`, for m >= 1: m vertex steps times 3^m.
+    Counted from a cold start up to m, the DP's branch steps, run once per
+    multiset of components, number at most a third of this up to m = 14,
+    the last m the default budget admits (292,417, or 0.44 %, at m = 14),
+    and grow about twofold per vertex, 1.75-fold at m = 14; the
+    convolutions of their tally shifts with the multisets' tallies number
+    about as many (333,288 at m = 14).  A refusal states it as
+    :data:`COMPONENT_WORK` does."""
     return m * 3**m
 
 
@@ -383,48 +391,82 @@ def hall_work(m: int) -> int:
     return m * (m + 1) // 2 * 4**m
 
 
+# the component DP packs a tally (loops, single edges, doubled pairs) into
+# one int, a field of this many bits each; a field never exceeds the
+# vertex count, and no run reaches m = 2^10, where m * 3^m passes 10^491
+_FIELD = 10
+_MASK = (1 << _FIELD) - 1
+_SINGLE = 1 << _FIELD
+_DOUBLED = 1 << 2 * _FIELD
+
+
+@lru_cache(maxsize=None)
+def _component_states(k: int) -> dict[tuple[tuple[int, int], ...], dict[int, int]]:
+    """The component DP's states after k vertices: the sorted multiset of
+    (size, has a cycle) of the components so far, each with its multigraphs
+    tallied by packed (loops, single edges, doubled pairs).  Built from the
+    states after k - 1 vertices and shared by every m >= k; read only.
+
+    A new vertex takes a loop or not, then joins each earlier component of
+    size s by no edge, by one single edge (s ways) or, if neither side has
+    a cycle yet, by two single edges to distinct vertices (C(s, 2) ways) or
+    one doubled edge (s ways); a branch whose merged component would hold
+    two cycles is dropped.  The branches depend on the multiset alone, so
+    they run once per multiset, and each branch's tally shift is convolved
+    with the multiset's tally once, at the end.  The graph fixes each
+    vertex's edges to the earlier ones, so each multigraph arises exactly
+    once."""
+    if k == 0:
+        return {(): {0: 1}}
+    grown: dict = {}
+    for parts, tally in _component_states(k - 1).items():
+        # (parts left apart, merged size, merged cycles, tally shift) -> ways,
+        # the new vertex without and with a loop
+        branches = {((), 1, 0, 0): 1, ((), 1, 1, 1): 1}
+        for part in parts:
+            s, cyc = part
+            pairs = comb(s, 2)  # 0 for a lone vertex: it takes no two edges
+            step: dict = {}
+            for (kept, size, c, shift), w in branches.items():
+                key = (kept + (part,), size, c, shift)
+                step[key] = step.get(key, 0) + w
+                if c + cyc > 1:
+                    continue
+                joined = size + s
+                key = (kept, joined, c + cyc, shift + _SINGLE)
+                step[key] = step.get(key, 0) + w * s
+                if c + cyc:
+                    continue
+                key = (kept, joined, 1, shift + _DOUBLED)
+                step[key] = step.get(key, 0) + w * s
+                if pairs:
+                    key = (kept, joined, 1, shift + 2 * _SINGLE)
+                    step[key] = step.get(key, 0) + w * pairs
+            branches = step
+        moves: dict = {}  # (components, tally shift) -> ways
+        for (kept, size, c, shift), w in branches.items():
+            key = (tuple(sorted(kept + ((size, c),))), shift)
+            moves[key] = moves.get(key, 0) + w
+        for (key, shift), w in moves.items():
+            target = grown.setdefault(key, {})
+            for packed, count in tally.items():
+                target[packed + shift] = target.get(packed + shift, 0) + w * count
+    return grown
+
+
 @lru_cache(maxsize=None)
 def _component_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
     """Counts of the multigraphs on m vertices by (loops, single edges,
-    doubled pairs, connected), by a dynamic programme over components.
-
-    The vertices come one at a time.  A state is the sorted multiset of
-    (size, has a cycle) of the components so far, with the tallies.  A new
-    vertex takes a loop or not, then joins each earlier component of size s
-    by no edge, by one single edge (s ways) or, if neither side has a cycle
-    yet, by two single edges to distinct vertices (C(s, 2) ways) or one
-    doubled edge (s ways); a branch whose merged component would hold two
-    cycles is dropped.  The graph fixes each vertex's edges to the earlier
-    ones, so each multigraph arises exactly once."""
-    states = {((), 0, 0, 0): 1}  # (components, loops, single, doubled) -> graphs
-    for _ in range(m):
-        grown: dict = {}
-        for (parts, loops, single, doubled), count in states.items():
-            for loop in (0, 1):
-                # (parts left apart, merged size, merged cycles, single, doubled)
-                branches = {((), 1, loop, single, doubled): count}
-                for s, cyc in parts:
-                    step: dict = {}
-                    for (kept, size, c, si, do), w in branches.items():
-                        joined = size + s
-                        joins = [((kept + ((s, cyc),), size, c, si, do), w)]
-                        if c + cyc <= 1:
-                            joins.append(((kept, joined, c + cyc, si + 1, do), w * s))
-                        if c + cyc == 0:
-                            joins.append(((kept, joined, 1, si, do + 1), w * s))
-                            joins.append(((kept, joined, 1, si + 2, do), w * comb(s, 2)))
-                        for key, weight in joins:
-                            if weight:  # C(1, 2) = 0: a lone vertex takes no two edges
-                                step[key] = step.get(key, 0) + weight
-                    branches = step
-                for (kept, size, c, si, do), w in branches.items():
-                    key = (tuple(sorted(kept + ((size, c),))), loops + loop, si, do)
-                    grown[key] = grown.get(key, 0) + w
-        states = grown
+    doubled pairs, connected), by a dynamic programme over components: the
+    tallies of :func:`_component_states` after m vertices, unpacked and
+    summed over the multisets, a graph being connected when its multiset
+    holds one component."""
     tally: dict[tuple[int, int, int, bool], int] = {}
-    for (parts, loops, single, doubled), count in states.items():
-        key = (loops, single, doubled, len(parts) == 1)
-        tally[key] = tally.get(key, 0) + count
+    for parts, counts in _component_states(m).items():
+        connected = len(parts) == 1
+        for packed, count in counts.items():
+            key = (packed & _MASK, packed >> _FIELD & _MASK, packed >> 2 * _FIELD, connected)
+            tally[key] = tally.get(key, 0) + count
     return tuple(tally.items())
 
 

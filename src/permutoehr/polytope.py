@@ -271,14 +271,16 @@ class PartialPermutohedron:
         return out
 
     def support_value(self, direction) -> int:
-        """max over vertices of <direction, v>, for a direction of ints."""
+        """max over vertices of <direction, v>, for a direction of ints,
+        without building a vertex: by the rearrangement inequality, the
+        sum of the largest min(m, n) positive entries, in decreasing
+        order, times n, n-1, and so on."""
         direction = tuple(direction)
         if len(direction) != self.m:
             raise ValueError(f"direction has length {len(direction)}, expected {self.m}")
         require_int(**{f"direction[{i}]": d for i, d in enumerate(direction)})
-        return max(
-            sum(d * vi for d, vi in zip(direction, v)) for v in self.vertices()
-        )
+        positive = sorted((d for d in direction if d > 0), reverse=True)
+        return sum(d * (self.n - r) for r, d in enumerate(positive[: min(self.m, self.n)]))
 
 
 def summands_support_value(summands, direction) -> int:

@@ -489,7 +489,8 @@ class TestIndependentEnumerators:
     for their uncached bodies so that each engine test counts afresh."""
 
     MULTIGRAPH = (
-        "_component_tally", "_root", "enumerate_graphs", "component_cycle_check"
+        "_component_tally", "_component_states", "_root", "enumerate_graphs",
+        "component_cycle_check",
     )
     HALL_DP = ("_hall_tally", "_take", "_minimal", "_add")
     MATCHING = HALL_DP + ("_hall_walk", "_augment", "find_sdr", "satisfies_hall")
@@ -507,9 +508,8 @@ class TestIndependentEnumerators:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "sequence_census", _refuse)
         monkeypatch.setattr(graphs, "_graph_census", graphs._graph_census.__wrapped__)
-        monkeypatch.setattr(
-            graphs, "_component_tally", graphs._component_tally.__wrapped__
-        )
+        for name in ("_component_tally", "_component_states"):
+            monkeypatch.setattr(graphs, name, getattr(graphs, name).__wrapped__)
         assert ehrhart_graphsum(4, 4) == ehrhart_closed(4, 4)
 
     def test_sequence_listing_reaches_no_union_find_code(self, monkeypatch):

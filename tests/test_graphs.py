@@ -291,6 +291,40 @@ class TestStructureCounts:
             assert total == 24724187
 
 
+def _clear_component_caches():
+    for cached in (graphs._component_states, graphs._component_tally, graphs._graph_census):
+        cached.cache_clear()
+
+
+class TestSharedComponentStates:
+    """The component DP builds its states after k vertices once, from those
+    after k - 1, and every m >= k reads them: no count may depend on the
+    order in which the m come."""
+
+    def _counts(self, order, clear_each):
+        _clear_component_caches()
+        out = {}
+        for m in order:
+            if clear_each:
+                _clear_component_caches()
+            out[m] = (graph_census(m), structure_counts(m))
+        return out
+
+    def test_counts_do_not_depend_on_the_order(self):
+        ascending = self._counts(range(1, 10), clear_each=False)
+        assert self._counts(range(9, 0, -1), clear_each=False) == ascending
+        assert self._counts(range(1, 10), clear_each=True) == ascending
+
+    def test_smaller_m_builds_no_state(self):
+        _clear_component_caches()
+        graph_census(6)
+        before = graphs._component_states.cache_info()
+        graph_census(5)
+        after = graphs._component_states.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+
 def _connected(graph):
     """Whether the edges (loops aside) join all m vertices: grow the set
     reached from vertex 0, one pass over the pairs per vertex."""

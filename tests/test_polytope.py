@@ -319,6 +319,19 @@ class TestMinkowski:
                     summands, direction
                 )
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_support_is_the_vertex_maximum(self, m):
+        # zero, negative and tied entries included, n below, at and above m
+        rng = random.Random(5000 + m)
+        for n in range(1, 7):
+            poly = PartialPermutohedron(m, n)
+            vertices = poly.vertices()
+            for _ in range(150):
+                direction = tuple(rng.randint(-4, 4) for _ in range(m))
+                assert poly.support_value(direction) == max(
+                    sum(d * vi for d, vi in zip(direction, v)) for v in vertices
+                ), (m, n, direction)
+
     @pytest.mark.parametrize("direction", ((0.5, 1), (1, True), (1.0, 1), ("1", 1)))
     def test_support_rejects_non_integer_directions(self, direction):
         poly = PartialPermutohedron(2, 2)
