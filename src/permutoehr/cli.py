@@ -91,37 +91,57 @@ if TYPE_CHECKING:  # argparse is imported only when a parser is built
     import argparse
 
 
-def _write_lines(lines) -> None:
-    """Write ``lines`` to stdout, each ended by a newline, in blocks of
-    4096; the lines made before an error are still written, as they would
-    be by one print per line."""
+def _write_lines(lines, separator: str = "\n") -> None:
+    """Write ``lines`` to stdout, each followed by ``separator`` but the
+    last by a newline, in blocks of 4096; the lines made before an error
+    are still written, as they would be by one print per line."""
     out = sys.stdout
     block = []
     try:
         for line in lines:
-            block.append(line)
             if len(block) == 4096:
-                full, block = block, []
-                out.write("\n".join(full) + "\n")
+                out.write(separator.join(block) + separator)
+                block = []
+            block.append(line)
     finally:
         if block:
-            out.write("\n".join(block) + "\n")
+            out.write(separator.join(block) + "\n")
 
 
-def _emit(args, report, rows, lines, note=None) -> None:
+def _json_ints(values, depth: int) -> str:
+    """A nonempty list of ints as ``json.dumps(..., indent=2)`` lays it out
+    ``depth`` levels deep, without the pure-Python encoder that ``indent``
+    selects."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(str, values)) + "\n" + "  " * depth + "]"
+
+
+def _emit(args, report, rows, lines, note=None, listing=None) -> None:
     """Write one result in the encoding ``--format`` chose:
     - json: the command, then the dict ``report()`` builds (its arguments
-      and its payload), then ``elapsed_ms``, indented by two;
+      and its payload), then ``elapsed_ms``, indented by two; a
+      ``listing``, given as (key, item texts laid out two levels deep),
+      comes last before ``elapsed_ms`` and is written item by item, as
+      each item is made (every listing holds at least one item);
     - csv: the ``rows``, header first, fields joined by commas;
     - plain: the ``lines``, then the line ``note()`` builds on stderr.
     Only the chosen encoding is built: ``report`` and ``note`` are
-    callables, and ``rows`` and ``lines`` are read lazily."""
+    callables, and ``rows``, ``lines`` and the items are read lazily."""
     if args.format == "json":
         import json
 
         report = {"command": args.subcommand, **report()}
-        report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
-        print(json.dumps(report, indent=2))
+        if listing is None:
+            report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
+            print(json.dumps(report, indent=2))
+            return
+        # the document json.dumps gives with the items under ``key``
+        key, items = listing
+        out = sys.stdout
+        out.write(json.dumps(report, indent=2)[: -len("\n}")] + f',\n  "{key}": [\n    ')
+        _write_lines(items, ",\n    ")
+        elapsed_ms = int((time.monotonic() - args.started) * 1000)
+        out.write(f'  ],\n  "elapsed_ms": {elapsed_ms}\n}}\n')
     elif args.format == "csv":
         _write_lines(",".join(map(str, row)) for row in rows)
     else:
@@ -189,11 +209,11 @@ def cmd_vertices(args) -> int:
     vertices = sorted(PartialPermutohedron(args.m, args.n).vertices())
     _emit(
         args,
-        lambda: {"m": args.m, "n": args.n, "count": len(vertices),
-                 "vertices": [list(v) for v in vertices]},
+        lambda: {"m": args.m, "n": args.n, "count": len(vertices)},
         chain([[f"x{i + 1}" for i in range(args.m)]], vertices),
         (" ".join(map(str, v)) for v in vertices),
         lambda: f"# {len(vertices)} vertices",
+        ("vertices", (_json_ints(v, 2) for v in vertices)),
     )
     return 0
 
@@ -202,15 +222,18 @@ def cmd_facets(args) -> int:
     facets = PartialPermutohedron(args.m, args.n).facets()
     _emit(
         args,
-        lambda: {"m": args.m, "n": args.n, "count": len(facets), "facets": [
-            {"coeffs": list(f.coeffs), "sense": f.sense, "bound": f.bound} for f in facets
-        ]},
+        lambda: {"m": args.m, "n": args.n, "count": len(facets)},
         chain(
             [[*(f"c{i + 1}" for i in range(args.m)), "sense", "bound"]],
             ((*f.coeffs, f.sense, f.bound) for f in facets),
         ),
         map(str, facets),
         lambda: f"# {len(facets)} facets",
+        ("facets", (
+            '{\n      "coeffs": ' + _json_ints(f.coeffs, 3)
+            + f',\n      "sense": "{f.sense}",\n      "bound": {f.bound}\n    }}'
+            for f in facets
+        )),
     )
     return 0
 
@@ -230,18 +253,6 @@ def _edge_labels(pairs, form: str) -> list[list[str]]:
 
 def _edges(labels, mult, separator: str) -> str:
     return separator.join([row[c] for row, c in zip(labels, mult) if c])
-
-
-def _graph_json(loops, edges: str) -> str:
-    """One graph as ``json.dumps(..., indent=2)`` lays it out as an element
-    of the report's "graphs" list (two levels deep), without the pure-Python
-    encoder that ``indent`` selects; ``edges`` holds its "edges" members."""
-    loop_lines = ",\n".join(f"        {c}" for c in loops)
-    edge_block = "{\n" + edges + "\n      }" if edges else "{}"
-    return (
-        '    {\n      "loops": [\n' + loop_lines
-        + '\n      ],\n      "edges": ' + edge_block + "\n    }"
-    )
 
 
 def cmd_graphs(args) -> int:
@@ -269,39 +280,26 @@ def cmd_graphs(args) -> int:
     count = graph_count(args.m)
     # Each graph is written as it is enumerated: at m = 7 there are 1.26 M.
     pairs = vertex_pairs(args.m)
-    if args.format == "json":
-        import json
-
-        # the document json.dumps(report, indent=2) gives, written piece by piece
-        report = {"command": "graphs", "m": args.m, "count": count}
-        out = sys.stdout
-        out.write(json.dumps(report, indent=2)[: -len("\n}")] + ',\n  "graphs": [')
-        labels = _edge_labels(pairs, '        "{},{}": {}')
-        separator = "\n"
-        for graph in graphs:
-            edges = _edges(labels, graph.pair_mult, ",\n")
-            out.write(separator + _graph_json(graph.loops, edges))
-            separator = ",\n"
-        elapsed_ms = int((time.monotonic() - args.started) * 1000)
-        out.write(f'\n  ],\n  "elapsed_ms": {elapsed_ms}\n}}\n')
-        return 0
-    csv_labels = _edge_labels(pairs, "{},{}:{}")
-    plain_labels = _edge_labels(pairs, "{{{},{}}}x{}")
+    form = {"json": '        "{},{}": {}', "csv": "{},{}:{}", "plain": "{{{},{}}}x{}"}
+    labels = _edge_labels(pairs, form[args.format])
     _emit(
         args,
-        None,  # the JSON listing is streamed above
+        lambda: {"m": args.m, "count": count},
         chain(
             [("loops", "edges")],
-            (
-                (" ".join(map(str, g.loops)), _edges(csv_labels, g.pair_mult, ";"))
-                for g in graphs
-            ),
+            ((" ".join(map(str, g.loops)), _edges(labels, g.pair_mult, ";")) for g in graphs),
         ),
         (
-            f"loops={g.loops} edges: {_edges(plain_labels, g.pair_mult, ' ') or '-'}"
+            f"loops={g.loops} edges: {_edges(labels, g.pair_mult, ' ') or '-'}"
             for g in graphs
         ),
         lambda: f"# {count} graphs",
+        ("graphs", (
+            '{\n      "loops": ' + _json_ints(g.loops, 3) + ',\n      "edges": '
+            + ("{\n" + edges + "\n      }" if edges else "{}") + "\n    }"
+            for g in graphs
+            for edges in (_edges(labels, g.pair_mult, ",\n"),)
+        )),
     )
     return 0
 

@@ -20,9 +20,10 @@ Hall walk.
 * The component DP adds the vertices one at a time and keeps only the
   multiset of (size, has a cycle) of the components so far, since the
   counts factor over connected components; each multiset carries its
-  multigraphs tallied by (loops, single edges, doubled pairs).  It counts
-  multigraphs by (loops, single edges, doubled pairs, connected) for
-  ``graph_census`` (and the ``graphsum`` engine) and ``structure_counts``.
+  multigraphs tallied by (loops, single edges, doubled pairs).
+  ``graph_census`` (and the ``graphsum`` engine) sums the tallies of the
+  states after m vertices over the multisets; ``structure_counts`` reads
+  only the two states of one component, ((m, 0),) and ((m, 1),).
 * The union-find walk ``enumerate_graphs``, for one loop set, steps like
   an odometer through the pair multiplicities (0, 1 or 2) in one frame: a
   pair takes one more copy unless its component would then hold a second
@@ -455,30 +456,17 @@ def _component_states(k: int) -> dict[tuple[tuple[int, int], ...], dict[int, int
 
 
 @lru_cache(maxsize=None)
-def _component_tally(m: int) -> tuple[tuple[tuple[int, int, int, bool], int], ...]:
-    """Counts of the multigraphs on m vertices by (loops, single edges,
-    doubled pairs, connected), by a dynamic programme over components: the
-    tallies of :func:`_component_states` after m vertices, unpacked and
-    summed over the multisets, a graph being connected when its multiset
-    holds one component."""
-    tally: dict[tuple[int, int, int, bool], int] = {}
-    for parts, counts in _component_states(m).items():
-        connected = len(parts) == 1
-        for packed, count in counts.items():
-            key = (packed & _MASK, packed >> _FIELD & _MASK, packed >> 2 * _FIELD, connected)
-            tally[key] = tally.get(key, 0) + count
-    return tuple(tally.items())
-
-
-@lru_cache(maxsize=None)
 def _graph_census(m: int) -> tuple[tuple[GraphStats, int], ...]:
-    """The component DP's counts summed over connectedness, in signature
-    order."""
-    counts: dict[GraphStats, int] = {}
-    for (loops, single, doubled, _), count in _component_tally(m):
-        key = GraphStats(loops, single, doubled)
-        counts[key] = counts.get(key, 0) + count
-    return tuple(sorted(counts.items()))
+    """The tallies of :func:`_component_states` after m vertices, unpacked
+    and summed over the multisets of components, in signature order."""
+    counts: dict[int, int] = {}
+    for tally in _component_states(m).values():
+        for packed, count in tally.items():
+            counts[packed] = counts.get(packed, 0) + count
+    return tuple(sorted(
+        (GraphStats(packed & _MASK, packed >> _FIELD & _MASK, packed >> 2 * _FIELD), count)
+        for packed, count in counts.items()
+    ))
 
 
 def graph_count(m: int) -> int:
@@ -509,23 +497,23 @@ def structure_counts(m: int) -> StructureCounts:
     """Counts of the connected graphs, split into the four shapes a
     connected at-most-one-cycle multigraph can take: tree (#edges = m-1),
     tree plus one loop, tree with one edge doubled, and simple unicyclic
-    with cycle length >= 3.  Refused up front when :func:`component_work`
-    exceeds the budget."""
+    with cycle length >= 3.  Read off the two one-component states of
+    :func:`_component_states` after m vertices: the trees are the tally of
+    ((m, 0),), and the tally of ((m, 1),) splits by its loop and doubled
+    fields.  Refused up front when :func:`component_work` exceeds the
+    budget."""
     _require_vertex_count(m)
     refuse_past_floor(lambda: component_work(m), COMPONENT_WORK, m)
-    trees = looped = enhanced = quasi = 0
-    for (loops, single, doubled, connected), count in _component_tally(m):
-        if not connected:
-            continue
-        if loops + single + 2 * doubled == m - 1:
-            trees += count
-        elif loops:
+    states = _component_states(m)
+    looped = enhanced = quasi = 0
+    for packed, count in states[((m, 1),)].items():
+        if packed & _MASK:
             looped += count
-        elif doubled:
+        elif packed >> 2 * _FIELD:
             enhanced += count
         else:
             quasi += count
-    return StructureCounts(trees, looped, enhanced, quasi)
+    return StructureCounts(sum(states[((m, 0),)].values()), looped, enhanced, quasi)
 
 
 def _minimal(sets) -> frozenset[int]:

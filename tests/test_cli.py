@@ -72,6 +72,31 @@ def materialised_graph_listing(m, fmt):
     return "\n".join(lines) + "\n", f"# {len(rows)} graphs\n"
 
 
+def materialised_polytope_listing(command, m, n, fmt):
+    """(stdout, stderr) of ``vertices`` or ``facets`` built as one list of
+    rows first."""
+    poly = PartialPermutohedron(m, n)
+    if command == "vertices":
+        items = sorted(poly.vertices())
+        rows = [list(v) for v in items]
+        header = [f"x{i + 1}" for i in range(m)]
+        csv_rows = rows
+        plain = [" ".join(map(str, v)) for v in items]
+    else:
+        items = poly.facets()
+        rows = [{"coeffs": list(f.coeffs), "sense": f.sense, "bound": f.bound} for f in items]
+        header = [f"c{i + 1}" for i in range(m)] + ["sense", "bound"]
+        csv_rows = [[*f.coeffs, f.sense, f.bound] for f in items]
+        plain = [str(f) for f in items]
+    if fmt == "json":
+        report = {"command": command, "m": m, "n": n, "count": len(rows), command: rows}
+        report["elapsed_ms"] = 0
+        return json.dumps(report, indent=2) + "\n", ""
+    if fmt == "csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in [header, *csv_rows]), ""
+    return "".join(line + "\n" for line in plain), f"# {len(rows)} {command}\n"
+
+
 class TestEhrhartCommand:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(
@@ -327,6 +352,39 @@ class TestOtherCommands:
         elapsed = re.compile(r'"elapsed_ms": \d+')
         assert elapsed.sub("", out) == elapsed.sub("", expected_out)
         assert err == expected_err
+
+    @pytest.mark.parametrize("fmt", ("json", "csv", "plain"))
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("command", ("vertices", "facets"))
+    def test_polytope_listing_streams_the_materialised_form(self, capsys, command, m, n, fmt):
+        code, out, err = run(capsys, command, "--m", str(m), "--n", str(n), "--format", fmt)
+        assert code == 0
+        expected_out, expected_err = materialised_polytope_listing(command, m, n, fmt)
+        elapsed = re.compile(r'"elapsed_ms": \d+')
+        assert elapsed.sub("", out) == elapsed.sub("", expected_out)
+        assert err == expected_err
+
+    @pytest.mark.parametrize("argv", (
+        ("vertices", "--m", "3", "--n", "3"),
+        ("facets", "--m", "4", "--n", "3"),
+        ("graphs", "--m", "3"),
+    ))
+    def test_json_listing_is_written_item_by_item(self, capsys, monkeypatch, argv):
+        # no listing is handed whole to json.dumps: its items are laid out
+        # as they are made, the head and the rest of the report alone dumped
+        dumps = json.dumps
+
+        def refuse_listings(obj, *args, **kwargs):
+            if isinstance(obj, dict) and {"vertices", "facets", "graphs"} & obj.keys():
+                raise AssertionError("a whole listing went to json.dumps")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", refuse_listings)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert len(payload[argv[0]]) == payload["count"] > 0
 
     @pytest.mark.parametrize("fmt", ("plain", "csv", "json"))
     @pytest.mark.parametrize(

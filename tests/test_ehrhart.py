@@ -489,8 +489,7 @@ class TestIndependentEnumerators:
     for their uncached bodies so that each engine test counts afresh."""
 
     MULTIGRAPH = (
-        "_component_tally", "_component_states", "_root", "enumerate_graphs",
-        "component_cycle_check",
+        "_component_states", "_root", "enumerate_graphs", "component_cycle_check",
     )
     HALL_DP = ("_hall_tally", "_take", "_minimal", "_add")
     MATCHING = HALL_DP + ("_hall_walk", "_augment", "find_sdr", "satisfies_hall")
@@ -508,8 +507,7 @@ class TestIndependentEnumerators:
             monkeypatch.setattr(graphs, name, _refuse)
         monkeypatch.setattr(ehrhart, "sequence_census", _refuse)
         monkeypatch.setattr(graphs, "_graph_census", graphs._graph_census.__wrapped__)
-        for name in ("_component_tally", "_component_states"):
-            monkeypatch.setattr(graphs, name, getattr(graphs, name).__wrapped__)
+        monkeypatch.setattr(graphs, "_component_states", graphs._component_states.__wrapped__)
         assert ehrhart_graphsum(4, 4) == ehrhart_closed(4, 4)
 
     def test_sequence_listing_reaches_no_union_find_code(self, monkeypatch):
@@ -548,7 +546,7 @@ class TestEnumerationBound:
         hall, component = graphs.hall_work(8), graphs.component_work(8)
         with monkeypatch.context() as patched:
             patched.setattr(graphs, "_hall_tally", _refuse)
-            patched.setattr(graphs, "_component_tally", _refuse)
+            patched.setattr(graphs, "_component_states", _refuse)
             patched.setenv("PERMUTOEHR_BUDGET", str(hall - 1))
             with pytest.raises(BudgetError, match=f"= {hall} exceeds budget {hall - 1}"):
                 ehrhart_postnikov(8, 8)
@@ -562,7 +560,7 @@ class TestEnumerationBound:
         # each engine reads its census, and is refused on the floor 2^m,
         # before it builds anything of length m
         monkeypatch.setattr(graphs, "_hall_tally", _refuse)
-        monkeypatch.setattr(graphs, "_component_tally", _refuse)
+        monkeypatch.setattr(graphs, "_component_states", _refuse)
         for engine in (ehrhart_postnikov, ehrhart_graphsum):
             with pytest.raises(BudgetError, match=r"= more than 2\^100000000 exceeds"):
                 engine(10**8, 10**8)

@@ -22,7 +22,7 @@ from permutoehr.graphs import (
     structure_counts,
     to_multigraph,
     vertex_pairs,
-    _component_tally,
+    _component_states,
 )
 
 # the eight feasible sequences for m = 2, written (a_{1}, a_{2}, a_{12})
@@ -222,7 +222,7 @@ class TestSequenceCensus:
         # DP step; at the default budget it runs past the listings' bound
         work = hall_work(8)
         with monkeypatch.context() as patched:
-            for name in ("_hall_tally", "_component_tally"):
+            for name in ("_hall_tally", "_component_states"):
                 patched.setattr(graphs, name, _refuse)
             patched.setenv("PERMUTOEHR_BUDGET", str(work - 1))
             with pytest.raises(BudgetError, match=f"= {work} exceeds budget {work - 1}"):
@@ -241,7 +241,7 @@ class TestCensusBudget:
     @pytest.mark.parametrize("census", (sequence_census, graph_census, structure_counts))
     def test_huge_m_refused_without_the_power(self, monkeypatch, census):
         # 4^(10^8) alone has 200 million bits; the refusal states 2^m
-        for name in ("_hall_tally", "_component_tally"):
+        for name in ("_hall_tally", "_component_states"):
             monkeypatch.setattr(graphs, name, _refuse)
         with pytest.raises(BudgetError, match=r"= more than 2\^100000000 exceeds budget 100000000$"):
             census(10**8)
@@ -273,10 +273,19 @@ class TestStructureCounts:
 
     @pytest.mark.parametrize("m", (8, 9, 10))
     def test_component_dp_past_the_enumeration_bound(self, m):
-        # the DP behind the public counts, checked against the closed forms
+        # the DP behind the public counts, checked against the closed forms:
+        # every state's tally, unpacked, a graph being connected when its
+        # multiset holds one component
         shapes = [0, 0, 0]  # trees, looped, enhanced
         total = 0
-        for (loops, single, doubled, connected), count in _component_tally(m):
+        tallies = (
+            (len(parts) == 1, packed, count)
+            for parts, tally in _component_states(m).items()
+            for packed, count in tally.items()
+        )
+        for connected, packed, count in tallies:
+            fields = (packed >> k * graphs._FIELD & graphs._MASK for k in range(3))
+            loops, single, doubled = fields
             total += count
             if not connected:
                 continue
@@ -292,7 +301,7 @@ class TestStructureCounts:
 
 
 def _clear_component_caches():
-    for cached in (graphs._component_states, graphs._component_tally, graphs._graph_census):
+    for cached in (graphs._component_states, graphs._graph_census):
         cached.cache_clear()
 
 
