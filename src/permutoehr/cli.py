@@ -22,8 +22,9 @@ its notes (the item count of a listing) to stderr.  Exit codes: 0 success,
 1 a ``verify`` check failed, 2 invalid parameters (the message names the
 violated precondition), 3 resource-budget refusal, 141 (128 + SIGPIPE)
 output cut short by a closed pipe (``permutoehr vertices --m 7 --n 7 |
-head -1``), with no traceback.  Exact rationals are printed as "p/q" ("p"
-when the denominator is 1); JSON output never contains floats.
+head -1``), with no traceback.  Exact rationals are printed in full as
+"p/q" ("p" when the denominator is 1), past CPython's 4300-digit limit on
+int-to-str conversion; JSON output never contains floats.
 
 Usage examples
 --------------
@@ -56,10 +57,12 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
   graphsum, graphs  over the multigraphs)
   --stats           both census estimates are stated as "more than 2^m"
                     past m = 64, without taking the power
-  vertices, facets, the length of the listing (items); graphs reads it
-  graphs            off the census; both polytope counts exceed
+  vertices, facets  the entries the listing builds, m per item (vertex
+                    entries, facet coefficients); both counts exceed
                     2^min(m, n), so past min(m, n) = 64 they are stated
                     as "more than 2^min(m, n)" without counting
+  graphs            the length of the listing (graphs), read off the
+                    census
 The graphs listing also refuses m > 7, whatever the budget.  Parameters
 outside a command's domain exit 2 before any budget test.
 """
@@ -455,6 +458,13 @@ def main(argv=None) -> int:
     if args is None:
         args = _shared_parser().parse_args(argv)
     args.started = time.monotonic()
+    # An exact result may run past CPython's int-to-str digit limit, which
+    # is lifted while the command runs (refusals state their counts by
+    # errors._stated, not by str).
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -472,6 +482,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if set_digits is not None:
+            set_digits(digits)
 
 
 if __name__ == "__main__":

@@ -99,22 +99,6 @@ def _require_formula_domain(m: int, n: int):
         )
 
 
-def _require_face_domain(m: int, n: int):
-    require_int(m=m, n=n)
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-
-
-def _require_stable_domain(m: int, n: int | None):
-    require_int(m=m)
-    if n is not None:
-        require_int(n=n)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    if n is not None and n < m:
-        raise ValueError(f"the stable face-count formula requires n >= m, got n={n}")
-
-
 # a formula route's work as a refusal states it, after the route's name
 FORMULA_WORK = " work bound loops*64-bit operand words {}*{} = {}"
 
@@ -366,7 +350,9 @@ def f_polynomial(m: int, n: int) -> Poly:
     sum_{j=1..m} (t+1)^j P_(m-j) with the prefix sums
     P_k = sum_{i <= min(k, n-1)} C(m, i) A_i(t+1), taken by Horner's rule
     in t + 1: O(m^2) integer operations on int coefficient lists."""
-    _require_face_domain(m, n)
+    require_int(m=m, n=n)
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     _refuse_formula_work("fpoly", m * m, m, min(n, m))
     row = [1]  # T(i, k) for k = 0..i
     prefix = [1]  # P_i, from P_0 = A_0 = 1
@@ -391,7 +377,13 @@ def f_polynomial_stable(m: int, n: int | None = None) -> Poly:
     all combinatorially equivalent): 1 + (t+1) sum_{i=1..m} C(m, i) A_i(t+1).
 
     Does not hold below n = m: P(2, 1) is a triangle, not a pentagon."""
-    _require_stable_domain(m, n)
+    require_int(m=m)
+    if n is not None:
+        require_int(n=n)
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    if n is not None and n < m:
+        raise ValueError(f"the stable face-count formula requires n >= m, got n={n}")
     # an Eulerian polynomial and its shift per i
     _refuse_formula_work("fpoly-stable", m**3, m, m)
     shift = Poly([1, 1])

@@ -7,10 +7,14 @@ no engine uses it, since the generating-function engines expand their 1/t
 part over rational series.  Both hold their coefficients as Python int
 numerators over one positive common denominator, in a canonical form (no
 zero at the top, for ``LaurentPoly`` none at the bottom either, and
-gcd(den, *nums) = 1), so equal values have equal fields.  They share
-one ring core on those ints: the sum, negation, difference and product
-below (``convolve`` for two polynomials), each result normalised by one
-gcd.  ``fractions.Fraction`` appears only at their edges: constructor
+gcd(den, *nums) = 1), so equal values have equal fields.
+``series.TruncatedSeries`` keeps the same fields in the same gcd form.
+The three classes share one core on those ints: the constructor parse,
+the sum, negation, reflected difference and scalar product, each result
+normalised by one gcd, and ``coeffs``, immutability and pickling.  The
+two polynomial classes also share the difference and the product
+(``convolve``); the series cuts its product to its order.
+``fractions.Fraction`` appears only at their edges: constructor
 input, scalar operands and evaluation points (ints and ``Fraction``s; a
 float, bool or string raises TypeError, and a bool compares unequal),
 ``coeffs``, ``coefficient``, and the value of a ``Poly`` at a point.
@@ -62,10 +66,8 @@ def _top(nums) -> int:
     return hi
 
 
-def _lowest_terms(nums, den: int, lo: int, hi: int) -> tuple[tuple[int, ...], int]:
-    """nums[lo:hi] / den (den > 0, lo < hi) with one gcd divided out."""
-    if lo or hi < len(nums):
-        nums = nums[lo:hi]
+def _lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den (den > 0, nums nonempty) with one gcd divided out."""
     g = gcd(den, *nums)
     if g == 1:
         return tuple(nums), den
@@ -78,7 +80,9 @@ def _poly(nums, den: int, min_exp: int = 0) -> "Poly":
     if min_exp:
         nums = [0] * min_exp + list(nums)
     hi = _top(nums)
-    nums, den = _lowest_terms(nums, den, 0, hi) if hi else ((), 1)
+    if hi < len(nums):
+        nums = nums[:hi]
+    nums, den = _lowest_terms(nums, den) if hi else ((), 1)
     out = object.__new__(Poly)
     object.__setattr__(out, "nums", nums)
     object.__setattr__(out, "den", den)
@@ -95,7 +99,7 @@ def _laurent(nums, den: int, min_exp: int) -> "LaurentPoly":
     if lo == hi:
         nums, den, min_exp = (), 1, 0
     else:
-        nums, den = _lowest_terms(nums, den, lo, hi)
+        nums, den = _lowest_terms(nums[lo:hi], den)
         min_exp += lo
     out = object.__new__(LaurentPoly)
     object.__setattr__(out, "nums", nums)
@@ -104,13 +108,18 @@ def _laurent(nums, den: int, min_exp: int) -> "LaurentPoly":
     return out
 
 
-# The core shared by Poly and LaurentPoly (a Poly has min_exp 0), bound
-# into each class body so that each class owns its operators, which is
-# where the benchmark's tracer wraps them.
+# The core shared by Poly, LaurentPoly and TruncatedSeries (a Poly and a
+# series have min_exp 0), bound into each class body so that each class
+# owns its operators, which is where the benchmark's tracer wraps them.
 
 
 def _immutable(self, name, value):
     raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _reduce(self):
+    # copy and pickle rebuild through _new, not __setattr__
+    return (self._new, (self.nums, self.den, self.min_exp))
 
 
 def _coeffs(self) -> tuple[Fraction, ...]:
@@ -203,16 +212,13 @@ class Poly:
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul
     __setattr__ = _immutable
+    __reduce__ = _reduce
     coeffs = property(_coeffs)
     is_zero = property(lambda self: not self.nums)
     coefficient = _coefficient
 
     def __new__(cls, coeffs=()):
         return _poly(*_numerators(coeffs))
-
-    def __reduce__(self):
-        # copy and pickle rebuild through _poly, not __setattr__
-        return (_poly, (self.nums, self.den))
 
     @classmethod
     def monomial(cls, power: int) -> "Poly":
@@ -328,6 +334,7 @@ class LaurentPoly:
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul
     __setattr__ = _immutable
+    __reduce__ = _reduce
     coeffs = property(_coeffs)
     is_zero = property(lambda self: not self.nums)
     coefficient = _coefficient
@@ -337,10 +344,6 @@ class LaurentPoly:
 
     def __bool__(self):
         return bool(self.nums)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through _laurent, not __setattr__
-        return (_laurent, (self.nums, self.den, self.min_exp))
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":

@@ -82,10 +82,11 @@ class PartialPermutohedron:
     def vertices(self) -> set[tuple[int, ...]]:
         """All vertices: zeros in m-i positions, the other i entries being
         n, n-1, ..., n-i+1 in any order, for i = 0 .. min(m, n).  Refused
-        up front when :meth:`vertex_count` exceeds the budget."""
+        up front when the entries built, :meth:`vertex_count` times m,
+        exceed the budget."""
         m, n = self.m, self.n
         # past min(m, n) = 3 the count exceeds min(m, n)! > 2^min(m, n)
-        refuse_past_floor(self.vertex_count, "{} vertices", min(m, n))
+        refuse_past_floor(lambda: self.vertex_count() * m, "{} vertex entries", min(m, n))
         out = set()
         for i in range(min(m, n) + 1):
             values = [n - r for r in range(i)]
@@ -106,11 +107,11 @@ class PartialPermutohedron:
 
     def facets(self) -> list[FacetInequality]:
         """One inequality per facet: x_i >= 0; the |S| <= min(m,n)-1 subset
-        sums; and the full-sum inequality.  Refused up front when
-        :meth:`facet_count` exceeds the budget."""
+        sums; and the full-sum inequality.  Refused up front when the
+        coefficients built, :meth:`facet_count` times m, exceed the budget."""
         m = self.m
         # for 2 <= min(m, n) the count exceeds 2^min(m, n)
-        refuse_past_floor(self.facet_count, "{} facets", min(m, self.n))
+        refuse_past_floor(lambda: self.facet_count() * m, "{} facet coefficients", min(m, self.n))
         out = [
             FacetInequality(tuple(1 if j == i else 0 for j in range(m)), ">=", 0)
             for i in range(m)

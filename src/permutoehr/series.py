@@ -3,15 +3,17 @@
 A series of order N carries exact coefficients for z^0 .. z^N; every
 operation is exact modulo z^(N+1).
 
-The ring contract: a series holds int numerators ``nums`` (one per power
-of z) over one positive int denominator ``den``, like ``Poly``.  Every
-instance is in one canonical form, gcd(den, *nums) = 1, so equal values
-have equal fields, and every operation normalises its result by that one
-gcd.  The operations are integer kernels on the numerators:
+The ring contract is that of ``Poly``: int numerators ``nums`` (one per
+power of z) over one positive int denominator ``den``, with
+gcd(den, *nums) = 1, so equal values have equal fields.  The class binds
+the core of :mod:`permutoehr.polynomials` that serves all three classes
+(constructor parse, sum, negation, reflected difference, scalar product,
+``coeffs``, immutability, pickling; ``min_exp`` is 0) and keeps here only
+what truncation adds:
 
-  - ``+`` and ``-`` bring both operands onto one denominator; ``*`` is a
-    truncated convolution of the numerators over the product of the
-    denominators;
+  - the order, checked on both operands of ``+``, ``-`` and ``*``;
+  - ``*`` of two series, a convolution of the numerators cut to the
+    order, over the product of the denominators;
   - ``exp`` and ``log`` run their recurrences on numerators scaled by
     N! d^N (d the operand's denominator), ``sqrt`` the coefficient of z^k
     scaled by (4d)^k, so that each step divides exactly by an int, which is
@@ -26,21 +28,31 @@ gcd.  The operations are integer kernels on the numerators:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from .errors import require_int
-from .polynomials import Poly, _split, convolve
+from .polynomials import (
+    Poly,
+    _add,
+    _coeffs,
+    _coerce,
+    _immutable,
+    _lowest_terms,
+    _mul,
+    _neg,
+    _numerators,
+    _reduce,
+    _rsub,
+    convolve,
+)
 
 
-def _series(nums, den: int) -> "TruncatedSeries":
-    """The series nums / den (den > 0) in canonical form: one gcd divided
-    out."""
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [c // g for c in nums]
-        den //= g
+def _series(nums, den: int, min_exp: int = 0) -> "TruncatedSeries":
+    """The series nums / den (den > 0, nums nonempty) in canonical form:
+    one gcd divided out.  The core passes ``min_exp``, always 0 here."""
+    nums, den = _lowest_terms(nums, den)
     out = object.__new__(TruncatedSeries)
-    object.__setattr__(out, "nums", tuple(nums))
+    object.__setattr__(out, "nums", nums)
     object.__setattr__(out, "den", den)
     return out
 
@@ -69,23 +81,24 @@ class TruncatedSeries:
     """
 
     __slots__ = ("nums", "den")
+    min_exp = 0
+    _new = staticmethod(_series)
+    __add__ = __radd__ = _add
+    __neg__ = _neg
+    __rsub__ = _rsub
+    __setattr__ = _immutable
+    __reduce__ = _reduce
+    coeffs = property(_coeffs)
 
     def __new__(cls, coeffs, order: int | None = None):
-        parts = [_split(c) for c in coeffs]
-        if not parts:
+        nums, den = _numerators(coeffs)
+        if not nums:
             raise ValueError("need at least the constant coefficient")
         if order is not None:
             _require_order(order)
-            parts = parts[: order + 1] + [(0, 1)] * (order + 1 - len(parts))
-        den = lcm(*(d for _, d in parts))
-        return _series([num * (den // d) for num, d in parts], den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through _series, not __setattr__
-        return (_series, (self.nums, self.den))
+            del nums[order + 1 :]
+            nums += [0] * (order + 1 - len(nums))
+        return _series(nums, den)
 
     @classmethod
     def from_poly(cls, p: Poly, order: int) -> "TruncatedSeries":
@@ -98,51 +111,26 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.nums) - 1
 
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(self._value(c) for c in self.nums)
-
-    def coefficient(self, k: int):
+    def coefficient(self, k: int) -> Fraction:
         require_int(k=k)
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient index {k} outside order {self.order}")
-        return self._value(self.nums[k])
-
-    def _value(self, num: int) -> Fraction:
-        return Fraction(num, self.den)
+        return Fraction(self.nums[k], self.den)
 
     def _check_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other):
+    def _coerce(self, other):
+        # the core's + coerces its operand here, so a series operand's
+        # order is checked before the sum
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            # a/da + b/db over lcm(da, db) = da * (db / g)
-            g = gcd(self.den, other.den)
-            scale_self, scale_other = other.den // g, self.den // g
-            return _series(
-                [a * scale_self + b * scale_other for a, b in zip(self.nums, other.nums)],
-                self.den * scale_self,
-            )
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        # a scalar adds to the constant term
-        num, q = _split(other)
-        nums = [c * q for c in self.nums]
-        nums[0] = nums[0] + num * self.den
-        return _series(nums, self.den * q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _series([-c for c in self.nums], self.den)
+        return _coerce(self, other)
 
     def __sub__(self, other):
+        # not the core's: that coerces a scalar before the + checks orders
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -150,10 +138,7 @@ class TruncatedSeries:
             return _series(
                 convolve(self.nums, other.nums, len(self.nums)), self.den * other.den
             )
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        num, q = _split(other)
-        return _series([c * num for c in self.nums], self.den * q)
+        return _mul(self, other)
 
     __rmul__ = __mul__
 

@@ -161,6 +161,10 @@ class TestEhrhartCommand:
         assert "evaluation point t must be >= 1" in err
 
 
+# what the polytope listings are budgeted on: m entries per item
+ENTRIES = {"vertices": "vertex entries", "facets": "facet coefficients"}
+
+
 class TestOtherCommands:
     def test_volume(self, capsys):
         code, out, _ = run(capsys, "volume", "--m", "2", "--n", "1")
@@ -213,7 +217,8 @@ class TestOtherCommands:
         monkeypatch.setattr(polytope_module, first_step, must_not_run)
         code, out, err = run(capsys, command, "--m", str(m), "--n", str(m))
         assert (code, out) == (3, "")
-        assert f"{count} {command} exceeds budget 100000000" in err
+        # refused on the entries the listing would build, m per item
+        assert f"{count * m} {ENTRIES[command]} exceeds budget 100000000" in err
 
     @pytest.mark.parametrize(
         "command, stated", (("vertices", "more than 2^2000"), ("facets", "more than 2^2000"))
@@ -222,11 +227,11 @@ class TestOtherCommands:
         self, capsys, monkeypatch, command, stated
     ):
         # 2000! alone has 5736 digits, past what str() of an int allows
-        # (the vertex count, past min(m, n) = 64, is stated by its floor 2^min(m, n))
+        # (the entry count, past min(m, n) = 64, is stated by its floor 2^min(m, n))
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, command, "--m", "2000", "--n", "2000")
         assert (code, out) == (3, "")
-        assert f"{stated} {command} exceeds budget" in err
+        assert f"{stated} {ENTRIES[command]} exceeds budget" in err
 
     @pytest.mark.parametrize(
         "command, m, stated",
@@ -243,7 +248,7 @@ class TestOtherCommands:
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, command, "--m", m, "--n", m)
         assert (code, out) == (3, "")
-        assert f"error: {stated} {command} exceeds budget 100000000" in err
+        assert f"error: {stated} {ENTRIES[command]} exceeds budget 100000000" in err
 
     def test_facets_refused_on_a_floor_without_the_binomial_sum(self, capsys, monkeypatch):
         # C(100000, i) summed over i < 50000 has 99,999 bits; the refusal
@@ -251,21 +256,21 @@ class TestOtherCommands:
         monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
         code, out, err = run(capsys, "facets", "--m", "100000", "--n", "50000")
         assert (code, out) == (3, "")
-        assert "error: more than 2^50000 facets exceeds budget 100000000" in err
+        assert "error: more than 2^50000 facet coefficients exceeds budget 100000000" in err
 
     def test_facet_floor_refuses_but_never_admits(self, capsys, monkeypatch):
         # at budget 2^66 the floor 2^min(m, n) = 2^66 cannot refuse, so the
-        # count, 140 + sum_{i<66} C(140, i), near 2^136, is taken; at 2^64
-        # the floor refuses without it
-        bits = PartialPermutohedron(140, 66).facet_count().bit_length()
+        # coefficient count, 140 (140 + sum_{i<66} C(140, i)), near 2^143,
+        # is taken; at 2^64 the floor refuses without it
+        bits = (PartialPermutohedron(140, 66).facet_count() * 140).bit_length()
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(2**66))
         code, out, err = run(capsys, "facets", "--m", "140", "--n", "66")
         assert (code, out) == (3, "")
-        assert f"more than 2^{bits - 1} facets exceeds budget {2**66}" in err
+        assert f"more than 2^{bits - 1} facet coefficients exceeds budget {2**66}" in err
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(2**64))
         code, out, err = run(capsys, "facets", "--m", "140", "--n", "66")
         assert (code, out) == (3, "")
-        assert f"more than 2^66 facets exceeds budget {2**64}" in err
+        assert f"more than 2^66 facet coefficients exceeds budget {2**64}" in err
 
     @pytest.mark.parametrize("command", ("vertices", "facets", "graphs"))
     def test_listing_at_its_budget_is_unchanged(self, capsys, monkeypatch, command):
@@ -282,15 +287,17 @@ class TestOtherCommands:
             argv = (command, "--m", "2")
             count = sum(graph_census(2).values())
             expected = materialised_graph_listing(2, "plain")[0].splitlines()
-        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(count))
+        # the polytope listings are budgeted on their m = 3 entries per item
+        work = 3 * count if command in ENTRIES else count
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work))
         code, out, err = run(capsys, *argv)
         assert code == 0
         assert out.splitlines() == expected and len(expected) == count
         assert err == f"# {count} {command}\n"
-        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(count - 1))
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work - 1))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert f"{count} {command} exceeds budget {count - 1}" in err
+        assert f"{work} {ENTRIES.get(command, command)} exceeds budget {work - 1}" in err
 
     def test_count_points(self, capsys):
         code, out, _ = run(capsys, "count-points", "--m", "2", "--n", "1", "--t", "1")
@@ -405,6 +412,94 @@ class TestOtherCommands:
         code, _, err = run(capsys, "parking", "--m", "1")
         assert code == 2
         assert "m >= 2" in err
+
+    @pytest.mark.parametrize(
+        "command, m, n, stated",
+        (
+            ("vertices", 10, 10, None),  # 9864101 vertices * 10 = 98641010 entries
+            ("vertices", 12, 8, "296684940 vertex entries"),  # 24723745 vertices
+            ("facets", 22, 22, None),  # 4194325 facets * 22 = 92275150 coefficients
+            ("facets", 26, 26, "1744831114 facet coefficients"),  # 67108889 facets
+        ),
+    )
+    def test_polytope_listing_budgeted_on_its_entries(
+        self, capsys, monkeypatch, command, m, n, stated
+    ):
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        # the listing's first step after its refusal (see above)
+        first_step = {"vertices": "permutations", "facets": "FacetInequality"}[command]
+        monkeypatch.setattr(polytope_module, first_step, admitted)
+        argv = (command, "--m", str(m), "--n", str(n))
+        if stated is None:
+            with pytest.raises(Admitted):
+                main(list(argv))
+        else:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (3, "", f"error: {stated} exceeds budget 100000000\n")
+
+
+def unlimited_str(value) -> str:
+    """str(value) past CPython's int-to-str digit limit, restored after."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        return str(value)
+    digits = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        return str(value)
+    finally:
+        set_digits(digits)
+
+
+class TestLongExactResults:
+    """An exact result printed in full, past the 4300 digits that str() of
+    an int allows by default."""
+
+    @pytest.mark.parametrize("fmt", ("plain", "json"))
+    def test_volume_past_the_digit_limit(self, capsys, fmt):
+        code, out, err = run(capsys, "volume", "--m", "2000", "--n", "2000", "--format", fmt)
+        assert (code, err) == (0, "")
+        expected = unlimited_str(volume_closed(2000, 2000))
+        assert len(expected) > 4300
+        if fmt == "json":
+            assert json.loads(out)["volume"] == expected
+        else:
+            assert out == expected + "\n"
+
+    @pytest.mark.parametrize("fmt", ("plain", "json"))
+    def test_ehrhart_value_past_the_digit_limit(self, capsys, fmt):
+        t = 10**20
+        code, out, err = run(
+            capsys, "ehrhart", "--m", "300", "--n", "300", "--t", str(t), "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        expected = unlimited_str(ehrhart_closed(300, 300)(t))
+        assert len(expected) > 4300
+        if fmt == "json":
+            assert json.loads(out)["value"] == expected
+        else:
+            assert out.splitlines()[-1] == f"value at t={t}: {expected}"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        (
+            (("volume", "--m", "2000", "--n", "2000"), 0),
+            (("volume", "--m", "14605", "--n", "14605"), 3),
+            (("volume", "--m", "0", "--n", "1"), 2),
+        ),
+    )
+    def test_main_restores_the_digit_limit(self, capsys, argv, code):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert run(capsys, *argv)[0] == code
+        assert limit() == before
 
 
 def _engines_must_not_run(monkeypatch):

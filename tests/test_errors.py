@@ -108,8 +108,8 @@ ROUTES = {
     "volume_closed": (lambda: ehrhart.volume_closed(3, 3), 3),
     "f_polynomial": (lambda: ehrhart.f_polynomial(3, 3), 9),
     "f_polynomial_stable": (lambda: ehrhart.f_polynomial_stable(3), 27),
-    "vertices": (lambda: PartialPermutohedron(3, 3).vertices(), 16),
-    "facets": (lambda: PartialPermutohedron(3, 3).facets(), 10),
+    "vertices": (lambda: PartialPermutohedron(3, 3).vertices(), 48),
+    "facets": (lambda: PartialPermutohedron(3, 3).facets(), 30),
     "enumerate_graphs": (lambda: list(graphs.enumerate_graphs(2)), 8),
     "graph_census": (lambda: graphs.graph_census(2), 18),
     "structure_counts": (lambda: graphs.structure_counts(2), 18),
@@ -122,8 +122,13 @@ ROUTES = {
     "check_oracle_agreement": (lambda: verify.check_oracle_agreement(2, 1), 192),
     "run_all": (lambda: verify.run_all(1, 1), 40),
 }
-# the listings state their length as "<count> <items>"
-LISTED = {"vertices": "vertices", "facets": "facets", "enumerate_graphs": "graphs"}
+# the listings state their size as "<count> <units>": the polytope listings
+# their entries (16 vertices and 10 facets of 3 each), the graphs their length
+LISTED = {
+    "vertices": "vertex entries",
+    "facets": "facet coefficients",
+    "enumerate_graphs": "graphs",
+}
 
 
 @pytest.mark.parametrize("name", ROUTES)

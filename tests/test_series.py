@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -23,8 +24,11 @@ class TestBasics:
         assert s.coefficient(4) == 0
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rational([1], order=2) + rational([1], order=3)
+        low, high = rational([1, 2], order=2), rational([1, 2], order=3)
+        for a, b in ((low, high), (high, low)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ValueError, match="order mismatch"):
+                    op(a, b)
 
     def test_mul_truncates(self):
         s = rational([1, 1], order=2)
@@ -295,6 +299,7 @@ class TestIntNumeratorSeries:
             (a * scalar, ra * scalar),
             (scalar * a, ra * scalar),
             (a + scalar, ra + scalar),
+            (a - scalar, ra - scalar),
             (scalar - a, -ra + scalar),
             (b.exp(), rb.exp()),
             ((b + one_plus).log(), (rb + one_plus).log()),
@@ -320,6 +325,19 @@ class TestIntNumeratorSeries:
             assert (same.nums, same.den) == (a.nums, a.den)
             assert same == a
             assert_canonical(same)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(rational_coefficients, min_size=1, max_size=8).filter(lambda c: c[-1]),
+        st.integers(0, 3),
+    )
+    def test_one_canonical_form_with_poly(self, coeffs, pad):
+        # a nonzero top keeps every coefficient in the Poly: both hold the
+        # same numerators over the same denominator
+        poly = Poly(coeffs)
+        series = TruncatedSeries(coeffs, order=len(coeffs) - 1 + pad)
+        assert series.den == poly.den
+        assert series.nums == poly.nums + (0,) * pad
 
     def test_canonical_zero_and_constants(self):
         zero = TruncatedSeries([Fraction(0, 1)], order=3)
