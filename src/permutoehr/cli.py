@@ -134,17 +134,18 @@ def _emit(args, report, rows, lines, note=None, listing=None) -> None:
         import json
 
         report = {"command": args.subcommand, **report()}
-        if listing is None:
-            report["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
-            print(json.dumps(report, indent=2))
-            return
-        # the document json.dumps gives with the items under ``key``
-        key, items = listing
         out = sys.stdout
-        out.write(json.dumps(report, indent=2)[: -len("\n}")] + f',\n  "{key}": [\n    ')
-        _write_lines(items, ",\n    ")
-        elapsed_ms = int((time.monotonic() - args.started) * 1000)
-        out.write(f'  ],\n  "elapsed_ms": {elapsed_ms}\n}}\n')
+        if listing is not None:
+            # the document json.dumps gives with the items under ``key``
+            key, items = listing
+            out.write(json.dumps(report, indent=2)[: -len("\n}")] + f',\n  "{key}": [\n    ')
+            _write_lines(items, ",\n    ")
+        elapsed_ms = (time.monotonic_ns() - args.started) // 1_000_000
+        if listing is None:
+            report["elapsed_ms"] = elapsed_ms
+            print(json.dumps(report, indent=2))
+        else:
+            out.write(f'  ],\n  "elapsed_ms": {elapsed_ms}\n}}\n')
     elif args.format == "csv":
         _write_lines(",".join(map(str, row)) for row in rows)
     else:
@@ -209,29 +210,33 @@ def cmd_fpoly(args) -> int:
 
 
 def cmd_vertices(args) -> int:
-    vertices = sorted(PartialPermutohedron(args.m, args.n).vertices())
+    poly = PartialPermutohedron(args.m, args.n)
+    vertices = poly.vertices()
+    count = poly.vertex_count()
     _emit(
         args,
-        lambda: {"m": args.m, "n": args.n, "count": len(vertices)},
+        lambda: {"m": args.m, "n": args.n, "count": count},
         chain([[f"x{i + 1}" for i in range(args.m)]], vertices),
         (" ".join(map(str, v)) for v in vertices),
-        lambda: f"# {len(vertices)} vertices",
+        lambda: f"# {count} vertices",
         ("vertices", (_json_ints(v, 2) for v in vertices)),
     )
     return 0
 
 
 def cmd_facets(args) -> int:
-    facets = PartialPermutohedron(args.m, args.n).facets()
+    poly = PartialPermutohedron(args.m, args.n)
+    facets = poly.facets()
+    count = poly.facet_count()
     _emit(
         args,
-        lambda: {"m": args.m, "n": args.n, "count": len(facets)},
+        lambda: {"m": args.m, "n": args.n, "count": count},
         chain(
             [[*(f"c{i + 1}" for i in range(args.m)), "sense", "bound"]],
             ((*f.coeffs, f.sense, f.bound) for f in facets),
         ),
         map(str, facets),
-        lambda: f"# {len(facets)} facets",
+        lambda: f"# {count} facets",
         ("facets", (
             '{\n      "coeffs": ' + _json_ints(f.coeffs, 3)
             + f',\n      "sense": "{f.sense}",\n      "bound": {f.bound}\n    }}'
@@ -457,7 +462,7 @@ def main(argv=None) -> int:
     args = _parse_canonical(argv)
     if args is None:
         args = _shared_parser().parse_args(argv)
-    args.started = time.monotonic()
+    args.started = time.monotonic_ns()
     # An exact result may run past CPython's int-to-str digit limit, which
     # is lifted while the command runs (refusals state their counts by
     # errors._stated, not by str).

@@ -1,12 +1,12 @@
 """Geometry of the partial permutohedron P(m, n).
 
 P(m, n) is the convex hull of the vectors in {0, 1, ..., n}^m whose
-nonzero entries are distinct.  This module gives its vertices, facet
-inequalities, membership in integer dilates, an exact lattice-point count
-by a dynamic programme over the (entries placed, running sum) states of
-the sorted points, the lift into the hyperplane in R^(m+1), and its
-decomposition as a Minkowski sum of dilated coordinate simplices (valid
-for n >= m - 1).
+nonzero entries are distinct.  This module gives its vertices (walked in
+lexicographic order and never held), facet inequalities, membership in
+integer dilates, an exact lattice-point count by a dynamic programme over
+the (entries placed, running sum) states of the sorted points, the lift
+into the hyperplane in R^(m+1), and its decomposition as a Minkowski sum
+of dilated coordinate simplices (valid for n >= m - 1).
 
 Everything is integer arithmetic on explicit data; the formula engines
 live in :mod:`permutoehr.ehrhart` and are cross-checked against the
@@ -16,8 +16,9 @@ counts produced here.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from ._record import Record
 from .errors import refuse_above_budget, refuse_past_floor, require_int
@@ -79,23 +80,55 @@ class PartialPermutohedron:
 
     # -- V- and H-descriptions --------------------------------------------
 
-    def vertices(self) -> set[tuple[int, ...]]:
-        """All vertices: zeros in m-i positions, the other i entries being
-        n, n-1, ..., n-i+1 in any order, for i = 0 .. min(m, n).  Refused
-        up front when the entries built, :meth:`vertex_count` times m,
-        exceed the budget."""
+    def vertices(self) -> Iterator[tuple[int, ...]]:
+        """All vertices, walked in lexicographic order and never held: zeros
+        in m-i positions, the other i entries being n, n-1, ..., n-i+1 in
+        any order, for i = 0 .. min(m, n).  Refused up front, before the
+        walk is returned, when the entries it yields, :meth:`vertex_count`
+        times m, exceed the budget."""
         m, n = self.m, self.n
         # past min(m, n) = 3 the count exceeds min(m, n)! > 2^min(m, n)
         refuse_past_floor(lambda: self.vertex_count() * m, "{} vertex entries", min(m, n))
-        out = set()
-        for i in range(min(m, n) + 1):
-            values = [n - r for r in range(i)]
-            for positions in permutations(range(m), i):
-                v = [0] * m
-                for value, pos in zip(values, positions):
-                    v[pos] = value
-                out.add(tuple(v))
-        return out
+        return self._walk_vertices()
+
+    def _walk_vertices(self) -> Iterator[tuple[int, ...]]:
+        """The depth-first walk of :meth:`vertices`.
+
+        A node is a prefix ending in a nonzero entry (or the empty prefix),
+        with ``least``, its least nonzero entry (n + 1 if none), and
+        ``holes``, the values between ``least`` and n it lacks, ascending.
+        Its zero-padded prefix is a vertex once it has no holes, and comes
+        before the rest of its subtree.  Its children place their next
+        nonzero entry x at a position p past the prefix, zeros between: a
+        later p first, then x ascending, which is lexicographic order.  x is
+        a hole, or a value below ``least`` whose new holes still fit in the
+        m - p - 1 positions after p, so every branch reaches a vertex."""
+        m, n = self.m, self.n
+        zeros = (0,) * m
+        # a pushed child is (its parent's prefix, p, (x,), least, holes),
+        # its prefix built when it is popped, so that the stack holds no
+        # copy of a prefix; children are pushed in reverse print order
+        stack = [((), 0, (), n + 1, ())]
+        while stack:
+            base, p, entry, least, holes = stack.pop()
+            prefix = base + zeros[len(base) : p] + entry
+            d, missing = len(prefix), len(holes)
+            if not missing:
+                yield prefix + zeros[d:]
+                if least == 1:
+                    continue
+            # a child at the last position has no subtree and comes first:
+            # it is the one hole, or else least - 1
+            if missing < 2 and d < m:
+                yield prefix + zeros[d + 1 :] + (holes or (least - 1,))
+            for p in range(d, min(m - 1, m - missing + 1)):
+                for i in range(missing - 1, -1, -1):
+                    stack.append((prefix, p, holes[i : i + 1], least, holes[:i] + holes[i + 1 :]))
+                # x = least - 1 - j opens j new holes, which the m - p - 1
+                # positions after p must hold
+                room = m - p - 1 - missing
+                for x in range(least - 1, max(0, least - 2 - room), -1):
+                    stack.append((prefix, p, (x,), x, (*range(x + 1, least), *holes)))
 
     def vertex_count(self) -> int:
         """sum_{i=0..min(m,n)} m!/(m-i)!, without enumerating, by Horner's
@@ -147,10 +180,18 @@ class PartialPermutohedron:
         The subset inequalities with |S| = k all share one right-hand
         side, so the binding subset is the one holding the k largest
         entries; sorting once replaces the 2^m - 2 subset checks.
+
+        t must be an int, as :meth:`lift` asks, and >= 0.  The entries of
+        x are not checked: a test per entry costs a batch of point queries
+        about a tenth of its time.
         """
         x = tuple(x)
         if len(x) != self.m:
             raise ValueError(f"point has length {len(x)}, expected {self.m}")
+        if type(t) is not int:  # in line: require_int's call costs more
+            require_int(t=t)
+        if t < 0:
+            raise ValueError(f"t must be an integer >= 0, got {t}")
         ordered = sorted(x, reverse=True)
         if ordered[-1] < 0:
             return False

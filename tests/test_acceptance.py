@@ -129,7 +129,7 @@ def test_criterion_4_vertex_and_facet_counts():
                 factorial(m) // factorial(m - i) for i in range(min(m, n) + 1)
             )
             expected_facets = m + sum(comb(m, i) for i in range(min(m, n)))
-            assert len(polytope.vertices()) == expected_vertices, f"m={m}, n={n}"
+            assert len(list(polytope.vertices())) == expected_vertices, f"m={m}, n={n}"
             assert len(polytope.facets()) == expected_facets, f"m={m}, n={n}"
     _passed(4, "vertex and facet counts match the closed forms for m, n <= 5")
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,6 +166,16 @@ class TestEhrhartCommand:
 ENTRIES = {"vertices": "vertex entries", "facets": "facet coefficients"}
 
 
+def patch_first_step(monkeypatch, command, replacement):
+    """Replace a polytope listing's first step after its refusal:
+    vertices() starts its walk, facets() builds FacetInequality rows
+    (vertex_count and facet_count, which the refusal calls, use neither)."""
+    if command == "vertices":
+        monkeypatch.setattr(PartialPermutohedron, "_walk_vertices", replacement)
+    else:
+        monkeypatch.setattr(polytope_module, "FacetInequality", replacement)
+
+
 class TestOtherCommands:
     def test_volume(self, capsys):
         code, out, _ = run(capsys, "volume", "--m", "2", "--n", "1")
@@ -210,11 +221,7 @@ class TestOtherCommands:
         def must_not_run(*args):
             raise AssertionError("enumerated past the budget")
 
-        # each listing's first step: vertices() places values by permutations,
-        # facets() builds FacetInequality rows (vertex_count and facet_count,
-        # which the refusal calls, use neither)
-        first_step = {"vertices": "permutations", "facets": "FacetInequality"}[command]
-        monkeypatch.setattr(polytope_module, first_step, must_not_run)
+        patch_first_step(monkeypatch, command, must_not_run)
         code, out, err = run(capsys, command, "--m", str(m), "--n", str(m))
         assert (code, out) == (3, "")
         # refused on the entries the listing would build, m per item
@@ -372,6 +379,22 @@ class TestOtherCommands:
         assert elapsed.sub("", out) == elapsed.sub("", expected_out)
         assert err == expected_err
 
+    def test_vertex_listing_is_never_held(self, capsys, monkeypatch):
+        # 13,700 vertices of 7 entries: a held set and its sorted copy
+        # peaked at about 2 MB; the walk holds only the output's blocks of
+        # 4096 lines
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = main(["vertices", "--m", "7", "--n", "7"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().err == "# 13700 vertices\n"
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("argv", (
         ("vertices", "--m", "3", "--n", "3"),
         ("facets", "--m", "4", "--n", "3"),
@@ -433,9 +456,7 @@ class TestOtherCommands:
         def admitted(*args):
             raise Admitted
 
-        # the listing's first step after its refusal (see above)
-        first_step = {"vertices": "permutations", "facets": "FacetInequality"}[command]
-        monkeypatch.setattr(polytope_module, first_step, admitted)
+        patch_first_step(monkeypatch, command, admitted)
         argv = (command, "--m", str(m), "--n", str(n))
         if stated is None:
             with pytest.raises(Admitted):

@@ -108,7 +108,7 @@ ROUTES = {
     "volume_closed": (lambda: ehrhart.volume_closed(3, 3), 3),
     "f_polynomial": (lambda: ehrhart.f_polynomial(3, 3), 9),
     "f_polynomial_stable": (lambda: ehrhart.f_polynomial_stable(3), 27),
-    "vertices": (lambda: PartialPermutohedron(3, 3).vertices(), 48),
+    "vertices": (lambda: list(PartialPermutohedron(3, 3).vertices()), 48),
     "facets": (lambda: PartialPermutohedron(3, 3).facets(), 30),
     "enumerate_graphs": (lambda: list(graphs.enumerate_graphs(2)), 8),
     "graph_census": (lambda: graphs.graph_census(2), 18),

@@ -34,25 +34,53 @@ def subset_form_contains(poly, t, x):
 
 class TestVertices:
     def test_segment(self):
-        assert PartialPermutohedron(1, 1).vertices() == {(0,), (1,)}
+        assert list(PartialPermutohedron(1, 1).vertices()) == [(0,), (1,)]
 
     def test_pentagon(self):
-        assert PartialPermutohedron(2, 2).vertices() == {
+        assert list(PartialPermutohedron(2, 2).vertices()) == [
             (0, 0),
-            (2, 0),
             (0, 2),
-            (2, 1),
             (1, 2),
-        }
+            (2, 0),
+            (2, 1),
+        ]
 
     def test_triangle(self):
-        assert PartialPermutohedron(2, 1).vertices() == {(0, 0), (1, 0), (0, 1)}
+        assert list(PartialPermutohedron(2, 1).vertices()) == [(0, 0), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_walk_is_the_sorted_box_filter(self, m, n):
+        # the vectors of {0..n}^m whose nonzero entries are distinct and
+        # are n, n - 1, ..., in the lexicographic order product gives
+        expected = []
+        for x in box_points(n, m):
+            nonzero = sorted((xi for xi in x if xi), reverse=True)
+            if nonzero == [n - r for r in range(len(nonzero))]:
+                expected.append(x)
+        assert list(PartialPermutohedron(m, n).vertices()) == expected
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_walk_is_increasing_and_counted(self, m, n):
+        poly = PartialPermutohedron(m, n)
+        vertices = list(poly.vertices())
+        assert all(a < b for a, b in zip(vertices, vertices[1:]))
+        assert len(vertices) == poly.vertex_count()
+
+    def test_walk_of_a_long_vector(self):
+        # few nonzero entries: the walk skips runs of zeros
+        m = 1000
+        vertices = list(PartialPermutohedron(m, 1).vertices())
+        assert vertices == [(0,) * m] + [
+            (0,) * p + (1,) + (0,) * (m - p - 1) for p in range(m - 1, -1, -1)
+        ]
 
     @pytest.mark.parametrize("m", range(1, 6))
     @pytest.mark.parametrize("n", range(1, 6))
     def test_count_formula(self, m, n):
         poly = PartialPermutohedron(m, n)
-        vertices = poly.vertices()
+        vertices = list(poly.vertices())
         expected = sum(comb(m, i) * factorial(i) for i in range(min(m, n) + 1))
         assert len(vertices) == expected
         assert poly.vertex_count() == expected
@@ -61,7 +89,7 @@ class TestVertices:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_vertices_are_exactly_the_described_points(self, m, n):
         poly = PartialPermutohedron(m, n)
-        vertices = poly.vertices()
+        vertices = set(poly.vertices())
         facets = poly.facets()
         for v in vertices:
             assert all(f.satisfied(v) for f in facets)
@@ -153,6 +181,21 @@ class TestContains:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             PartialPermutohedron(2, 2).contains((1, 1, 1))
+
+    @pytest.mark.parametrize("t", (1.5, 1.0, True, False, "1", None, -1))
+    def test_rejects_bad_dilation(self, t):
+        # as lift does, and a negative t
+        poly = PartialPermutohedron(2, 1)
+        with pytest.raises(ValueError, match="t must be an integer"):
+            poly.contains((1, 1), t)
+        if t != -1:
+            with pytest.raises(ValueError, match="t must be an integer"):
+                poly.lift((1, 1), t)
+
+    def test_zero_dilate_is_the_origin(self):
+        poly = PartialPermutohedron(2, 1)
+        assert poly.contains((0, 0), 0)
+        assert not poly.contains((1, 0), 0)
 
     @pytest.mark.parametrize("m", range(1, 5))
     @pytest.mark.parametrize("n", range(1, 5))
@@ -325,7 +368,7 @@ class TestMinkowski:
         rng = random.Random(5000 + m)
         for n in range(1, 7):
             poly = PartialPermutohedron(m, n)
-            vertices = poly.vertices()
+            vertices = list(poly.vertices())
             for _ in range(150):
                 direction = tuple(rng.randint(-4, 4) for _ in range(m))
                 assert poly.support_value(direction) == max(
