@@ -43,10 +43,12 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
                     egf-tree and fpoly, m^3 for fpoly --stable, m for
                     volume; egf-tree multiplies two such operands per
                     loop, stated as W*isqrt(W) words
-  count-points,     t*n * (K + 1)(S + 1) * K with S = t*full_sum_bound()
-  parking           and K = min(m, S) (values * states * run lengths of
-                    the dynamic programme over (entries placed, running
-                    sum) states of the sorted points; parking is t = 1)
+  count-points,     t*n * (K + 1)(S + 1) * K with S = t*z(m), the facet
+  parking           cap n + (n-1) + ... over min(m, n) terms on a point's
+                    total, and K = min(m, S) (values * states * run
+                    lengths of the dynamic programme over (entries
+                    placed, running sum) states of the sorted points;
+                    parking is t = 1)
   verify            that bound for its oracle's largest count, at
                     (min(max_m, 4), 4, max_t), the Hall DP's at max_m,
                     the component DP's at max_m + 1 and the graph

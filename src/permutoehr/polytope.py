@@ -8,6 +8,10 @@ the (entries placed, running sum) states of the sorted points, the lift
 into the hyperplane in R^(m+1), and its decomposition as a Minkowski sum
 of dilated coordinate simplices (valid for n >= m - 1).
 
+Its facets are x_i >= 0 and sum_{i in S} x_i <= z(|S|) for one cap sequence
+z, :meth:`PartialPermutohedron.cap`: the facet side reads z alone and the
+vertex side n, so that the two describe P(m, n) independently.
+
 Everything is integer arithmetic on explicit data; the formula engines
 live in :mod:`permutoehr.ehrhart` and are cross-checked against the
 counts produced here.
@@ -67,16 +71,17 @@ class PartialPermutohedron:
     def __repr__(self):
         return f"PartialPermutohedron({self.m}, {self.n})"
 
-    # -- bounds of the facet inequalities ---------------------------------
+    # -- the cap sequence z of the facet side -------------------------------
 
-    def largest_entries_bound(self, k: int) -> int:
-        """Max allowed sum of the k largest entries: n + (n-1) + ... + (n-k+1)."""
-        return k * self.n - k * (k - 1) // 2
+    def cap(self, k: int) -> int:
+        """z(k) for 0 <= k <= m: n + (n-1) + ... + (n-j+1), j = min(k, n)."""
+        j = min(k, self.n)
+        return j * self.n - j * (j - 1) // 2
 
-    def full_sum_bound(self) -> int:
-        """Max allowed total: sum of i for i = max(1, n-m+1) .. n."""
-        lo = max(1, self.n - self.m + 1)
-        return (lo + self.n) * (self.n - lo + 1) // 2
+    @cached_property
+    def caps(self) -> tuple[int, ...]:
+        """z(1), ..., z(min(m, n)), the last of which is z(m)."""
+        return tuple(map(self.cap, range(1, min(self.m, self.n) + 1)))
 
     # -- V- and H-descriptions --------------------------------------------
 
@@ -139,51 +144,42 @@ class PartialPermutohedron:
         return total
 
     def facets(self) -> list[FacetInequality]:
-        """One inequality per facet: x_i >= 0; the |S| <= min(m,n)-1 subset
-        sums; and the full-sum inequality.  Refused up front when the
-        coefficients built, :meth:`facet_count` times m, exceed the budget."""
+        """One inequality per facet: x_i >= 0; the sum over S at most z(|S|)
+        for |S| < min(m, n); the full sum at most z(m).  Refused up front
+        when the coefficients built, :meth:`facet_count` times m, exceed the budget."""
         m = self.m
-        # for 2 <= min(m, n) the count exceeds 2^min(m, n)
-        refuse_past_floor(lambda: self.facet_count() * m, "{} facet coefficients", min(m, self.n))
+        # for 2 <= min(m, z(1)) = min(m, n) the count exceeds 2^min(m, n)
+        rank = min(m, self.cap(1))
+        refuse_past_floor(lambda: self.facet_count() * m, "{} facet coefficients", rank)
         out = [
             FacetInequality(tuple(1 if j == i else 0 for j in range(m)), ">=", 0)
             for i in range(m)
         ]
-        for k in range(1, min(m, self.n)):
-            bound = self.largest_entries_bound(k)
+        for k, bound in enumerate(self.caps[:-1], 1):
             for subset in combinations(range(m), k):
                 coeffs = tuple(1 if j in subset else 0 for j in range(m))
                 out.append(FacetInequality(coeffs, "<=", bound))
-        out.append(FacetInequality((1,) * m, "<=", self.full_sum_bound()))
+        out.append(FacetInequality((1,) * m, "<=", self.caps[-1]))
         return out
 
     def facet_count(self) -> int:
         """m + sum_{i=0..min(m,n)-1} C(m, i), without enumerating."""
         m = self.m
         total, binom = m, 1
-        for i in range(min(m, self.n)):
+        for i in range(len(self.caps)):
             total += binom
             binom = binom * (m - i) // (i + 1)
         return total
 
     # -- membership and counting ------------------------------------------
 
-    @cached_property
-    def subset_bounds(self) -> tuple[int, ...]:
-        """Undilated right-hand sides of the subset facets: entry k - 1 is
-        largest_entries_bound(k), for k = 1 .. min(m, n) - 1."""
-        return tuple(self.largest_entries_bound(k) for k in range(1, min(self.m, self.n)))
-
     def contains(self, x, t: int = 1) -> bool:
         """Whether x lies in the dilate t*P(m, n).
 
         The subset inequalities with |S| = k all share one right-hand
-        side, so the binding subset is the one holding the k largest
-        entries; sorting once replaces the 2^m - 2 subset checks.
-
-        t must be an int, as :meth:`lift` asks, and >= 0.  The entries of
-        x are not checked: a test per entry costs a batch of point queries
-        about a tenth of its time.
+        side, t*z(k), so the binding subset is the one holding the k
+        largest entries; sorting once replaces the 2^m - 2 subset checks.
+        The entries of x and t must be ints, as :meth:`lift` asks, t >= 0.
         """
         x = tuple(x)
         if len(x) != self.m:
@@ -192,28 +188,32 @@ class PartialPermutohedron:
             require_int(t=t)
         if t < 0:
             raise ValueError(f"t must be an integer >= 0, got {t}")
+        for v in x:
+            if type(v) is not int:
+                require_int(**{f"x[{i}]": xi for i, xi in enumerate(x)})
         ordered = sorted(x, reverse=True)
         if ordered[-1] < 0:
             return False
+        caps = self.caps
         prefix = 0
-        for xi, bound in zip(ordered, self.subset_bounds):
+        for xi, bound in zip(ordered, caps):
             prefix += xi
             if prefix > t * bound:
                 return False
-        return sum(x) <= t * self.full_sum_bound()
+        return len(caps) == self.m or sum(x) <= t * caps[-1]
 
     def count_work(self, t: int) -> int:
         """Work bound of :meth:`count_lattice_points` at ``t``: values *
-        states * run lengths = t*n * (K + 1)(S + 1) * K, where
-        S = t*full_sum_bound() bounds the total of a point of t*P and
-        K = min(m, S) its nonzero entries (each is >= 1).  A refusal states
-        it as :data:`LATTICE_WORK` does."""
+        states * run lengths = t*z(1) * (K + 1)(S + 1) * K, where
+        S = t*z(m) bounds the total of a point of t*P and K = min(m, S)
+        its nonzero entries (each is >= 1).  A refusal states it as
+        :data:`LATTICE_WORK` does."""
         require_int(t=t)
         if t < 1:
             raise ValueError("dilation factor t must be >= 1")
-        full = t * self.full_sum_bound()
+        full = t * self.cap(self.m)
         most = min(self.m, full)
-        return t * self.n * (most + 1) * (full + 1) * most
+        return t * self.cap(1) * (most + 1) * (full + 1) * most
 
     def count_lattice_points(self, t: int) -> int:
         """Exact number of integer points in t*P(m, n), by a dynamic
@@ -221,12 +221,11 @@ class PartialPermutohedron:
 
         t*P(m, n) is invariant under permuting coordinates, so each point
         is counted through its weakly decreasing rearrangement: runs of
-        r_v copies of each value v = t*n, ..., 1, then zeros.  Every facet
-        test on that form (the sum of the k largest entries at most
-        t*largest_entries_bound(k) for k < min(m, n), the total at most
-        t*full_sum_bound()) reads only how many entries are placed and
-        their running sum: the test :meth:`contains` makes after sorting,
-        with no Ehrhart formula involved.  The programme goes over the
+        r_v copies of each value v = t*z(1), ..., 1, then zeros.  Every
+        facet test on that form (the sum of the k largest entries at most
+        t*z(k)) reads only how many entries are placed and their running
+        sum: the test :meth:`contains` makes after sorting, with no
+        Ehrhart formula involved.  The programme goes over the
         values in decreasing order and keeps, per state (idx, total) of
         nonzero entries placed and their sum, the weight idx!/prod(r_v!)
         summed over the runs reaching it.  A run of r copies of v is cut
@@ -238,20 +237,20 @@ class PartialPermutohedron:
         The count is refused up front when its work bound,
         :meth:`count_work`, exceeds the budget."""
         refuse_above_budget(self.count_work(t), LATTICE_WORK)
-        m, n = self.m, self.n
-        full = t * self.full_sum_bound()
+        m = self.m
+        full = t * self.cap(m)
         most = min(m, full)
-        # caps[i] bounds the sum of the i + 1 largest entries; past the
-        # subset facets only the full sum binds, entries being >= 0.  The
-        # list stops at K positions, so a long vector of few nonzero
-        # entries costs nothing in m.
-        caps = [t * bound for bound in self.subset_bounds[:most]]
+        # caps[i] = t*z(i + 1) bounds the sum of the i + 1 largest
+        # entries, flat at the full sum past min(m, n).  The list stops at
+        # K positions, so a long vector of few nonzero entries costs
+        # nothing in m.
+        caps = [t * bound for bound in self.caps[:most]]
         caps += [full] * (most - len(caps))
         # levels[idx] maps the running sum of idx placed entries to its
         # weight idx!/prod(r_v!)
         levels = [{} for _ in range(most + 1)]
         levels[0][0] = 1
-        for v in range(t * n, 0, -1):
+        for v in range(caps[0], 0, -1):
             # top level first, so that no state gains two runs of v
             for idx in range(most - 1, -1, -1):
                 level = levels[idx]
@@ -280,14 +279,14 @@ class PartialPermutohedron:
     # -- lift to R^(m+1) ----------------------------------------------------
 
     def lift(self, x, t: int = 1) -> tuple[int, ...]:
-        """Append t*full_sum_bound - sum(x), placing t*P on the hyperplane
-        where all m+1 coordinates sum to that constant.  The entries of x
-        and t must be ints."""
+        """Append t*z(m) - sum(x), placing t*P on the hyperplane where all
+        m+1 coordinates sum to that constant.  The entries of x and t must
+        be ints."""
         x = tuple(x)
         if len(x) != self.m:
             raise ValueError(f"point has length {len(x)}, expected {self.m}")
         require_int(t=t, **{f"x[{i}]": xi for i, xi in enumerate(x)})
-        return x + (t * self.full_sum_bound() - sum(x),)
+        return x + (t * self.cap(self.m) - sum(x),)
 
     # -- Minkowski decomposition -------------------------------------------
 

@@ -324,6 +324,22 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "105514992" == str(ehrhart_closed(7, 7)(2))
 
+    def test_long_vectors_answer_at_once(self, capsys, monkeypatch):
+        # a point of P(10^7, 1) has at most one nonzero entry, so the DP
+        # reads one cap; at n = 10^7 the refusal reads cap(1) and cap(m)
+        # and never builds the tuple of the 10^7 caps
+        monkeypatch.delenv("PERMUTOEHR_BUDGET", raising=False)
+        argv = ("count-points", "--m", "10000000", "--t", "1", "--n")
+        assert run(capsys, *argv, "1") == (0, "10000001\n", "")
+
+        def build(poly):
+            raise AssertionError("the cap tuple was built")
+
+        monkeypatch.setattr(PartialPermutohedron, "caps", property(build))
+        code, out, err = run(capsys, *argv, "10000000")
+        assert (code, out) == (3, "")
+        assert re.search(r"= more than 2\^\d+ exceeds budget 100000000\n$", err)
+
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMUTOEHR_BUDGET", "many")
         code, _, err = run(capsys, "count-points", "--m", "2", "--n", "1", "--t", "1")

@@ -2,8 +2,7 @@
 
 For each check, one side's private entry points are patched to raise, and
 the other side still computes the value it is compared with.  Where the
-two sides share code by design, the test names what they share instead:
-``volume-vs-leading-coefficient`` compares two forms of one formula.  The
+two sides share code by design, the test names what they share instead.  The
 engine checks but ``closed-vs-egf`` are covered in test_ehrhart.py
 (``TestRecurrence``, ``TestIndependentEnumerators``,
 ``TestIndependentTreeRoute``), and so are the two listings that
@@ -20,8 +19,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-import pytest
-
 from permutoehr import ehrhart, graphs, verify
 from permutoehr.polynomials import Poly
 from permutoehr.polytope import PartialPermutohedron
@@ -35,6 +32,13 @@ def _refuse(*args, **kwargs):
 def refuse(monkeypatch, owner, *names):
     for name in names:
         monkeypatch.setattr(owner, name, _refuse)
+
+
+def refuse_lattice(monkeypatch):
+    """The lattice DP's names refused, its cached cap tuple among them: a
+    function set over a cached property would be read, not called."""
+    refuse(monkeypatch, PartialPermutohedron, *LATTICE)
+    monkeypatch.setattr(PartialPermutohedron, "caps", property(_refuse))
 
 
 def uncached_census(monkeypatch):
@@ -51,8 +55,7 @@ ORACLE_CELLS = [
 # the closed form's own code, the lattice DP's, and the series arithmetic
 CLOSED = ("ehrhart_closed", "double_factorial")
 FORMULA = CLOSED + ("_refuse_formula_work", "_require_formula_domain")
-LATTICE = ("count_lattice_points", "count_work", "contains", "largest_entries_bound",
-           "full_sum_bound")
+LATTICE = ("count_lattice_points", "count_work", "contains", "cap")
 SERIES = ("exp", "log", "sqrt", "compose", "__mul__")
 
 
@@ -69,7 +72,7 @@ class TestClosedVersusBruteForce:
             (m, n, t): PartialPermutohedron(m, n).count_lattice_points(t)
             for m, n, t in ORACLE_CELLS
         }
-        refuse(monkeypatch, PartialPermutohedron, *LATTICE)
+        refuse_lattice(monkeypatch)
         for (m, n, t), value in expected.items():
             assert ehrhart.ehrhart_closed(m, n)(t) == value
 
@@ -222,27 +225,29 @@ class TestTreeCoefficientTransfer:
 
 
 class TestVolumeVersusLeadingCoefficient:
-    def test_both_sides_are_one_formula(self, monkeypatch):
-        # volume_closed and the top coefficient of ehrhart_closed are both
-        # -(1/2^m) sum_i C(m, i) (2i - 3)!! (2n + 1)^(m - i): the i-sum of
-        # the closed form at j = m.  The check compares two ways of taking
-        # that sum, not two routes, and refusing the (2i - 3)!! stops both.
-        def odd(k):  # (2k - 3)!!, with (-3)!! = -1 and (-1)!! = 1
-            out = -1 if k == 0 else 1
-            for j in range(2, k + 1):
-                out *= 2 * j - 3
-            return out
+    """``volume_closed`` against the top coefficient of
+    ``ehrhart_recurrence``, which reaches no closed-form code."""
 
-        for m in range(1, 6):
-            for n in (m - 1, m, m + 1):
-                if n < 1:
-                    continue
-                total = sum(comb(m, i) * odd(i) * (2 * n + 1) ** (m - i) for i in range(m + 1))
-                formula = Fraction(-total, 2**m)
-                assert ehrhart.volume_closed(m, n) == formula
-                assert ehrhart.ehrhart_closed(m, n).leading_coefficient == formula
-        refuse(monkeypatch, ehrhart, "double_factorial")
-        with pytest.raises(AssertionError):
-            ehrhart.volume_closed(3, 3)
-        with pytest.raises(AssertionError):
-            ehrhart.ehrhart_closed(3, 3)
+    CELLS = [(m, n) for m in range(1, 5) for n in (m - 1, m, m + 1) if n >= 1]
+
+    def test_recurrence_reaches_no_closed_form_code(self, monkeypatch):
+        expected = {(m, n): ehrhart.volume_closed(m, n) for m, n in self.CELLS}
+        refuse(monkeypatch, ehrhart, *CLOSED)
+        for (m, n), volume in expected.items():
+            assert ehrhart.ehrhart_recurrence(m, n).leading_coefficient == volume
+
+    def test_volume_reaches_no_recurrence_code(self, monkeypatch):
+        expected = {
+            (m, n): ehrhart.ehrhart_recurrence(m, n).leading_coefficient for m, n in self.CELLS
+        }
+        refuse(monkeypatch, ehrhart, "ehrhart_recurrence")
+        for (m, n), lead in expected.items():
+            assert ehrhart.volume_closed(m, n) == lead
+
+    def test_the_check_reaches_no_closed_form_polynomial(self, monkeypatch):
+        # volume_closed itself takes its (2i - 3)!! from double_factorial
+        refuse(monkeypatch, ehrhart, "ehrhart_closed")
+        result = verify.check_volume(4)
+        assert result.line() == (
+            f"PASS volume-vs-leading-coefficient: {len(self.CELLS)} cases match"
+        )

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -18,18 +19,25 @@ def box_points(top, m):
     return product(range(top + 1), repeat=m)
 
 
+def full_sum(m, n):
+    """The most a point of P(m, n) may sum to: max(1, n - m + 1) + ... + n."""
+    return sum(range(max(1, n - m + 1), n + 1))
+
+
 def subset_form_contains(poly, t, x):
     """Literal facet-form membership oracle: every proper subset S with
-    |S| <= min(m, n) - 1 is checked separately, plus the full sum."""
+    |S| <= min(m, n) - 1 is checked separately against n + (n - 1) + ...
+    over |S| terms, plus the full sum.  It reads n, not the package's cap
+    sequence, so that it stays a second side."""
     m, n = poly.m, poly.n
     if any(xi < 0 for xi in x):
         return False
     for k in range(1, min(m, n)):
-        bound = t * poly.largest_entries_bound(k)
+        bound = t * sum(range(n - k + 1, n + 1))
         for subset in combinations(range(m), k):
             if sum(x[i] for i in subset) > bound:
                 return False
-    return sum(x) <= t * poly.full_sum_bound()
+    return sum(x) <= t * full_sum(m, n)
 
 
 class TestVertices:
@@ -197,6 +205,12 @@ class TestContains:
         assert poly.contains((0, 0), 0)
         assert not poly.contains((1, 0), 0)
 
+    @pytest.mark.parametrize("x", ((0.5, 0), (True, 0), (Fraction(1, 2), 0)))
+    def test_rejects_non_integer_entries(self, x):
+        # as lift does: each of these lies in P(2, 1) as a real point
+        with pytest.raises(ValueError, match=r"x\[0\] must be an integer"):
+            PartialPermutohedron(2, 1).contains(x)
+
     @pytest.mark.parametrize("m", range(1, 5))
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("t", (1, 2))
@@ -295,7 +309,7 @@ class TestLift:
     def test_lifted_points_cover_the_hyperplane_slice(self, m, t):
         for n in range(max(1, m - 1), m + 2):
             poly = PartialPermutohedron(m, n)
-            constant = t * poly.full_sum_bound()
+            constant = t * full_sum(m, n)
             lifted = set()
             for x in box_points(t * n, m):
                 if poly.contains(x, t):
@@ -317,6 +331,43 @@ class TestLift:
     def test_rejects_non_integer_entries_and_t(self, x, t):
         with pytest.raises(ValueError, match="must be an integer"):
             PartialPermutohedron(2, 2).lift(x, t)
+
+
+class TestTwoSides:
+    """The facet side reads the cap sequence z, the vertex side reads n:
+    with every facet-side name refused, the vertex side still computes."""
+
+    FACET_SIDE = ("cap", "facets", "facet_count", "contains", "count_work",
+                  "count_lattice_points", "lift")
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vertex side reached the facet side")
+
+    def test_vertex_side_reads_no_cap(self, monkeypatch):
+        rng = random.Random(6000)
+        cells = {}
+        for m, n in product(range(1, 6), range(1, 7)):
+            poly = PartialPermutohedron(m, n)
+            directions = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(20)]
+            cells[m, n] = directions, (
+                list(poly.vertices()),
+                poly.vertex_count(),
+                [poly.support_value(d) for d in directions],
+            )
+        for name in self.FACET_SIDE:
+            monkeypatch.setattr(PartialPermutohedron, name, self.refuse)
+        # a cached property is read, not called
+        monkeypatch.setattr(PartialPermutohedron, "caps", property(self.refuse))
+        with pytest.raises(AssertionError):
+            PartialPermutohedron(2, 2).caps
+        for (m, n), (directions, expected) in cells.items():
+            poly = PartialPermutohedron(m, n)
+            assert (
+                list(poly.vertices()),
+                poly.vertex_count(),
+                [poly.support_value(d) for d in directions],
+            ) == expected
 
 
 class TestMinkowski:
