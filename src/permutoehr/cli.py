@@ -52,7 +52,7 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
   verify            that bound for its oracle's largest count, at
                     (min(max_m, 4), 4, max_t), the Hall DP's at max_m,
                     the component DP's at max_m + 1 and the graph
-                    listing's length at max_m, all before any check runs
+                    listing's entries at max_m, all before any check runs
   ehrhart --method  m(m+1)/2 * 4^m (slot steps * states of the Hall DP
   postnikov         over the sequences)
   ehrhart --method  m * 3^m (vertex steps * states of the component DP
@@ -63,10 +63,9 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
                     entries, facet coefficients); both counts exceed
                     2^min(m, n), so past min(m, n) = 64 they are stated
                     as "more than 2^min(m, n)" without counting
-  graphs            the length of the listing (graphs), read off the
-                    census
-The graphs listing also refuses m > 7, whatever the budget.  Parameters
-outside a command's domain exit 2 before any budget test.
+  graphs            the entries the listing builds, m(m+1)/2 per graph
+                    (graph entries), its length read off the census
+Parameters outside a command's domain exit 2 before any budget test.
 """
 
 from __future__ import annotations
@@ -283,8 +282,7 @@ def cmd_graphs(args) -> int:
         )
         return 0
     # The first member is taken before anything is written, so that m is
-    # checked against the listing bound, and the listing refused on its
-    # length, first.
+    # checked, and the listing refused on its entries, first.
     members = enumerate_graphs(args.m)
     graphs = chain([next(members)], members)
     count = graph_count(args.m)

@@ -423,10 +423,9 @@ def compute_ehrhart(m: int, n: int, method: str = "closed") -> Poly:
     """The Ehrhart polynomial of P(m, n) by one named engine, all engines
     agreeing for every valid (m, n).  The engine refuses itself past the
     work budget."""
-    try:
-        engine = _ENGINES[method]
-    except KeyError:
+    engine = _ENGINES.get(method) if isinstance(method, str) else None
+    if engine is None:
         raise ValueError(
             f"unknown method {method!r}; choose from {', '.join(METHOD_NAMES)}"
-        ) from None
+        )
     return engine(m, n)

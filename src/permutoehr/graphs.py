@@ -47,12 +47,13 @@ and every m >= k reads them, so no m starts again from vertex 0.  Each DP
 is refused up front when its work estimate (``component_work``,
 ``hall_work``) exceeds the budget.
 Each listing walks every loop set and builds every member, in
-lexicographic order, and stops at the vertex bound ``DEFAULT_GRAPH_BOUND``,
-as its work is its output.  The graph listing is also refused up front when
-its length, ``graph_count``, exceeds the budget; the sequence listing is
-capped only, so that the Hall walk reads no component DP.  The two DPs and
-the two walks share no code, so the censuses and the listings, like the two
-presentations, can fail independently.
+lexicographic order, so its work is its output: it is refused up front
+when the entries it would build (``listing_work``) exceed the budget.  The
+graph listing reads its length off the component DP (``graph_count``) and
+the sequence listing off the Hall DP (``sequence_census``), so neither walk
+reads the other side's DP.  The two DPs and the two walks share no code, so
+the censuses and the listings, like the two presentations, can fail
+independently.
 
 The listings, the bijection and the extended box of ``verify`` build
 their members from parts they know valid through ``_member``, which skips
@@ -68,13 +69,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from ._record import Record
-from .errors import (
-    DEFAULT_GRAPH_BOUND,
-    BudgetError,
-    refuse_above_budget,
-    refuse_past_floor,
-    require_int,
-)
+from .errors import refuse_above_budget, refuse_past_floor, require_int
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +233,6 @@ def _require_vertex_count(m: int):
         raise ValueError("need m >= 1")
 
 
-def _check_enum_bound(m: int):
-    """The listings' vertex bound, whatever the budget: their work is
-    their output."""
-    _require_vertex_count(m)
-    if m > DEFAULT_GRAPH_BOUND:
-        raise BudgetError(f"enumeration for m={m} exceeds the bound {DEFAULT_GRAPH_BOUND}")
-
-
 def enumerate_graphs(m: int) -> Iterator[Multigraph]:
     """Yield every labelled multigraph on m vertices in which each
     component has at most one cycle, exactly once, in lexicographic order
@@ -260,9 +247,9 @@ def enumerate_graphs(m: int) -> Iterator[Multigraph]:
     compression); a pair's first copy makes its union and saves what that
     overwrote, and giving the copies back restores it, later pairs first.
 
-    Past the vertex bound, or when :func:`graph_count` exceeds the budget,
+    When :func:`listing_work` of :func:`graph_count` exceeds the budget,
     the first ``next`` raises before anything is yielded."""
-    refuse_above_budget(graph_count(m), "{} graphs")
+    refuse_above_budget(listing_work(m, graph_count(m)), LISTING_WORK)
     pairs = vertex_pairs(m)
     last = len(pairs) - 1
     parent = list(range(m))
@@ -358,16 +345,30 @@ def enumerate_sequences(m: int) -> Iterator[EdgeMultiplicities]:
     """Yield every Hall-feasible multiplicity sequence exactly once, in
     lexicographic order of (loop, pair), from one Hall walk per loop set.
     A loop multiplicity is 0 or 1, as two copies of {v} have no distinct
-    representatives."""
-    _check_enum_bound(m)
+    representatives.
+
+    The Hall DP counts the sequences, :func:`sequence_census`, and when
+    :func:`listing_work` of that count exceeds the budget, the first
+    ``next`` raises before anything is yielded."""
+    count = sum(sequence_census(m).values())
+    refuse_above_budget(listing_work(m, count), LISTING_WORK)
     for loop in product((0, 1), repeat=m):
         for mult in _hall_walk(m, loop):
             yield _member(EdgeMultiplicities, m=m, loop=loop, pair=tuple(mult))
 
 
-# the census DPs' work estimates as a refusal states them
+# the census DPs' work estimates and the listings' entries as a refusal
+# states them
 COMPONENT_WORK = "component DP work estimate vertices*states m*3^m = {}"
 HALL_WORK = "Hall DP work estimate slots*states m(m+1)/2*4^m = {}"
+LISTING_WORK = "{} graph entries"
+
+
+def listing_work(m: int, count: int) -> int:
+    """The entries a listing of ``count`` members on m vertices builds:
+    m loop and m(m-1)/2 pair multiplicities per member.  A refusal states
+    it as :data:`LISTING_WORK` does."""
+    return count * (m * (m + 1) // 2)
 
 
 def component_work(m: int) -> int:
@@ -470,11 +471,9 @@ def _graph_census(m: int) -> tuple[tuple[GraphStats, int], ...]:
 
 
 def graph_count(m: int) -> int:
-    """The number of graphs :func:`enumerate_graphs` lists for m, read off
-    the component DP without the census's own refusal (m*3^m = 18 at m = 2,
-    above the 8 graphs listed); m is held to the listings' vertex bound."""
-    _check_enum_bound(m)
-    return sum(count for _, count in _graph_census(m))
+    """The number of graphs :func:`enumerate_graphs` lists for m, the
+    total of :func:`graph_census`, refused as the census is."""
+    return sum(graph_census(m).values())
 
 
 def graph_census(m: int) -> dict[GraphStats, int]:

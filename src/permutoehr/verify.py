@@ -17,7 +17,7 @@ from math import factorial
 
 from . import ehrhart, graphs
 from ._record import Record
-from .errors import DEFAULT_GRAPH_BOUND, refuse_above_budget
+from .errors import refuse_above_budget, require_int
 from .polynomials import Poly
 from .polytope import LATTICE_WORK, PartialPermutohedron
 
@@ -197,25 +197,19 @@ def check_transfer_identity(seed: int = 0) -> CheckResult:
 def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
     """Every check; its brute-force counts, census DPs and listings are
     bounded by the work budget."""
+    require_int(max_m=max_m, max_t=max_t, seed=seed)
     if max_m < 1:
         raise ValueError("need max_m >= 1")
     if max_t < 1:
         raise ValueError("need max_t >= 1")
-    cap = DEFAULT_GRAPH_BOUND - 1
-    if max_m > cap:
-        listed = graphs.graph_count(cap + 1)
-        raise ValueError(
-            f"max_m is capped at {cap} to keep the run short; at m={cap + 1} "
-            f"the bijection check would list {listed:,} graphs and as many "
-            "sequences"
-        )
     # the oracle's largest count, the census DPs at the largest m a check
     # runs them at and the longest listing, each refused before any check runs
     work = PartialPermutohedron(min(max_m, 4), 4).count_work(max_t)
     refuse_above_budget(work, LATTICE_WORK)
     refuse_above_budget(graphs.hall_work(max_m), graphs.HALL_WORK)
     refuse_above_budget(graphs.component_work(max_m + 1), graphs.COMPONENT_WORK)
-    refuse_above_budget(graphs.graph_count(max_m), "{} graphs")
+    listed = graphs.listing_work(max_m, graphs.graph_count(max_m))
+    refuse_above_budget(listed, graphs.LISTING_WORK)
     results = []
     results.extend(check_engine_agreement(max_m))
     results.append(check_oracle_agreement(max_m, max_t))

@@ -162,8 +162,12 @@ class TestEhrhartCommand:
         assert "evaluation point t must be >= 1" in err
 
 
-# what the polytope listings are budgeted on: m entries per item
-ENTRIES = {"vertices": "vertex entries", "facets": "facet coefficients"}
+# what the listings are budgeted on: the entries they build
+ENTRIES = {
+    "vertices": "vertex entries",
+    "facets": "facet coefficients",
+    "graphs": "graph entries",
+}
 
 
 def patch_first_step(monkeypatch, command, replacement):
@@ -294,8 +298,9 @@ class TestOtherCommands:
             argv = (command, "--m", "2")
             count = sum(graph_census(2).values())
             expected = materialised_graph_listing(2, "plain")[0].splitlines()
-        # the polytope listings are budgeted on their m = 3 entries per item
-        work = 3 * count if command in ENTRIES else count
+        # the polytope listings are budgeted on their m = 3 entries per
+        # item, the graphs on their 2 loops and 1 pair at m = 2
+        work = 3 * count
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work))
         code, out, err = run(capsys, *argv)
         assert code == 0
@@ -304,7 +309,7 @@ class TestOtherCommands:
         monkeypatch.setenv("PERMUTOEHR_BUDGET", str(work - 1))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert f"{work} {ENTRIES.get(command, command)} exceeds budget {work - 1}" in err
+        assert f"{work} {ENTRIES[command]} exceeds budget {work - 1}" in err
 
     def test_count_points(self, capsys):
         code, out, _ = run(capsys, "count-points", "--m", "2", "--n", "1", "--t", "1")
@@ -350,7 +355,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv, precondition", (
         (("parking", "--m", "1"), "needs m >= 2"),
         (("graphs", "--m", "0", "--stats"), "need m >= 1"),
-        (("verify", "--max-m", "7"), "max_m is capped at 6"),
+        (("verify", "--max-m", "0"), "need max_m >= 1"),
     ))
     def test_domain_error_before_the_budget(self, capsys, monkeypatch, budget, argv, precondition):
         # the budget is read where a work estimate is compared with it, so
@@ -435,7 +440,10 @@ class TestOtherCommands:
     @pytest.mark.parametrize("fmt", ("plain", "csv", "json"))
     @pytest.mark.parametrize(
         "m, expected",
-        (("8", (3, "enumeration for m=8 exceeds the bound 7")), ("0", (2, "need m >= 1"))),
+        (
+            ("8", (3, "890070732 graph entries exceeds budget 100000000")),
+            ("0", (2, "need m >= 1")),
+        ),
     )
     def test_refused_graphs_listing_writes_nothing(self, capsys, m, fmt, expected):
         code, out, err = run(capsys, "graphs", "--m", m, "--format", fmt)
@@ -938,31 +946,38 @@ class TestVerifyCommand:
         )
 
     def test_budget_env_bounds_the_census_dps(self, capsys, monkeypatch):
-        # at max_m = 4 the Hall DP's estimate, 10 * 4^4 = 2560, is the
-        # largest: the oracle's bound, the component DP's estimate at m = 5
-        # (1215) and the listing at m = 4 are smaller
+        # at max_m = 4 the listing's 455 graphs of 10 entries, 4550, are the
+        # largest estimate, then the Hall DP's, 10 * 4^4 = 2560; the
+        # oracle's bound and the component DP's estimate at m = 5 (1215)
+        # are smaller
         def must_not_run(*args):
             raise AssertionError("a check ran")
 
         argv = ("verify", "--max-m", "4", "--max-t", "1")
         _, default_out, _ = run(capsys, *argv)
-        monkeypatch.setenv("PERMUTOEHR_BUDGET", "2559")
-        with monkeypatch.context() as patched:
-            patched.setattr(verify_module, "check_engine_agreement", must_not_run)
-            code, out, err = run(capsys, *argv)
-        assert (code, out) == (3, "")
-        assert err == (
-            "error: Hall DP work estimate slots*states m(m+1)/2*4^m = 2560 exceeds budget 2559\n"
-        )
-        monkeypatch.setenv("PERMUTOEHR_BUDGET", "2560")
+        for budget, refusal in (
+            (2559, "Hall DP work estimate slots*states m(m+1)/2*4^m = 2560"),
+            (4549, "4550 graph entries"),
+        ):
+            monkeypatch.setenv("PERMUTOEHR_BUDGET", str(budget))
+            with monkeypatch.context() as patched:
+                patched.setattr(verify_module, "check_engine_agreement", must_not_run)
+                code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: {refusal} exceeds budget {budget}\n"
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "4550")
         assert run(capsys, *argv)[:2] == (0, default_out)
 
-    def test_max_m_cap_states_the_listing_size(self, capsys):
-        code, out, err = run(capsys, "verify", "--max-m", "7")
-        assert code == 2
-        assert out == ""
-        assert "max_m is capped at 6 to keep the run short" in err
-        assert "1,261,748 graphs and as many sequences" in err
+    def test_listing_past_the_budget_refused_before_any_check(self, capsys, monkeypatch):
+        # at max_m = 8 the bijection check would list 24,724,187 graphs of
+        # 36 entries each
+        def must_not_run(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify_module, "check_engine_agreement", must_not_run)
+        code, out, err = run(capsys, "verify", "--max-m", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: 890070732 graph entries exceeds budget 100000000\n"
 
 
 class TestParserBehaviour:

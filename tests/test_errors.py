@@ -2,9 +2,9 @@
 multigraph or sequence through one builder.
 
 A route states its work estimate and ``errors.refuse_above_budget``
-reads the budget, compares the estimate with it and words the refusal; the
-graph counts keep their vertex bound in ``graphs._check_enum_bound``.  No
-other code of the package builds a ``BudgetError`` or reads the budget, and
+reads the budget, compares the estimate with it and words the refusal: the
+listings too, on the entries they build, with no vertex bound of their own.
+No other code of the package builds a ``BudgetError`` or reads the budget, and
 no function takes one as an argument, so no refusal can drift in its
 wording or in how it states a count past 2^64.  Each route refuses itself
 and the command line refuses nothing, so a library call keeps to
@@ -51,10 +51,7 @@ def callers(*names: str) -> set[tuple[str, str | None]]:
 
 
 def test_budget_error_built_only_by_the_one_refusal():
-    assert callers("BudgetError") == {
-        ("errors.py", "refuse_above_budget"),
-        ("graphs.py", "_check_enum_bound"),
-    }
+    assert callers("BudgetError") == {("errors.py", "refuse_above_budget")}
 
 
 def test_members_built_only_by_the_private_builder():
@@ -110,7 +107,9 @@ ROUTES = {
     "f_polynomial_stable": (lambda: ehrhart.f_polynomial_stable(3), 27),
     "vertices": (lambda: list(PartialPermutohedron(3, 3).vertices()), 48),
     "facets": (lambda: PartialPermutohedron(3, 3).facets(), 30),
-    "enumerate_graphs": (lambda: list(graphs.enumerate_graphs(2)), 8),
+    "enumerate_graphs": (lambda: list(graphs.enumerate_graphs(2)), 24),
+    # the Hall DP's estimate, 48, binds before the listing's 24 entries
+    "enumerate_sequences": (lambda: list(graphs.enumerate_sequences(2)), 48),
     "graph_census": (lambda: graphs.graph_census(2), 18),
     "structure_counts": (lambda: graphs.structure_counts(2), 18),
     "sequence_census": (lambda: graphs.sequence_census(3), 384),
@@ -122,12 +121,12 @@ ROUTES = {
     "check_oracle_agreement": (lambda: verify.check_oracle_agreement(2, 1), 192),
     "run_all": (lambda: verify.run_all(1, 1), 40),
 }
-# the listings state their size as "<count> <units>": the polytope listings
-# their entries (16 vertices and 10 facets of 3 each), the graphs their length
+# the listings state the entries they build as "<count> <units>": 16
+# vertices and 10 facets of 3 each, 8 graphs of 2 loops and 1 pair each
 LISTED = {
     "vertices": "vertex entries",
     "facets": "facet coefficients",
-    "enumerate_graphs": "graphs",
+    "enumerate_graphs": "graph entries",
 }
 
 

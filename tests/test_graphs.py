@@ -171,6 +171,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_graphs(0))
 
+    @pytest.mark.parametrize(
+        "listing, member",
+        ((enumerate_graphs, Multigraph), (enumerate_sequences, EdgeMultiplicities)),
+    )
+    def test_refused_on_its_entries_alone(self, monkeypatch, listing, member):
+        # 24,724,187 members of 8 loops and 28 pairs at m = 8, each listing
+        # counted by its own DP; no vertex bound refuses it
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "890070732")
+        assert next(listing(8)) == member(8, (0,) * 8, (0,) * 28)
+        monkeypatch.setenv("PERMUTOEHR_BUDGET", "890070731")
+        refusal = "^890070732 graph entries exceeds budget 890070731$"
+        with pytest.raises(BudgetError, match=refusal):
+            next(listing(8))
+
 
 class TestCensusAndStats:
     def test_census_totals(self):
@@ -219,7 +233,8 @@ class TestSequenceCensus:
 
     def test_bound(self, monkeypatch):
         # below the Hall DP's work estimate the census is refused before any
-        # DP step; at the default budget it runs past the listings' bound
+        # DP step; at the default budget it runs at m = 8, where the
+        # listings are refused on their entries
         work = hall_work(8)
         with monkeypatch.context() as patched:
             for name in ("_hall_tally", "_component_states"):

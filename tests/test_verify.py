@@ -38,9 +38,21 @@ class TestRunAll:
         with pytest.raises(ValueError):
             verify.run_all(max_m=0)
 
+    @pytest.mark.parametrize("name, value", (
+        ("max_m", True), ("max_m", 2.0), ("max_t", False), ("seed", 1.5), ("seed", "a"),
+    ))
+    def test_rejects_a_non_int_argument_before_any_check(self, monkeypatch, name, value):
+        def must_not_run(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "check_engine_agreement", must_not_run)
+        arguments = {"max_m": 1, "max_t": 1, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            verify.run_all(**arguments)
+
     def test_structure_counts_checked_past_the_listing_bound(self, monkeypatch):
-        # the component DP has its own budget; the listing bound m <= 7
-        # does not clip the check
+        # the component DP has its own budget; the listings' entries do
+        # not clip the check
         seen, structure_counts = [], graphs.structure_counts
 
         def counted(m):
