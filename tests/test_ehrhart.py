@@ -468,8 +468,12 @@ class TestDispatch:
         assert isinstance(result, Poly)
         assert result == ehrhart_closed(2, 2)
 
-    @pytest.mark.parametrize("method", ("montecarlo", None, ["closed"], b"closed"))
-    def test_unknown_method(self, method):
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'montecarlo'; "):
+            compute_ehrhart(2, 2, "montecarlo")
+
+    @pytest.mark.parametrize("method", (None, ["closed"], b"closed"))
+    def test_unknown_non_str_method(self, method):
         # a non-str method is named as unknown too, not looked up
         with pytest.raises(ValueError, match=f"^unknown method {re.escape(repr(method))}; "):
             compute_ehrhart(2, 2, method)
