@@ -5,11 +5,13 @@ The partial permutohedron P(m, n) is the convex hull of the vectors in
 {0, ..., n}^m whose nonzero entries are distinct.  This package computes
 its Ehrhart polynomial for n >= m - 1 by six exact methods (``closed``,
 ``postnikov``, ``graphsum``, ``egf``, ``egf-tree`` and ``recurrence``),
-independent but for ``_exp_over_t``, the one helper ``egf`` and
-``egf-tree`` share by design.  It provides the polytope's vertices,
-facets, lift and Minkowski decomposition, counts lattice points from the
-facets alone, and enumerates the labelled multigraphs underlying the
-combinatorial methods.  All arithmetic is exact rational.
+independent but for two helpers shared by design: ``_exp_over_t``, shared
+by ``egf`` and ``egf-tree``, and ``_census_sum``, the one sum that
+``postnikov`` and ``graphsum`` take, each over its own census.  It
+provides the polytope's vertices, facets, lift and Minkowski
+decomposition, counts lattice points from the facets alone, and
+enumerates the labelled multigraphs underlying the combinatorial
+methods.  All arithmetic is exact rational.
 """
 
 from .ehrhart import (

@@ -52,7 +52,9 @@ estimate ("more than 2^k" past 2^64).  Route: estimate (unit)
   verify            that bound for its oracle's largest count, at
                     (min(max_m, 4), 4, max_t), the Hall DP's at max_m,
                     the component DP's at max_m + 1 and the graph
-                    listing's entries at max_m, all before any check runs
+                    listing's entries at max_m, all before any check runs;
+                    past max_m = 64 the census estimates are stated as
+                    the routes state them, "more than 2^max_m"
   ehrhart --method  m(m+1)/2 * 4^m (slot steps * states of the Hall DP
   postnikov         over the sequences)
   ehrhart --method  m * 3^m (vertex steps * states of the component DP

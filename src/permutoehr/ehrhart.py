@@ -1,5 +1,6 @@
 """Six computations of the Ehrhart polynomial of P(m, n), independent but
-for ``_exp_over_t``, the one helper ``egf`` and ``egf-tree`` share by design.
+for two helpers shared by design: ``_exp_over_t``, shared by ``egf`` and
+``egf-tree``, and ``_census_sum``, shared by ``postnikov`` and ``graphsum``.
 
 The Ehrhart polynomial ehr(t) of the partial permutohedron P(m, n) is the
 polynomial whose value at a positive integer t is the number of integer
@@ -14,7 +15,7 @@ different exact expressions, all implemented here in exact arithmetic:
                         binomials (lattice points of a Minkowski sum of
                         dilated coordinate simplices), over the census
                         the Hall DP of :mod:`.graphs` counts;
-``ehrhart_graphsum``    an edge-weighted sum over labelled multigraphs
+``ehrhart_graphsum``    the same weight summed over labelled multigraphs
                         whose components each have at most one cycle,
                         over the census the component DP of
                         :mod:`.graphs` counts;
@@ -39,12 +40,11 @@ ordered-set-partition rows summed by Horner's rule in t + 1.
 generating-function engines below each pass their loop count to
 ``_refuse_formula_work`` before their first loop, which refuses the route
 when that count times a bound on its operand size exceeds the work budget.
-The two combinatorial engines also sum 2^m ehr(t) as one int coefficient
-list and divide once, each over its own census: ``ehrhart_graphsum`` adds
-count * k^a 2^(m-c) C(c, i) to one coefficient per census entry
-(a loops, c doubled pairs, k = n - m + 1) and i = 0..c, and
-``ehrhart_postnikov`` convolves the int numerators of its rising-binomial
-factors per entry and scales the product onto the denominator 2^m.
+The two combinatorial engines are one sum over two censuses:
+``_census_sum`` adds count * k^a 2^(m-c) C(c, i) to one int coefficient
+of 2^m ehr(t) per census entry (a loops, c doubled pairs,
+k = n - m + 1) and i = 0..c, and divides once; ``ehrhart_postnikov``
+hands it the Hall DP's census, ``ehrhart_graphsum`` the component DP's.
 The generating-function engines write ehr(t) as
 m! t^m [z^m] F exp(w(u)/t) with w(u) = u - u^2/4, u = z or T(z).
 Expanding exp(w/t) = sum_k u^k (1 - u/4)^k / (k! t^k) leaves only the
@@ -78,7 +78,7 @@ from math import comb, factorial, isqrt
 from operator import mul
 
 from .errors import refuse_above_budget, require_int
-from .graphs import graph_census, sequence_census
+from .graphs import GraphStats, graph_census, sequence_census
 from .polynomials import (
     Poly,
     _poly,
@@ -153,49 +153,15 @@ def ehrhart_closed(m: int, n: int) -> Poly:
     return _poly(acc, 2**m)
 
 
-def ehrhart_postnikov(m: int, n: int) -> Poly:
-    """Sum over Hall-feasible multiplicity sequences a of
-    prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
-    prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
-
-    Hall's condition on the copies of one slot allows at most 1 copy of a
-    loop and 2 of a pair, so the product depends only on the
-    :class:`.graphs.GraphStats` signature of a: kt per loop
-    (k = n - m + 1), C(t, 1) = t per single pair and
-    C(t + 1, 2) = (t + t^2)/2 per doubled pair.  The sum runs over
-    :func:`.graphs.sequence_census`, the Hall DP's tally by that
-    signature, refused up front past the work budget; no multigraph or
-    union-find code is reached.  Each term is an int convolution of the
-    factors' numerators over the product of their denominators, 2 per
-    doubled pair; at most m/2 pairs are doubled, so every term is scaled
-    onto the common denominator 2^m and the sum is divided once."""
-    _require_formula_domain(m, n)
-    census = sequence_census(m)
-    loop_factor, single_factor, doubled_factor = [0, n - m + 1], [0, 1], [0, 1, 1]
-    top = 2**m
-    nums = [0] * (m + 1)
-    for (loops, single, doubled), count in census.items():
-        term = [count]
-        for f in [loop_factor] * loops + [single_factor] * single + [doubled_factor] * doubled:
-            term = convolve(term, f)
-        scale = top >> doubled
-        for k, c in enumerate(term):
-            nums[k] += c * scale
-    return _poly(nums, top)
-
-
-def ehrhart_graphsum(m: int, n: int) -> Poly:
-    """Sum over multigraphs G (components with at most one cycle) of
-    ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs.
-
-    Since t(t+1)/2 = t (t+1)/2, a census entry of a loops, b single edges
-    and c doubled pairs, counted N times, adds N k^a 2^(m-c) C(c, i) to the
-    coefficient of t^(a+b+c+i) in 2^m ehr(t), i = 0..c, with k = n - m + 1
-    (c <= m, and a + b + 2c <= m edges).  The sum is taken in integers and
-    divided by 2^m once, over :func:`.graphs.graph_census`, refused up front
-    past the work budget."""
-    _require_formula_domain(m, n)
-    census = graph_census(m)
+def _census_sum(census: dict[GraphStats, int], m: int, n: int) -> Poly:
+    """ehr(t) of P(m, n) summed over a census of signatures (a loops,
+    b single pairs, c doubled pairs) on m vertices, each weighing
+    (kt)^a t^b (t(t+1)/2)^c, k = n - m + 1: C(kt, 1) per loop, C(t, 1) per
+    single pair and C(t + 1, 2) per doubled pair.
+    Since t(t+1)/2 = t (t+1)/2, an entry counted N times adds
+    N k^a 2^(m-c) C(c, i) to the coefficient of t^(a+b+c+i) in 2^m ehr(t),
+    i = 0..c (c <= m, and a + b + 2c <= m edges).  The sum is taken in
+    integers and divided by 2^m once."""
     k = n - m + 1
     nums = [0] * (m + 1)
     for (loops, single, doubled), count in census.items():
@@ -204,6 +170,33 @@ def ehrhart_graphsum(m: int, n: int) -> Poly:
         for i in range(doubled + 1):
             nums[low + i] += scale * comb(doubled, i)
     return _poly(nums, 2**m)
+
+
+def ehrhart_postnikov(m: int, n: int) -> Poly:
+    """Sum over Hall-feasible multiplicity sequences a of
+    prod_i binom((n-m+1)t + a_{i} - 1, a_{i}) *
+    prod_{i<j} binom(t + a_{ij} - 1, a_{ij}).
+
+    Hall's condition on the copies of one slot allows at most 1 copy of a
+    loop and 2 of a pair, so the product depends only on the
+    :class:`.graphs.GraphStats` signature of a, and is the weight
+    :func:`_census_sum` gives it.  The sum runs over
+    :func:`.graphs.sequence_census`, the Hall DP's tally by that
+    signature, refused up front past the work budget; no multigraph or
+    union-find code is reached."""
+    _require_formula_domain(m, n)
+    return _census_sum(sequence_census(m), m, n)
+
+
+def ehrhart_graphsum(m: int, n: int) -> Poly:
+    """Sum over multigraphs G (components with at most one cycle) of
+    ((n-m+1)t)^n_loops * t^n_single * (t(t+1)/2)^n_pairs.
+
+    The weight is :func:`_census_sum`'s, over :func:`.graphs.graph_census`,
+    the component DP's tally by signature, refused up front past the work
+    budget; no Hall or matching code is reached."""
+    _require_formula_domain(m, n)
+    return _census_sum(graph_census(m), m, n)
 
 
 def tree_function(order: int) -> TruncatedSeries:

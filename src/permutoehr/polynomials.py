@@ -214,7 +214,6 @@ class Poly:
     __setattr__ = _immutable
     __reduce__ = _reduce
     coeffs = property(_coeffs)
-    is_zero = property(lambda self: not self.nums)
     coefficient = _coefficient
 
     def __new__(cls, coeffs=()):

@@ -17,7 +17,7 @@ from math import factorial
 
 from . import ehrhart, graphs
 from ._record import Record
-from .errors import refuse_above_budget, require_int
+from .errors import refuse_above_budget, refuse_past_floor, require_int
 from .polynomials import Poly
 from .polytope import LATTICE_WORK, PartialPermutohedron
 
@@ -203,11 +203,12 @@ def run_all(max_m: int = 4, max_t: int = 2, seed: int = 0) -> list[CheckResult]:
     if max_t < 1:
         raise ValueError("need max_t >= 1")
     # the oracle's largest count, the census DPs at the largest m a check
-    # runs them at and the longest listing, each refused before any check runs
+    # runs them at (past m = 64 on the floor 2^m, as the routes are) and
+    # the longest listing, each refused before any check runs
     work = PartialPermutohedron(min(max_m, 4), 4).count_work(max_t)
     refuse_above_budget(work, LATTICE_WORK)
-    refuse_above_budget(graphs.hall_work(max_m), graphs.HALL_WORK)
-    refuse_above_budget(graphs.component_work(max_m + 1), graphs.COMPONENT_WORK)
+    refuse_past_floor(lambda: graphs.hall_work(max_m), graphs.HALL_WORK, max_m)
+    refuse_past_floor(lambda: graphs.component_work(max_m + 1), graphs.COMPONENT_WORK, max_m + 1)
     listed = graphs.listing_work(max_m, graphs.graph_count(max_m))
     refuse_above_budget(listed, graphs.LISTING_WORK)
     results = []

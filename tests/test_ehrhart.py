@@ -492,7 +492,10 @@ def _refuse(*args, **kwargs):
 class TestIndependentEnumerators:
     """postnikov and graphsum, and the two listings, run on counts and walks
     that share no code, so their agreement with each other witnesses the
-    Hall <=> at-most-one-cycle bijection.  The cached tallies are swapped
+    Hall <=> at-most-one-cycle bijection.  The one code the two engines
+    share by design is ``_census_sum``, the weighted sum over a census: a
+    fault there reaches both of their ``verify`` lines, so each is compared
+    with ``closed``, never with the other.  The cached tallies are swapped
     for their uncached bodies so that each engine test counts afresh."""
 
     # the cached census as well as the DP, so that no warm cache hides a read
@@ -518,6 +521,34 @@ class TestIndependentEnumerators:
         monkeypatch.setattr(graphs, "_graph_census", graphs._graph_census.__wrapped__)
         monkeypatch.setattr(graphs, "_component_states", graphs._component_states.__wrapped__)
         assert ehrhart_graphsum(4, 4) == ehrhart_closed(4, 4)
+
+    def test_each_engine_hands_its_own_census_to_the_shared_sum(self, monkeypatch):
+        read, handed, census_sum = [], [], ehrhart._census_sum
+
+        def recorded_sum(census, m, n):
+            handed.append(census)
+            return census_sum(census, m, n)
+
+        def reading(name):
+            def read_census(m):
+                read.append((name, getattr(graphs, name)(m)))
+                return read[-1][1]
+
+            return read_census
+
+        monkeypatch.setattr(ehrhart, "_census_sum", recorded_sum)
+        for name in ("sequence_census", "graph_census"):
+            monkeypatch.setattr(ehrhart, name, reading(name))
+        for m in range(1, 6):
+            for engine, census in (
+                (ehrhart_postnikov, sequence_census),
+                (ehrhart_graphsum, graph_census),
+            ):
+                read.clear()
+                handed.clear()
+                assert engine(m, m + 1) == ehrhart_closed(m, m + 1)
+                assert read == [(census.__name__, census(m))]
+                assert len(handed) == 1 and handed[0] is read[0][1]
 
     def test_sequence_listing_reaches_no_union_find_code(self, monkeypatch):
         # the listing is counted, for its refusal, by the Hall DP alone

@@ -50,6 +50,17 @@ class TestRunAll:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             verify.run_all(**arguments)
 
+    def test_huge_max_m_refused_before_any_work_estimate(self, monkeypatch):
+        # the census DPs are refused on the floor 2^max_m, as the routes
+        # are, without computing either 4^max_m or 3^max_m
+        def must_not_run(m):
+            raise AssertionError("a census work estimate was computed")
+
+        monkeypatch.setattr(graphs, "hall_work", must_not_run)
+        monkeypatch.setattr(graphs, "component_work", must_not_run)
+        with pytest.raises(BudgetError, match=r"= more than 2\^1000000000 exceeds"):
+            verify.run_all(max_m=10**9)
+
     def test_structure_counts_checked_past_the_listing_bound(self, monkeypatch):
         # the component DP has its own budget; the listings' entries do
         # not clip the check
@@ -93,6 +104,20 @@ class TestFaultInjection:
         monkeypatch.setattr(engine_module, "graph_census", shaved)
         results = {r.name: r for r in verify.check_engine_agreement(max_m=3)}
         assert not results["closed-vs-graphsum"].passed
+
+    def test_corrupted_census_sum_is_caught_on_both_engines(self, monkeypatch):
+        # the two combinatorial engines share _census_sum by design; each is
+        # compared with closed, so a fault there shows on both lines
+        good = ehrhart._census_sum
+
+        def shifted(census, m, n):
+            return good(census, m, n + 1)
+
+        monkeypatch.setattr(ehrhart, "_census_sum", shifted)
+        results = {r.name: r for r in verify.check_engine_agreement(max_m=3)}
+        assert not results["closed-vs-postnikov"].passed
+        assert not results["closed-vs-graphsum"].passed
+        assert results["closed-vs-recurrence"].passed
 
     def test_listing_mismatch_is_caught(self, monkeypatch):
         good = graphs.enumerate_sequences
